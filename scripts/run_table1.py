@@ -1,23 +1,25 @@
 """Reproduce the benchmark put-price table and report deviations.
 
 Prints the payoff column, the closed forms at both volatility conventions,
-and the two jump-model columns at r in {0, 0.1}, then compares the jump
-columns against the frozen reference values cell by cell.  The deviation
-report is the point: the jump columns do not reproduce the reference values
-(see README), and this script shows exactly by how much.
+and the two jump-model columns at r in {0, 0.1}, then reads the jump columns
+back from the CSV that `levypide table1` wrote (to --output, or to a
+temporary file) and compares them against the frozen reference values cell
+by cell.  The deviation report is the point: the jump columns do not
+reproduce the reference values (see README), and this script shows exactly
+by how much.
 
 Usage: python3 scripts/run_table1.py [--grid-n N] [--grid-m M] [--output CSV]
 """
 import argparse
-import dataclasses
+import csv
+import os
 import sys
+import tempfile
 
-from levypide import GridSpec, Merton, OptionSpec, VarianceGamma, solve_european
-from levypide.bs import bs_price
+from levypide import Merton, OptionSpec
 from levypide.cli import main as cli_main
 from levypide.oracle import merton_series_price
 
-SPOTS = (85.2144, 88.692, 92.3116, 96.0789, 100.0, 104.081, 108.329, 112.75)
 REFERENCE_MERTON = {
     0.0: (17.1692, 14.8335, 12.6423, 10.6201, 8.78655, 7.155, 5.73137, 5.83246),
     0.1: (12.9056, 10.9901, 9.21922, 7.61307, 6.18483, 4.94044, 3.87864, 2.99166),
@@ -28,38 +30,33 @@ REFERENCE_VG = {
 }
 
 
-def deviation_report(grid: GridSpec) -> None:
-    base = OptionSpec(strike=100.0, expiry=1.0, rate=0.0, sigma=0.23, kind="put")
-    merton = Merton(lam=0.1, m=-0.2, delta=0.15)
-    vg = VarianceGamma.from_bm_params(theta=-0.43, kappa=0.27, sigma_vg=0.23)
+def deviation_report(table_csv: str) -> None:
+    """Compare the jump columns of a `levypide table1` CSV with the reference."""
+    with open(table_csv, newline="") as fh:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
     print("\ndeviations from the reference table (computed - reference):")
-    header = f"{'S':>8}  " + "  ".join(
-        f"{c:>12}" for c in ("merton_r0", "merton_r0.1", "vg_r0", "vg_r0.1")
-    )
-    print(header)
-    surfaces = {}
-    for name, model in (("merton", merton), ("vg", vg)):
-        for r in (0.0, 0.1):
-            spec = dataclasses.replace(base, rate=r)
-            surfaces[(name, r)] = solve_european(spec, model, grid)
-    for i, s in enumerate(SPOTS):
-        cells = []
-        for name, ref in (("merton", REFERENCE_MERTON), ("vg", REFERENCE_VG)):
-            for r in (0.0, 0.1):
-                d = surfaces[(name, r)].price_at(0.0, s) - ref[r][i]
-                cells.append(f"{d:+12.4f}")
-        print(f"{s:>8g}  " + "  ".join(cells))
+    columns = [
+        (f"{name}_r{r:g}", ref[r])
+        for name, ref in (("merton", REFERENCE_MERTON), ("vg", REFERENCE_VG))
+        for r in (0.0, 0.1)
+    ]
+    print(f"{'S':>8}  " + "  ".join(f"{col:>12}" for col, _ in columns))
+    for i, row in enumerate(rows):
+        cells = [f"{row[col] - ref[i]:+12.4f}" for col, ref in columns]
+        print(f"{row['S']:>8g}  " + "  ".join(cells))
 
     print("\ncross-checks at S = 100 (engines agree; the table is the outlier):")
+    atm = next(row for row in rows if row["S"] == 100.0)
+    merton = Merton(lam=0.1, m=-0.2, delta=0.15)
     for r in (0.0, 0.1):
-        spec = dataclasses.replace(base, rate=r)
-        fd = surfaces[("merton", r)].price_at(0.0, 100.0)
+        spec = OptionSpec(strike=100.0, expiry=1.0, rate=r, sigma=0.23, kind="put")
+        fd = atm[f"merton_r{r:g}"]
         series = merton_series_price(spec, merton, 100.0)
         print(
             f"  r={r:g}: solver {fd:.5f}  series {series:.5f}  "
             f"(gap {fd - series:+.5f}); closed form at sigma=0.12: "
-            f"{float(bs_price(dataclasses.replace(spec, sigma=0.12), 100.0)):.5f}"
+            f"{atm[f'bs_sigma0.12_r{r:g}']:.5f}"
         )
 
 
@@ -70,13 +67,15 @@ def main() -> int:
     ap.add_argument("--output", help="also write the table as CSV")
     args = ap.parse_args()
 
-    cli_args = ["table1", "--grid-n", str(args.grid_n), "--grid-m", str(args.grid_m)]
-    if args.output:
-        cli_args += ["--output", args.output]
-    code = cli_main(cli_args)
-    if code != 0:
-        return code
-    deviation_report(GridSpec(n_space=args.grid_n, n_time=args.grid_m))
+    with tempfile.TemporaryDirectory() as tmp:
+        table_csv = args.output or os.path.join(tmp, "table1.csv")
+        code = cli_main(
+            ["table1", "--grid-n", str(args.grid_n), "--grid-m", str(args.grid_m),
+             "--output", table_csv]
+        )
+        if code != 0:
+            return code
+        deviation_report(table_csv)
     return 0
 
 

@@ -14,24 +14,24 @@ Config files are JSON.  Top-level keys:
   penalty   {"epsilon", "max_picard", "picard_tol"}; american style only.
   outputs   [{"kind": "table"|"surface"|"boundary"|"plotdata", "path": ...}].
   scenarios [{"rate": r, "spots": [S, ...]}]; one pricing job per entry.
-  seed      reserved for sampling-based outputs; the deterministic solves
-            ignore it.
   closed_form  replace the solve by the closed form when the model has no
             jumps (also the --closed-form flag).
 
-Scenario jobs run concurrently; LEVYPIDE_WORKERS caps the thread count.  All
-files are written by the main thread after every job has finished, so
-identical configs produce byte-identical outputs.
+`price` and `table1` run through one job pipeline: the jobs (one per
+scenario, or table1's built-in columns) run concurrently and LEVYPIDE_WORKERS
+caps the thread count.  All files are written by the main thread after every
+job has finished, so identical runs produce byte-identical outputs.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -71,7 +71,17 @@ __all__ = [
 ]
 
 _OUTPUT_KINDS = ("table", "surface", "boundary", "plotdata")
-_MODEL_NAMES = ("none", "merton", "kou", "vg", "nig", "cgmy")
+_MODELS = {
+    "none": NoJumps,
+    "merton": Merton,
+    "kou": Kou,
+    "vg": VarianceGamma,
+    "nig": NIG,
+    "cgmy": CGMY,
+}
+_MODEL_ALIASES = {"nojumps": "none", "bs": "none", "variance_gamma": "vg"}
+# VG's alternative parameter set, the subordinated Brownian motion's.
+_VG_BM_PARAMS = ("theta", "kappa", "sigma_vg")
 # Figure-style column ordering; extra labels follow in the order given.
 _CANONICAL_COLUMNS = ("bs", "vg", "merton")
 _TABLE1_SPOTS = (85.2144, 88.692, 92.3116, 96.0789, 100.0, 104.081, 108.329, 112.75)
@@ -116,36 +126,25 @@ def model_from_dict(d) -> LevyModel:
         raise ConfigError(f"model must be an object or a name, got {type(d).__name__}")
     kind = str(d.get("type", "")).lower()
     params = {k: d[k] for k in d if k != "type"}
+    cls = _MODELS.get(_MODEL_ALIASES.get(kind, kind))
+    if cls is None:
+        raise ConfigError(f"unknown model: {kind!r} (expected one of {', '.join(_MODELS)})")
+    if cls is NoJumps and params:
+        raise ConfigError(f"model 'none' takes no parameters, got {sorted(params)}")
+    names = tuple(f.name for f in dataclasses.fields(cls))
     try:
-        if kind in ("none", "nojumps", "bs"):
-            if params:
-                raise ConfigError(f"model 'none' takes no parameters, got {sorted(params)}")
-            return NoJumps()
-        if kind == "merton":
-            return Merton(**_floats(params, ("lam", "m", "delta"), kind))
-        if kind == "kou":
-            return Kou(**_floats(params, ("lam", "theta", "lam_plus", "lam_minus"), kind))
-        if kind in ("vg", "variance_gamma"):
-            keys = frozenset(params)
-            if keys == {"a", "b", "c"}:
-                return VarianceGamma(**_floats(params, ("a", "b", "c"), kind))
-            if keys == {"theta", "kappa", "sigma_vg"}:
-                return VarianceGamma.from_bm_params(
-                    **_floats(params, ("theta", "kappa", "sigma_vg"), kind)
+        if cls is VarianceGamma and frozenset(params) != frozenset(names):
+            if frozenset(params) != frozenset(_VG_BM_PARAMS):
+                raise ConfigError(
+                    "vg model takes either (a, b, c) or (theta, kappa, sigma_vg), "
+                    f"got {sorted(params)}"
                 )
-            raise ConfigError(
-                "vg model takes either (a, b, c) or (theta, kappa, sigma_vg), "
-                f"got {sorted(params)}"
-            )
-        if kind == "nig":
-            return NIG(**_floats(params, ("a", "b", "c"), kind))
-        if kind == "cgmy":
-            return CGMY(**_floats(params, ("c", "g", "m", "y"), kind))
+            return VarianceGamma.from_bm_params(**_floats(params, _VG_BM_PARAMS, kind))
+        return cls(**_floats(params, names, kind))
+    except ConfigError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid {kind} parameters: {exc}") from exc
-    raise ConfigError(f"unknown model: {kind!r} (expected one of {', '.join(_MODEL_NAMES)})")
 
 
 def _floats(params: Mapping, names: tuple[str, ...], kind: str) -> dict[str, float]:
@@ -158,24 +157,9 @@ def _floats(params: Mapping, names: tuple[str, ...], kind: str) -> dict[str, flo
 
 def model_to_dict(model: LevyModel) -> dict:
     """Canonical serialized form; VG always emits density parameters (a, b, c)."""
-    if isinstance(model, NoJumps):
-        return {"type": "none"}
-    if isinstance(model, Merton):
-        return {"type": "merton", "lam": model.lam, "m": model.m, "delta": model.delta}
-    if isinstance(model, Kou):
-        return {
-            "type": "kou",
-            "lam": model.lam,
-            "theta": model.theta,
-            "lam_plus": model.lam_plus,
-            "lam_minus": model.lam_minus,
-        }
-    if isinstance(model, VarianceGamma):
-        return {"type": "vg", "a": model.a, "b": model.b, "c": model.c}
-    if isinstance(model, NIG):
-        return {"type": "nig", "a": model.a, "b": model.b, "c": model.c}
-    if isinstance(model, CGMY):
-        return {"type": "cgmy", "c": model.c, "g": model.g, "m": model.m, "y": model.y}
+    for name, cls in _MODELS.items():
+        if isinstance(model, cls):
+            return {"type": name, **dataclasses.asdict(model)}
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
@@ -204,7 +188,6 @@ class RunConfig:
     penalty: PenaltyConfig | None = None
     outputs: tuple[OutputSpec, ...] = ()
     scenarios: tuple[Scenario, ...] = ()
-    seed: int = 0
     closed_form: bool = False
 
     @classmethod
@@ -279,7 +262,6 @@ class RunConfig:
             penalty=penalty,
             outputs=tuple(outputs),
             scenarios=tuple(scenarios),
-            seed=int(d.get("seed", 0)),
             closed_form=bool(d.get("closed_form", False)),
         )
         cfg.validate()
@@ -306,7 +288,6 @@ class RunConfig:
             "style": self.style,
             "outputs": [{"kind": o.kind, "path": o.path} for o in self.outputs],
             "scenarios": [{"rate": s.rate, "spots": list(s.spots)} for s in self.scenarios],
-            "seed": self.seed,
             "closed_form": self.closed_form,
         }
         if self.penalty is not None:
@@ -401,18 +382,28 @@ def emit_plotdata(
 
 
 # ---------------------------------------------------------------------------
-# the price command
+# the job pipeline shared by price and table1
 
 
-def _solve_scenario(cfg: RunConfig, rate: float) -> tuple[OptionSpec, PriceSurface | None]:
-    """One pricing job; returns surface None when the closed form substitutes."""
-    spec = dataclasses.replace(cfg.option, rate=rate)
-    if cfg.closed_form and isinstance(cfg.model, NoJumps):
-        return spec, None
-    if cfg.style == "american":
-        pcfg = cfg.penalty if cfg.penalty is not None else PenaltyConfig()
-        return spec, solve_american_penalized(spec, cfg.model, cfg.grid, pcfg)
-    return spec, solve_european(spec, cfg.model, cfg.grid)
+@dataclass(frozen=True)
+class _Job:
+    """One price-table column: model None prices by the closed form, a
+    penalty config makes the solve American."""
+
+    name: str
+    spec: OptionSpec
+    model: LevyModel | None
+    grid: GridSpec
+    spots: tuple[float, ...]
+    penalty: PenaltyConfig | None = None
+
+
+def _solve(job: _Job) -> PriceSurface | None:
+    if job.model is None:
+        return None
+    if job.penalty is not None:
+        return solve_american_penalized(job.spec, job.model, job.grid, job.penalty)
+    return solve_european(job.spec, job.model, job.grid)
 
 
 def _price_on(spec: OptionSpec, surface: PriceSurface | None, s: float) -> float:
@@ -421,85 +412,104 @@ def _price_on(spec: OptionSpec, surface: PriceSurface | None, s: float) -> float
     return float(price_at(surface, 0.0, s))
 
 
+def _run_jobs(
+    jobs: list[_Job],
+    outputs: Sequence[OutputSpec],
+    write_other: Callable[[OutputSpec, list[PriceSurface | None]], None] | None = None,
+) -> int:
+    """Solve the jobs on one thread pool, then write the outputs in order from
+    the main thread: `table` outputs here, every other kind through
+    write_other(output, surfaces).  Print the table last.  Every column shares
+    jobs[0]'s payoff.  Exit 2 on a numerical failure, before any file is
+    written; 1 on a write error."""
+    try:
+        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+            futures = [pool.submit(_solve, job) for job in jobs]
+            surfaces = [f.result() for f in futures]
+        columns = [
+            {s: _price_on(job.spec, surface, s) for s in job.spots}
+            for job, surface in zip(jobs, surfaces)
+        ]
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+
+    spots = list(dict.fromkeys(s for job in jobs for s in job.spots))
+    pay = [float(payoff(jobs[0].spec, s)) for s in spots]
+    header = ["S", "payoff", *(job.name for job in jobs)]
+    try:
+        for out in outputs:
+            if out.kind != "table":
+                write_other(out, surfaces)
+                continue
+            with open(out.path, "w", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                for s, p in zip(spots, pay):
+                    cells = [_fmt9(col[s]) if s in col else "" for col in columns]
+                    fh.write(f"{_fmt9(s)},{_fmt9(p)}," + ",".join(cells) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+
+    rows = [
+        [f"{s:g}", f"{p:.6g}", *(f"{col[s]:.6g}" if s in col else "" for col in columns)]
+        for s, p in zip(spots, pay)
+    ]
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
+    for r in [header, *rows]:
+        print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# the price command
+
+
 def _suffixed(path: str, tag: str) -> str:
     root, ext = os.path.splitext(path)
     return f"{root}_{tag}{ext}"
 
 
-def _print_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-
-
 def _execute(cfg: RunConfig) -> int:
-    try:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            futures = [pool.submit(_solve_scenario, cfg, sc.rate) for sc in cfg.scenarios]
-            results = [f.result() for f in futures]
+    closed = cfg.closed_form and isinstance(cfg.model, NoJumps)
+    penalty = None
+    if cfg.style == "american":
+        penalty = cfg.penalty if cfg.penalty is not None else PenaltyConfig()
+    jobs: list[_Job] = []
+    for sc in cfg.scenarios:
+        name = f"V_r{sc.rate:g}"
+        while any(job.name == name for job in jobs):
+            name += "'"
+        jobs.append(
+            _Job(
+                name=name,
+                spec=dataclasses.replace(cfg.option, rate=sc.rate),
+                model=None if closed else cfg.model,
+                grid=cfg.grid,
+                spots=sc.spots,
+                penalty=penalty,
+            )
+        )
 
-        spots: list[float] = []
-        for sc in cfg.scenarios:
-            spots.extend(s for s in sc.spots if s not in spots)
-        col_names: list[str] = []
-        col_values: list[dict[float, float]] = []
-        for sc, (spec, surface) in zip(cfg.scenarios, results):
-            name = f"V_r{sc.rate:g}"
-            while name in col_names:
-                name += "'"
-            col_names.append(name)
-            col_values.append({s: _price_on(spec, surface, s) for s in sc.spots})
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-
-    multi = len(cfg.scenarios) > 1
-    try:
-        for out in cfg.outputs:
-            if out.kind == "table":
-                with open(out.path, "w", newline="") as fh:
-                    fh.write("S,payoff," + ",".join(col_names) + "\n")
-                    for s in spots:
-                        cells = [
-                            _fmt9(vals[s]) if s in vals else "" for vals in col_values
-                        ]
-                        fh.write(
-                            f"{_fmt9(s)},{_fmt9(float(payoff(cfg.option, s)))},"
-                            + ",".join(cells)
-                            + "\n"
-                        )
-            elif out.kind == "surface":
-                for sc, (_, surface) in zip(cfg.scenarios, results):
-                    dest = _suffixed(out.path, f"r{sc.rate:g}") if multi else out.path
-                    surface.to_csv(dest)
+    def write_other(out: OutputSpec, surfaces: list[PriceSurface | None]) -> None:
+        label = _model_label(cfg.model)
+        for job, surface in zip(jobs, surfaces):
+            dest = out.path
+            if len(jobs) > 1:
+                dest = _suffixed(out.path, f"r{job.spec.rate:g}")
+            if out.kind == "surface":
+                surface.to_csv(dest)
             elif out.kind == "boundary":
-                for sc, (_, surface) in zip(cfg.scenarios, results):
-                    dest = _suffixed(out.path, f"r{sc.rate:g}") if multi else out.path
-                    extract_boundary(surface).to_csv(dest)
-            elif out.kind == "plotdata":
-                label = _model_label(cfg.model)
-                for sc, (spec, surface) in zip(cfg.scenarios, results):
-                    dest = _suffixed(out.path, f"r{sc.rate:g}") if multi else out.path
-                    cols: dict[str, object] = {}
-                    if label != "bs":
-                        cols["bs"] = lambda S, spec=spec: bs_price(spec, S)
-                    cols[label] = surface if surface is not None else (
-                        lambda S, spec=spec: bs_price(spec, S)
-                    )
-                    emit_plotdata(cols, dest)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+                extract_boundary(surface).to_csv(dest)
+            else:
+                closed_form = functools.partial(bs_price, job.spec)
+                cols: dict[str, object] = {}
+                if label != "bs":
+                    cols["bs"] = closed_form
+                cols[label] = surface if surface is not None else closed_form
+                emit_plotdata(cols, dest)
 
-    header = ["S", "payoff", *col_names]
-    rows = []
-    for s in spots:
-        row = [f"{s:g}", f"{float(payoff(cfg.option, s)):.6g}"]
-        row += [f"{vals[s]:.6g}" if s in vals else "" for vals in col_values]
-        rows.append(row)
-    _print_table(header, rows)
-    return 0
+    return _run_jobs(jobs, cfg.outputs, write_other)
 
 
 def _load_config(config_path: str, overrides: argparse.Namespace | None) -> RunConfig:
@@ -537,8 +547,6 @@ def _apply_overrides(d: dict, args: argparse.Namespace) -> None:
         penalty = d.get("penalty") or {}
         penalty["epsilon"] = args.epsilon
         d["penalty"] = penalty
-    if getattr(args, "seed", None) is not None:
-        d["seed"] = args.seed
     if getattr(args, "closed_form", False):
         d["closed_form"] = True
     if getattr(args, "output", None) is not None:
@@ -620,65 +628,24 @@ def _run_table1(args: argparse.Namespace) -> int:
     base = OptionSpec(strike=100.0, expiry=1.0, rate=0.0, sigma=0.23, kind="put")
     merton = Merton(lam=0.1, m=-0.2, delta=0.15)
     vg = VarianceGamma.from_bm_params(theta=-0.43, kappa=0.27, sigma_vg=0.23)
-    rates = (0.0, 0.1)
-
-    try:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            futures = {
-                (name, r): pool.submit(
-                    solve_european, dataclasses.replace(base, rate=r), model, grid
-                )
-                for name, model in (("merton", merton), ("vg", vg))
-                for r in rates
-            }
-            surfaces = {key: f.result() for key, f in futures.items()}
-
-        col_names: list[str] = []
-        columns: list[list[float]] = []
-        for r in rates:
-            spec = dataclasses.replace(base, rate=r)
-            spec12 = dataclasses.replace(spec, sigma=0.12)
-            col_names += [
-                f"bs_sigma0.12_r{r:g}",
-                f"bs_sigma0.23_r{r:g}",
-                f"merton_r{r:g}",
-                f"vg_r{r:g}",
-            ]
-            columns.append([float(bs_price(spec12, s)) for s in _TABLE1_SPOTS])
-            columns.append([float(bs_price(spec, s)) for s in _TABLE1_SPOTS])
-            columns.append(
-                [float(price_at(surfaces[("merton", r)], 0.0, s)) for s in _TABLE1_SPOTS]
-            )
-            columns.append(
-                [float(price_at(surfaces[("vg", r)], 0.0, s)) for s in _TABLE1_SPOTS]
-            )
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-
-    pay = [float(payoff(base, s)) for s in _TABLE1_SPOTS]
-    if args.output:
-        try:
-            with open(args.output, "w", newline="") as fh:
-                fh.write("S,payoff," + ",".join(col_names) + "\n")
-                for i, s in enumerate(_TABLE1_SPOTS):
-                    fh.write(
-                        f"{_fmt9(s)},{_fmt9(pay[i])},"
-                        + ",".join(_fmt9(col[i]) for col in columns)
-                        + "\n"
-                    )
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 1
-
-    header = ["S", "payoff", *col_names]
-    rows = []
-    for i, s in enumerate(_TABLE1_SPOTS):
-        rows.append(
-            [f"{s:g}", f"{pay[i]:.6g}", *(f"{col[i]:.6g}" for col in columns)]
+    jobs = [
+        _Job(
+            name=f"{name}_r{r:g}",
+            spec=dataclasses.replace(base, rate=r, sigma=sigma),
+            model=model,
+            grid=grid,
+            spots=_TABLE1_SPOTS,
         )
-    _print_table(header, rows)
-    return 0
+        for r in (0.0, 0.1)
+        for name, sigma, model in (
+            ("bs_sigma0.12", 0.12, None),
+            ("bs_sigma0.23", 0.23, None),
+            ("merton", 0.23, merton),
+            ("vg", 0.23, vg),
+        )
+    ]
+    outputs = [OutputSpec(kind="table", path=args.output)] if args.output else []
+    return _run_jobs(jobs, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +676,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="closed_form",
         help="use the closed form when the model has no jumps",
     )
-    pp.add_argument("--seed", type=int, help="seed for sampling-based outputs")
 
     pc = sub.add_parser("check", help="run the measure checks for a config's model")
     pc.add_argument("--config", required=True, help="JSON run configuration")

@@ -231,11 +231,7 @@ class ImexOperators:
     dt: float
     integral: IntegralOperator
     boundary: Callable[[np.ndarray, float], np.ndarray]
-    band: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.band is None:
-            self.band = _diffusion_band(self.spec, self.grid, self.dt)
+    band: np.ndarray = field(repr=False)
 
 
 def _diffusion_band(spec: OptionSpec, grid: GridSpec, dt: float) -> np.ndarray:
@@ -258,13 +254,15 @@ def assemble_operators(
     far-field asymptote for spec's payoff kind."""
     if boundary is None:
         boundary = european_asymptote(spec)
+    dt = spec.expiry / grid.n_time
     return ImexOperators(
         spec=spec,
         grid=grid,
         xs=grid.xs(),
-        dt=spec.expiry / grid.n_time,
+        dt=dt,
         integral=assemble_integral_operator(model, grid),
         boundary=boundary,
+        band=_diffusion_band(spec, grid, dt),
     )
 
 
@@ -307,27 +305,15 @@ def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators, dt
         )
 
 
-def step_imex(
-    u_prev: np.ndarray, ops: ImexOperators, tau_prev: float, dt: float | None = None
-) -> np.ndarray:
+def step_imex(u_prev: np.ndarray, ops: ImexOperators, tau_prev: float) -> np.ndarray:
     """Advance one time level: implicit diffusion, explicit drift and jumps."""
-    if dt is None:
-        dt = ops.dt
-        band_ops = ops
-    elif dt == ops.dt:
-        band_ops = ops
-    else:
-        band_ops = ImexOperators(
-            spec=ops.spec, grid=ops.grid, xs=ops.xs, dt=dt, integral=ops.integral,
-            boundary=ops.boundary, band=_diffusion_band(ops.spec, ops.grid, dt),
-        )
-    rhs, ub = _explicit_rhs(u_prev, ops, tau_prev, dt)
-    interior = _implicit_solve(band_ops, rhs)
+    rhs, ub = _explicit_rhs(u_prev, ops, tau_prev, ops.dt)
+    interior = _implicit_solve(ops, rhs)
     u_next = np.empty_like(u_prev)
     u_next[0] = ub[0]
     u_next[-1] = ub[1]
     u_next[1:-1] = interior
-    _growth_guard(u_next, u_prev, ops, dt)
+    _growth_guard(u_next, u_prev, ops, ops.dt)
     return u_next
 
 

@@ -107,7 +107,6 @@ class TestRunConfig:
         cfg = RunConfig.from_dict(json.loads(open(write_cfg(tmp_path)).read()))
         assert cfg.style == "european"
         assert cfg.model == NoJumps()
-        assert cfg.seed == 0
         assert cfg.closed_form is False
         assert cfg.grid.n_space == 100
 
@@ -120,7 +119,6 @@ class TestRunConfig:
             "penalty": {"epsilon": 1e-2, "max_picard": 40},
             "outputs": [{"kind": "table", "path": str(tmp_path / "t.csv")}],
             "scenarios": [{"rate": 0.1, "spots": [100.0]}],
-            "seed": 7,
         }
         cfg = RunConfig.from_dict(d)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -377,6 +375,19 @@ class TestPriceCommand:
         }
         assert first == second
 
+    def test_every_table_output_is_written(self, tmp_path):
+        first, second = tmp_path / "t.csv", tmp_path / "u.csv"
+        path = write_cfg(
+            tmp_path,
+            outputs=[
+                {"kind": "table", "path": str(first)},
+                {"kind": "table", "path": str(second)},
+            ],
+        )
+        assert main(["price", "--config", path]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text().startswith("S,payoff,V_r0.1\n")
+
 
 class TestCheckCommand:
     def test_no_jump_model_is_vacuous(self, tmp_path, capsys):
@@ -448,6 +459,16 @@ class TestTable1:
     def test_unwritable_output(self, tmp_path):
         dest = tmp_path / "no/dir/t.csv"
         assert main(["table1", "--output", str(dest)]) == 1
+
+    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("LEVYPIDE_WORKERS", workers)
+            out = tmp_path / f"table1_w{workers}.csv"
+            argv = ["table1", "--grid-n", "100", "--grid-m", "50", "--output", str(out)]
+            assert main(argv) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().out))
+        assert runs[0] == runs[1]
 
 
 class TestMainEntry:

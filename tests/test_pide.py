@@ -210,15 +210,6 @@ class TestStepImex:
         with pytest.raises(RuntimeError, match="stability"):
             step_imex(u0, ops, 0.0)
 
-    def test_explicit_dt_matches_default(self):
-        spec = bench_spec(rate=0.1)
-        grid = GridSpec()
-        ops = assemble_operators(spec, BENCH_MERTON, grid)
-        _, _, u0 = build_grid(spec, grid)
-        a = step_imex(u0, ops, 0.0)
-        b = step_imex(u0, ops, 0.0, dt=ops.dt)
-        assert np.array_equal(a, b)
-
 
 class TestSolveEuropean:
     @pytest.mark.parametrize("rate", RATES)
