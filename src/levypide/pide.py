@@ -11,6 +11,13 @@ implicit (one tridiagonal solve per step), the drift and the jump integral
 are explicit.  The discrete jump operator is calibrated so that it
 annihilates samples of e^x exactly, the discrete counterpart of the identity
 that makes the discounted stock a martingale.
+
+The large-jump part of the operator is a correlation of the padded node
+vector with a kernel of 2J+1 lattice weights.  Kernels with J below
+_FFT_MIN_OFFSET use the direct O(N J) `np.correlate`; longer ones use a
+circular convolution through a real FFT, with the kernel's transform computed
+once at assembly.  The two agree to roundoff (relative difference below
+1e-15); the cut-over is where their per-apply timings cross.
 """
 from __future__ import annotations
 
@@ -118,6 +125,13 @@ def european_asymptote(spec: OptionSpec) -> Callable[[np.ndarray, float], np.nda
 # ---------------------------------------------------------------------------
 # the discrete jump operator
 
+# Kernels whose largest offset J is at least this take the FFT path.  Per
+# apply on a 2-vCPU Xeon (N = 2J), correlate against FFT: J = 200 19 us vs
+# 22 us; J = 220-280 within noise of each other; J = 300 41 us vs 25 us;
+# J = 1600 2.3 ms vs 0.10 ms.
+_FFT_MIN_OFFSET = 300
+
+
 @dataclass(frozen=True)
 class IntegralOperator:
     """Row-compressed (Toeplitz) discretization of the jump integral.
@@ -138,6 +152,11 @@ class IntegralOperator:
     drift_correction: float
     dx: float
     delta_eff: float
+    # weights laid out densely by offset, index j + J for j = -J..J
+    kernel: np.ndarray = field(repr=False)
+    # rfft of the reversed kernel at length fft_len; None on the direct path
+    kernel_rfft: np.ndarray | None = field(repr=False)
+    fft_len: int
 
     def apply(
         self,
@@ -151,13 +170,22 @@ class IntegralOperator:
         out = np.zeros_like(u)
         dx = self.dx
         if self.offsets.size:
-            J = int(self.offsets.max())
+            J = self.kernel.size // 2
             left = extend(xs[0] + dx * np.arange(-J, 0), tau)
             right = extend(xs[-1] + dx * np.arange(1, J + 1), tau)
             upad = np.concatenate([left, u, right])
-            wfull = np.zeros(2 * J + 1)
-            wfull[self.offsets + J] = self.weights
-            out += np.correlate(upad, wfull, mode="valid") - self.total_weight * u
+            if self.kernel_rfft is None:
+                conv = np.correlate(upad, self.kernel, mode="valid")
+            else:
+                # a longer input would wrap around into the kept window
+                if upad.size > self.fft_len:
+                    raise ValueError(
+                        f"apply got {u.size} nodes; the operator was assembled "
+                        f"for at most {self.fft_len - 2 * J}"
+                    )
+                spectrum = np.fft.rfft(upad, self.fft_len) * self.kernel_rfft
+                conv = np.fft.irfft(spectrum, self.fft_len)[2 * J : upad.size]
+            out += conv - self.total_weight * u
         if self.local_correction != 0.0 or self.drift_correction != 0.0:
             d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
             d1 = (u[2:] - u[:-2]) / (2.0 * dx)
@@ -165,6 +193,34 @@ class IntegralOperator:
         out[0] = 0.0
         out[-1] = 0.0
         return out
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length the FFT handles quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _kernel_transform(kernel: np.ndarray, n_nodes: int) -> tuple[np.ndarray | None, int]:
+    """(rfft of the reversed kernel, its length) for a kernel long enough to
+    take the FFT path, else (None, 0).  The length holds the padded node
+    vector, n_nodes + 2J, so the wrap-around of the circular convolution
+    stays out of the window the apply keeps."""
+    J = kernel.size // 2
+    if J < _FFT_MIN_OFFSET:
+        return None, 0
+    n = _smooth_length(n_nodes + 2 * J)
+    return np.fft.rfft(kernel[::-1], n), n
 
 
 def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOperator:
@@ -180,6 +236,9 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
             drift_correction=0.0,
             dx=dx,
             delta_eff=0.0,
+            kernel=empty,
+            kernel_rfft=None,
+            fft_len=0,
         )
     witness = shape_witness(model)
     if witness.alpha >= 3.0:
@@ -206,6 +265,9 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
     k1 = math.sinh(dx) / dx
     k2 = 2.0 * (math.cosh(dx) - 1.0) / dx**2
     drift = (float(np.dot(weights, np.expm1(zs))) + local * k2) / k1
+    kernel = np.zeros(2 * J + 1)
+    kernel[offsets + J] = weights
+    kernel_rfft, fft_len = _kernel_transform(kernel, grid.n_space + 1)
     return IntegralOperator(
         offsets=offsets,
         weights=weights,
@@ -214,6 +276,9 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
         drift_correction=drift,
         dx=dx,
         delta_eff=delta_eff,
+        kernel=kernel,
+        kernel_rfft=kernel_rfft,
+        fft_len=fft_len,
     )
 
 
@@ -298,9 +363,13 @@ def _implicit_solve(
 
 def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators, dt: float) -> None:
     scale = max(float(np.max(np.abs(u_prev))), ops.spec.strike)
-    if float(np.max(np.abs(u_next))) > (1.0 + 20.0 * dt) * scale + 1e-9:
+    peak = float(np.max(np.abs(u_next)))
+    envelope = (1.0 + 20.0 * dt) * scale
+    if peak > envelope + 1e-9:
         raise RuntimeError(
-            "time step amplified the solution beyond the stability envelope; "
+            f"time step amplified the solution beyond the stability envelope: "
+            f"max|u_next| = {peak:.6g} > (1 + 20 dt) scale = {envelope:.6g} "
+            f"(dt = {dt:.4g}, dt*W = {dt * ops.integral.total_weight:.4g}); "
             "refine dt or loosen the jump truncation"
         )
 

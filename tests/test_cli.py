@@ -1,10 +1,15 @@
 """Config parsing, the pricing/check/table presets, and their exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levypide
 from conftest import BENCH_CGMY, BENCH_KOU, BENCH_MERTON, BENCH_NIG, BENCH_VG, bench_spec
 from levypide.bs import bs_price
 from levypide.cli import (
@@ -484,3 +489,18 @@ class TestMainEntry:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "price" in capsys.readouterr().out
+
+    def test_runs_as_a_module(self, tmp_path):
+        path = write_cfg(
+            tmp_path, model={"type": "merton", "lam": 0.1, "m": -0.2, "delta": 0.15}
+        )
+        src = str(Path(levypide.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "levypide", "check", "--config", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "integrability: passed=True" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr

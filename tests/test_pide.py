@@ -30,6 +30,9 @@ from levypide.pide import (
 
 PAYOFF_TABLE = (14.7856, 11.308, 7.68837, 3.92106, 0.0, 0.0, 0.0, 0.0)
 
+# J = 800 lattice offsets: above the cut-over, so the jump apply uses the FFT
+FFT_GRID = GridSpec(n_space=1600)
+
 
 class TestGridSpec:
     def test_defaults(self):
@@ -111,12 +114,51 @@ class TestIntegralOperator:
 
     @pytest.mark.parametrize("name", sorted(ALL_JUMP_MODELS))
     def test_annihilates_exponential_samples(self, name):
-        # discrete martingale identity: F applied to e^x vanishes to roundoff
-        grid = GridSpec()
-        xs = grid.xs()
+        # discrete martingale identity: F applied to e^x vanishes to roundoff,
+        # on the direct path (default grid) and on the FFT path (fine grid)
+        for grid in (GridSpec(), FFT_GRID):
+            xs = grid.xs()
+            op = assemble_integral_operator(ALL_JUMP_MODELS[name], grid)
+            out = op.apply(np.exp(xs), xs, 0.0, lambda xq, tau: np.exp(xq))
+            assert np.max(np.abs(out[1:-1])) <= 1e-6 * STRIKE / 100.0
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [(name, FFT_GRID) for name in sorted(ALL_JUMP_MODELS)]
+        + [
+            ("merton", GridSpec(n_space=1600, z_max=2.0)),
+            ("merton", GridSpec(n_space=1600, delta=3.0 * FFT_GRID.dx)),
+        ],
+        ids=lambda v: v if isinstance(v, str) else f"z{v.z_max:g}-d{v.delta / v.dx:g}",
+    )
+    def test_fft_apply_matches_direct_correlation(self, name, grid):
         op = assemble_integral_operator(ALL_JUMP_MODELS[name], grid)
-        out = op.apply(np.exp(xs), xs, 0.0, lambda xq, tau: np.exp(xq))
-        assert np.max(np.abs(out[1:-1])) <= 1e-6 * STRIKE / 100.0
+        assert op.kernel_rfft is not None
+        spec = bench_spec(rate=0.1)
+        extend = european_asymptote(spec)
+        xs = grid.xs()
+        u = extend(xs, 0.3) + np.cos(3.0 * xs)
+        out = op.apply(u, xs, 0.3, extend)
+
+        J = int(op.offsets.max())
+        upad = np.concatenate(
+            [extend(xs[0] + op.dx * np.arange(-J, 0), 0.3), u,
+             extend(xs[-1] + op.dx * np.arange(1, J + 1), 0.3)]
+        )
+        wfull = np.zeros(2 * J + 1)
+        wfull[op.offsets + J] = op.weights
+        ref = np.correlate(upad, wfull, mode="valid") - op.total_weight * u
+        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / op.dx**2
+        d1 = (u[2:] - u[:-2]) / (2.0 * op.dx)
+        ref[1:-1] += op.local_correction * d2 - op.drift_correction * d1
+        ref[0] = ref[-1] = 0.0
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(out))
+
+    def test_fft_apply_refuses_a_longer_node_vector(self):
+        op = assemble_integral_operator(BENCH_MERTON, FFT_GRID)
+        xs = GridSpec(half_width=8.0, n_space=3200).xs()
+        with pytest.raises(ValueError, match="assembled for"):
+            op.apply(np.ones_like(xs), xs, 0.0, lambda xq, tau: np.ones(np.shape(xq)))
 
     def test_annihilates_constants_exactly(self):
         grid = GridSpec()
@@ -205,10 +247,13 @@ class TestStepImex:
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
         blowup = lambda xq, tau: np.full(np.shape(xq), 1e9)
-        ops = assemble_operators(spec, NoJumps(), grid, boundary=blowup)
+        ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=blowup)
         _, _, u0 = build_grid(spec, grid)
-        with pytest.raises(RuntimeError, match="stability"):
+        with pytest.raises(RuntimeError, match="stability") as info:
             step_imex(u0, ops, 0.0)
+        # the message quotes the large-jump stiffness number dt*W
+        stiffness = ops.dt * ops.integral.total_weight
+        assert f"dt*W = {stiffness:.4g})" in str(info.value)
 
 
 class TestSolveEuropean:
