@@ -4,10 +4,12 @@ The American put value dominates both the payoff and the European value.  The
 solver adds the penalty source eps^-1 e^(x^-) (w - u)^+ to the transformed
 equation, where w(tau, x) = e^(r tau) Phi(K e^x) is the transformed payoff;
 as eps decreases the solution converges to the complementarity solution from
-below the obstacle by O(eps).  Each time step runs a fixed-point iteration:
-the penalty's active set lags one iterate while its value is taken implicitly,
-which keeps every inner solve tridiagonal and converges in a few sweeps even
-for eps much smaller than dt.
+below the obstacle by O(eps).  The time step and the march are pide's
+(`step_imex`, `_march`); this module supplies only the penalty sweep that
+stands in for the step's banded solve.  It runs a fixed-point iteration: the
+penalty's active set lags one iterate while its value is taken implicitly as
+an extra diagonal, which keeps every inner solve tridiagonal and converges in
+a few sweeps even for eps much smaller than dt.
 """
 from __future__ import annotations
 
@@ -21,13 +23,12 @@ from .bs import OptionSpec, payoff
 from .levy import LevyModel, integrability_check, structural_condition_check
 from .pide import (
     GridSpec,
-    ImexOperators,
     PriceSurface,
     assemble_operators,
     build_grid,
-    _explicit_rhs,
-    _growth_guard,
+    european_asymptote,
     _implicit_solve,
+    _march,
 )
 
 __all__ = [
@@ -133,45 +134,36 @@ def solve_american_penalized(
         )
 
     ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
-    xs, taus, u0 = build_grid(spec, grid)
+    xs, taus = ops.xs, grid.taus(spec.expiry)
     tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike
     dt = ops.dt
     w0 = payoff(spec, spec.strike * np.exp(xs))
     weight_int = np.exp(np.minimum(xs[1:-1], 0.0))
 
-    u = np.empty((grid.n_time + 1, grid.n_space + 1))
-    u[0] = u0
-    for n in range(grid.n_time):
-        rhs0, ub = _explicit_rhs(u[n], ops, taus[n], dt)
-        w = math.exp(spec.rate * taus[n + 1]) * w0
-        u_iter = u[n]
-        converged = False
+    def sweep(level: int, rhs: np.ndarray, u_next: np.ndarray, u_prev: np.ndarray) -> None:
+        w = math.exp(spec.rate * taus[level]) * w0
+        u_iter = u_prev
         for _ in range(pcfg.max_picard):
             active = (u_iter[1:-1] < w[1:-1]).astype(float)
             pen = (dt / pcfg.epsilon) * weight_int * active
-            interior = _implicit_solve(ops, rhs0 + pen * w[1:-1], extra_diag=pen)
-            u_new = np.empty_like(u_iter)
-            u_new[0], u_new[-1] = ub[0], ub[1]
-            u_new[1:-1] = interior
-            diff = float(np.max(np.abs(u_new - u_iter)))
-            u_iter = u_new
+            u_next[1:-1] = _implicit_solve(ops, rhs + pen * w[1:-1], extra_diag=pen)
+            diff = float(np.max(np.abs(u_next - u_iter)))
             if diff < tol:
-                converged = True
-                break
-        if not converged:
-            worst = int(np.argmax(np.abs(u_new - u[n])))
-            raise PicardError(
-                f"penalty iteration did not reach {tol:g} within {pcfg.max_picard} sweeps "
-                f"at time level {n + 1} (worst node {worst}, x = {xs[worst]:+.4f}, "
-                f"last update {diff:.3g})",
-                node=worst,
-                x=float(xs[worst]),
-                gap=diff,
-                iterations=pcfg.max_picard,
-            )
-        _growth_guard(u_iter, u[n], ops, dt)
-        u[n + 1] = u_iter
-    return PriceSurface(spec=spec, taus=taus, xs=xs, u=u)
+                return
+            u_iter = u_next.copy()
+        worst = int(np.argmax(np.abs(u_next - u_prev)))
+        raise PicardError(
+            f"penalty iteration did not reach {tol:g} within {pcfg.max_picard} sweeps "
+            f"at time level {level} (worst node {worst}, x = {xs[worst]:+.4f}, "
+            f"last update {diff:.3g}; dt = {dt:.4g}, "
+            f"dt*W = {dt * ops.integral.total_weight:.4g})",
+            node=worst,
+            x=float(xs[worst]),
+            gap=diff,
+            iterations=pcfg.max_picard,
+        )
+
+    return _march(ops, sweep)
 
 
 def extract_boundary(surface: PriceSurface, tol: float | None = None) -> ExerciseBoundary:
@@ -233,8 +225,6 @@ def lcp_residual(
     complementarity product is the residual times the obstacle gap.  Feeding a
     European surface with boundary="european" reports a near-zero PDE residual.
     """
-    from .pide import european_asymptote
-
     if boundary == "american":
         bfn = exercise_asymptote(spec)
     elif boundary == "european":

@@ -12,6 +12,11 @@ are explicit.  The discrete jump operator is calibrated so that it
 annihilates samples of e^x exactly, the discrete counterpart of the identity
 that makes the discounted stock a martingale.
 
+`step_imex` is the one time step of both the European and the American
+solve.  Its optional `solve` hook replaces the banded solve and fills the
+new level's interior (the American solve passes its penalty sweep); every
+step, hooked or not, ends in the same growth guard.
+
 The large-jump part of the operator is a correlation of the padded node
 vector with a kernel of 2J+1 lattice weights.  Kernels with J below
 _FFT_MIN_OFFSET use the direct O(N J) `np.correlate`; longer ones use a
@@ -24,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -331,37 +337,18 @@ def assemble_operators(
     )
 
 
-def _explicit_rhs(
-    u_prev: np.ndarray, ops: ImexOperators, tau_prev: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit part of one step: previous level plus dt times (drift + jumps),
-    with the new-level Dirichlet values folded into the edge equations."""
-    spec, grid = ops.spec, ops.grid
-    dx = grid.dx
-    jumps = ops.integral.apply(u_prev, ops.xs, tau_prev, ops.boundary)
-    d1 = (u_prev[2:] - u_prev[:-2]) / (2.0 * dx)
-    rhs = u_prev[1:-1] + dt * ((spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1])
-    ub = np.asarray(
-        ops.boundary(np.array([ops.xs[0], ops.xs[-1]]), tau_prev + dt), dtype=float
-    )
-    c = dt * 0.5 * spec.sigma**2 / dx**2
-    rhs[0] += c * ub[0]
-    rhs[-1] += c * ub[1]
-    return rhs, ub
-
-
 def _implicit_solve(
     ops: ImexOperators, rhs: np.ndarray, extra_diag: np.ndarray | None = None
 ) -> np.ndarray:
-    if extra_diag is None:
-        band = ops.band
-    else:
-        band = ops.band.copy()
+    band = ops.band
+    if extra_diag is not None:
+        band = band.copy()
         band[1] += extra_diag
     return solve_banded((1, 1), band, rhs)
 
 
-def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators, dt: float) -> None:
+def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators) -> None:
+    dt = ops.dt
     scale = max(float(np.max(np.abs(u_prev))), ops.spec.strike)
     peak = float(np.max(np.abs(u_next)))
     envelope = (1.0 + 20.0 * dt) * scale
@@ -374,15 +361,29 @@ def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators, dt
         )
 
 
-def step_imex(u_prev: np.ndarray, ops: ImexOperators, tau_prev: float) -> np.ndarray:
-    """Advance one time level: implicit diffusion, explicit drift and jumps."""
-    rhs, ub = _explicit_rhs(u_prev, ops, tau_prev, ops.dt)
-    interior = _implicit_solve(ops, rhs)
+def step_imex(
+    u_prev: np.ndarray, ops: ImexOperators, tau_prev: float, solve: Callable | None = None
+) -> np.ndarray:
+    """Advance one time level: implicit diffusion, explicit drift and jumps.
+
+    solve(rhs, u_next, u_prev), when given, replaces the banded solve and
+    fills u_next[1:-1]; rhs has the new Dirichlet values folded into its edge
+    equations, and u_next already holds them at its ends.
+    """
+    spec, dx, dt = ops.spec, ops.grid.dx, ops.dt
+    jumps = ops.integral.apply(u_prev, ops.xs, tau_prev, ops.boundary)
+    d1 = (u_prev[2:] - u_prev[:-2]) / (2.0 * dx)
+    rhs = u_prev[1:-1] + dt * ((spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1])
     u_next = np.empty_like(u_prev)
-    u_next[0] = ub[0]
-    u_next[-1] = ub[1]
-    u_next[1:-1] = interior
-    _growth_guard(u_next, u_prev, ops, ops.dt)
+    u_next[0], u_next[-1] = ops.boundary(np.array([ops.xs[0], ops.xs[-1]]), tau_prev + dt)
+    c = dt * 0.5 * spec.sigma**2 / dx**2
+    rhs[0] += c * u_next[0]
+    rhs[-1] += c * u_next[-1]
+    if solve is None:
+        u_next[1:-1] = _implicit_solve(ops, rhs)
+    else:
+        solve(rhs, u_next, u_prev)
+    _growth_guard(u_next, u_prev, ops)
     return u_next
 
 
@@ -405,18 +406,25 @@ class PriceSurface:
         surface_to_csv(self, path)
 
 
+def _march(ops: ImexOperators, solve: Callable | None = None) -> PriceSurface:
+    """Step from the payoff to tau = T.  solve(level, rhs, u_next, u_prev),
+    when given, is each step's hook (see step_imex), level the index of the
+    time level it fills."""
+    xs, taus, u0 = build_grid(ops.spec, ops.grid)
+    u = np.empty((ops.grid.n_time + 1, ops.grid.n_space + 1))
+    u[0] = u0
+    for n in range(ops.grid.n_time):
+        level_solve = None if solve is None else partial(solve, n + 1)
+        u[n + 1] = step_imex(u[n], ops, taus[n], level_solve)
+    return PriceSurface(spec=ops.spec, taus=taus, xs=xs, u=u)
+
+
 def solve_european(spec: OptionSpec, model: LevyModel, grid: GridSpec) -> PriceSurface:
     """March the transformed equation from the payoff to tau = T."""
     report = integrability_check(model)
     if not report.passed:
         raise ValueError(f"measure fails the integrability check: {report.detail}")
-    ops = assemble_operators(spec, model, grid)
-    xs, taus, u0 = build_grid(spec, grid)
-    u = np.empty((grid.n_time + 1, grid.n_space + 1))
-    u[0] = u0
-    for n in range(grid.n_time):
-        u[n + 1] = step_imex(u[n], ops, taus[n])
-    return PriceSurface(spec=spec, taus=taus, xs=xs, u=u)
+    return _march(assemble_operators(spec, model, grid))
 
 
 def price_at(surface: PriceSurface, t: float, S):

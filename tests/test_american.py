@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BENCH_KOU, BENCH_MERTON, STRIKE, bench_spec
+from conftest import BENCH_KOU, BENCH_MERTON, BENCH_VG, STRIKE, bench_spec
 from levypide.american import (
     LcpReport,
     PenaltyConfig,
@@ -20,7 +20,7 @@ from levypide.american import (
 )
 from levypide.bs import payoff
 from levypide.levy import Kou, NoJumps
-from levypide.pide import GridSpec, solve_european
+from levypide.pide import GridSpec, assemble_operators, solve_european
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +160,35 @@ class TestSolveAmerican:
     def test_reports_stalled_iteration(self):
         cfg = PenaltyConfig(max_picard=1, picard_tol=1e-15)
         with pytest.raises(PicardError) as exc:
-            solve_american_penalized(bench_spec(rate=0.1), NoJumps(), GridSpec(), cfg)
+            solve_american_penalized(bench_spec(rate=0.1), BENCH_MERTON, GridSpec(), cfg)
         err = exc.value
         assert err.iterations == 1
         assert err.gap > 1e-15
         assert -4.0 <= err.x <= 4.0
         assert "sweeps" in str(err)
+        # the message quotes the step size and the large-jump stiffness dt*W
+        ops = assemble_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
+        stiffness = ops.dt * ops.integral.total_weight
+        assert stiffness > 0.0
+        assert f"dt = {ops.dt:.4g}, dt*W = {stiffness:.4g})" in str(err)
+
+    # frozen default-grid prices: a change to the step, the penalty sweep or
+    # the boundary data shows here first
+    @pytest.mark.parametrize(
+        "model, spot, price",
+        [
+            (BENCH_MERTON, 85.2144, 14.95875460593217),
+            (BENCH_MERTON, 100.0, 6.266994209864876),
+            (BENCH_VG, 85.2144, 18.239081817542836),
+            (BENCH_VG, 100.0, 11.472434781923086),
+        ],
+        ids=["merton-85.2144", "merton-100", "vg-85.2144", "vg-100"],
+    )
+    # the VG measure's upward-jump budget exceeds r = 0.1; that warning has its own test
+    @pytest.mark.filterwarnings("ignore:structural condition:RuntimeWarning")
+    def test_frozen_prices(self, model, spot, price):
+        am = solve_american_penalized(bench_spec(rate=0.1), model, GridSpec())
+        assert am.price_at(0.0, spot) == pytest.approx(price, rel=1e-10, abs=0.0)
 
 
 class TestExerciseBoundary:
