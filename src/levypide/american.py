@@ -178,12 +178,11 @@ def extract_boundary(surface: PriceSurface, tol: float | None = None) -> Exercis
     mask = surface.xs <= 0.0
     S_nodes = spec.strike * np.exp(surface.xs[mask])
     intrinsic = spec.strike - S_nodes
-    s_f = np.full(len(surface.taus), np.nan)
-    for k, tau in enumerate(surface.taus):
-        V = math.exp(-spec.rate * tau) * surface.u[k][mask]
-        on_payoff = V <= intrinsic + tol
-        if np.any(on_payoff):
-            s_f[k] = float(S_nodes[on_payoff].max())
+    discount = np.array([math.exp(-spec.rate * tau) for tau in surface.taus])
+    on_payoff = discount[:, None] * surface.u[:, mask] <= intrinsic + tol
+    # S_nodes increases, so the largest spot on the payoff is each row's last True
+    last = on_payoff.shape[1] - 1 - np.argmax(on_payoff[:, ::-1], axis=1)
+    s_f = np.where(on_payoff.any(axis=1), S_nodes[last], np.nan)
     return ExerciseBoundary(taus=surface.taus.copy(), s_f=s_f)
 
 

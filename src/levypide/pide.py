@@ -8,14 +8,19 @@ solves
 
 with u(0, x) equal to the transformed payoff.  The diffusion block is
 implicit (one tridiagonal solve per step), the drift and the jump integral
-are explicit.  The discrete jump operator is calibrated so that it
-annihilates samples of e^x exactly, the discrete counterpart of the identity
-that makes the discounted stock a martingale.
+are explicit.  The tridiagonal solves call LAPACK directly: assembly factors
+the matrix once (`dgttrf`) and each unhooked step back-substitutes (`dgttrs`);
+a solve with an extra diagonal (the penalty sweep) eliminates afresh
+(`dgtsv`).  Both run the elimination `scipy.linalg.solve_banded` runs for a
+(1, 1) band, so the bits are the banded solver's.  The discrete jump operator
+is calibrated so that it annihilates samples of e^x exactly, the discrete
+counterpart of the identity that makes the discounted stock a martingale.
 
 `step_imex` is the one time step of both the European and the American
 solve.  Its optional `solve` hook replaces the banded solve and fills the
 new level's interior (the American solve passes its penalty sweep); every
-step, hooked or not, ends in the same growth guard.
+step, hooked or not, ends in the same growth guard, which also refuses a NaN
+or an infinity: the LAPACK kernels do not check their input.
 
 The large-jump part of the operator is a correlation of the padded node
 vector with a kernel of 2J+1 lattice weights.  Kernels with J below
@@ -33,7 +38,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .bs import OptionSpec, payoff
 from .levy import (
@@ -163,6 +168,9 @@ class IntegralOperator:
     # rfft of the reversed kernel at length fft_len; None on the direct path
     kernel_rfft: np.ndarray | None = field(repr=False)
     fft_len: int
+    # the J lattice points left of the grid, then the J right of it
+    ext_nodes: np.ndarray = field(repr=False)
+    n_nodes: int
 
     def apply(
         self,
@@ -172,23 +180,25 @@ class IntegralOperator:
         extend: Callable[[np.ndarray, float], np.ndarray],
     ) -> np.ndarray:
         """Evaluate the operator on a node vector; boundary rows are zero
-        (those nodes are governed by Dirichlet data, not the equation)."""
+        (those nodes are governed by Dirichlet data, not the equation).
+
+        xs are the nodes of the grid the operator was assembled on; the
+        lattice points beyond them, where extend supplies u, are precomputed,
+        so a vector of any other length is refused.
+        """
+        if u.size != self.n_nodes:
+            raise ValueError(
+                f"apply got {u.size} nodes; the operator was assembled for {self.n_nodes}"
+            )
         out = np.zeros_like(u)
         dx = self.dx
         if self.offsets.size:
             J = self.kernel.size // 2
-            left = extend(xs[0] + dx * np.arange(-J, 0), tau)
-            right = extend(xs[-1] + dx * np.arange(1, J + 1), tau)
-            upad = np.concatenate([left, u, right])
+            ext = extend(self.ext_nodes, tau)
+            upad = np.concatenate([ext[:J], u, ext[J:]])
             if self.kernel_rfft is None:
                 conv = np.correlate(upad, self.kernel, mode="valid")
             else:
-                # a longer input would wrap around into the kept window
-                if upad.size > self.fft_len:
-                    raise ValueError(
-                        f"apply got {u.size} nodes; the operator was assembled "
-                        f"for at most {self.fft_len - 2 * J}"
-                    )
                 spectrum = np.fft.rfft(upad, self.fft_len) * self.kernel_rfft
                 conv = np.fft.irfft(spectrum, self.fft_len)[2 * J : upad.size]
             out += conv - self.total_weight * u
@@ -245,6 +255,8 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
             kernel=empty,
             kernel_rfft=None,
             fft_len=0,
+            ext_nodes=empty,
+            n_nodes=grid.n_space + 1,
         )
     witness = shape_witness(model)
     if witness.alpha >= 3.0:
@@ -274,6 +286,10 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
     kernel = np.zeros(2 * J + 1)
     kernel[offsets + J] = weights
     kernel_rfft, fft_len = _kernel_transform(kernel, grid.n_space + 1)
+    xs = grid.xs()
+    ext_nodes = np.concatenate(
+        [xs[0] + dx * np.arange(-J, 0), xs[-1] + dx * np.arange(1, J + 1)]
+    )
     return IntegralOperator(
         offsets=offsets,
         weights=weights,
@@ -285,6 +301,8 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
         kernel=kernel,
         kernel_rfft=kernel_rfft,
         fft_len=fft_len,
+        ext_nodes=ext_nodes,
+        n_nodes=grid.n_space + 1,
     )
 
 
@@ -294,15 +312,21 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
 @dataclass
 class ImexOperators:
     """Assembled pieces shared by the time steps: grid arrays, the jump
-    operator, the boundary-value callable, and the banded implicit matrix."""
+    operator, the boundary-value callable, and the banded implicit matrix
+    with its LU factors."""
 
     spec: OptionSpec
     grid: GridSpec
     xs: np.ndarray
+    # the two Dirichlet nodes [xs[0], xs[-1]]
+    edge_xs: np.ndarray
     dt: float
     integral: IntegralOperator
     boundary: Callable[[np.ndarray, float], np.ndarray]
+    # rows: super-diagonal, diagonal, sub-diagonal
     band: np.ndarray = field(repr=False)
+    # dgttrf's (dl, d, du, du2, ipiv) of band
+    band_lu: tuple = field(repr=False)
 
 
 def _diffusion_band(spec: OptionSpec, grid: GridSpec, dt: float) -> np.ndarray:
@@ -326,25 +350,41 @@ def assemble_operators(
     if boundary is None:
         boundary = european_asymptote(spec)
     dt = spec.expiry / grid.n_time
+    xs = grid.xs()
+    band = _diffusion_band(spec, grid, dt)
+    *band_lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+    _check_info(info)
     return ImexOperators(
         spec=spec,
         grid=grid,
-        xs=grid.xs(),
+        xs=xs,
+        edge_xs=np.array([xs[0], xs[-1]]),
         dt=dt,
         integral=assemble_integral_operator(model, grid),
         boundary=boundary,
-        band=_diffusion_band(spec, grid, dt),
+        band=band,
+        band_lu=tuple(band_lu),
     )
+
+
+def _check_info(info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix")
 
 
 def _implicit_solve(
     ops: ImexOperators, rhs: np.ndarray, extra_diag: np.ndarray | None = None
 ) -> np.ndarray:
-    band = ops.band
-    if extra_diag is not None:
-        band = band.copy()
-        band[1] += extra_diag
-    return solve_banded((1, 1), band, rhs)
+    """Solve the implicit system for the interior nodes: through the factors
+    made at assembly, or, with extra_diag added to the diagonal, by one fresh
+    elimination."""
+    if extra_diag is None:
+        x, info = dgttrs(*ops.band_lu, rhs)
+    else:
+        band = ops.band
+        *_, x, info = dgtsv(band[2, :-1], band[1] + extra_diag, band[0, 1:], rhs)
+    _check_info(info)
+    return x
 
 
 def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators) -> None:
@@ -352,7 +392,9 @@ def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators) ->
     scale = max(float(np.max(np.abs(u_prev))), ops.spec.strike)
     peak = float(np.max(np.abs(u_next)))
     envelope = (1.0 + 20.0 * dt) * scale
-    if peak > envelope + 1e-9:
+    # a NaN compares False with anything and an inf scale lets an inf peak
+    # pass, so non-finite values are refused explicitly
+    if not (math.isfinite(peak) and peak <= envelope + 1e-9):
         raise RuntimeError(
             f"time step amplified the solution beyond the stability envelope: "
             f"max|u_next| = {peak:.6g} > (1 + 20 dt) scale = {envelope:.6g} "
@@ -375,7 +417,7 @@ def step_imex(
     d1 = (u_prev[2:] - u_prev[:-2]) / (2.0 * dx)
     rhs = u_prev[1:-1] + dt * ((spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1])
     u_next = np.empty_like(u_prev)
-    u_next[0], u_next[-1] = ops.boundary(np.array([ops.xs[0], ops.xs[-1]]), tau_prev + dt)
+    u_next[0], u_next[-1] = ops.boundary(ops.edge_xs, tau_prev + dt)
     c = dt * 0.5 * spec.sigma**2 / dx**2
     rhs[0] += c * u_next[0]
     rhs[-1] += c * u_next[-1]

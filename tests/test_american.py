@@ -20,7 +20,7 @@ from levypide.american import (
 )
 from levypide.bs import payoff
 from levypide.levy import Kou, NoJumps
-from levypide.pide import GridSpec, assemble_operators, solve_european
+from levypide.pide import GridSpec, PriceSurface, assemble_operators, solve_european
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +199,28 @@ class TestExerciseBoundary:
         assert np.all(b.s_f > 0.0) and np.all(b.s_f <= STRIKE)
         assert np.all(np.diff(b.s_f) <= 1e-12)  # recedes as maturity grows
         assert b.s_f[-1] < 90.0
+
+    @pytest.mark.parametrize("tol", [None, 0.5])
+    def test_matches_a_per_level_scan(self, eps_sweep, tol):
+        am = eps_sweep[1e-3]
+        u = am.u.copy()
+        u[3] += 50.0  # lifts the level off the payoff: empty exercise region
+        u[4] = np.nan
+        surface = PriceSurface(spec=am.spec, taus=am.taus, xs=am.xs, u=u)
+        b = extract_boundary(surface, tol)
+
+        spec = surface.spec
+        tol_abs = 1e-6 * spec.strike if tol is None else tol
+        below = surface.xs <= 0.0
+        S = spec.strike * np.exp(surface.xs[below])
+        ref = np.full(len(surface.taus), np.nan)
+        for k, tau in enumerate(surface.taus):
+            V = math.exp(-spec.rate * tau) * u[k][below]
+            on_payoff = V <= spec.strike - S + tol_abs
+            if np.any(on_payoff):
+                ref[k] = S[on_payoff].max()
+        assert np.isnan(b.s_f[3]) and np.isnan(b.s_f[4])
+        assert b.s_f.tobytes() == ref.tobytes()
 
     def test_csv_round_trip(self, tmp_path, eps_sweep):
         b = extract_boundary(eps_sweep[1e-3])

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     ALL_JUMP_MODELS,
     BENCH_MERTON,
+    BENCH_VG,
     RATES,
     STRIKE,
     TABLE_SPOTS,
@@ -18,6 +19,7 @@ from levypide.levy import CGMY, NoJumps
 from levypide.oracle import merton_series_price
 from levypide.pide import (
     GridSpec,
+    _implicit_solve,
     assemble_integral_operator,
     assemble_operators,
     build_grid,
@@ -160,6 +162,13 @@ class TestIntegralOperator:
         with pytest.raises(ValueError, match="assembled for"):
             op.apply(np.ones_like(xs), xs, 0.0, lambda xq, tau: np.ones(np.shape(xq)))
 
+    def test_direct_apply_refuses_a_foreign_node_vector(self):
+        op = assemble_integral_operator(BENCH_MERTON, GridSpec())
+        assert op.kernel_rfft is None
+        xs = GridSpec(half_width=8.0, n_space=800).xs()
+        with pytest.raises(ValueError, match="assembled for 401"):
+            op.apply(np.ones_like(xs), xs, 0.0, lambda xq, tau: np.ones(np.shape(xq)))
+
     def test_annihilates_constants_exactly(self):
         grid = GridSpec()
         xs = grid.xs()
@@ -255,6 +264,41 @@ class TestStepImex:
         stiffness = ops.dt * ops.integral.total_weight
         assert f"dt*W = {stiffness:.4g})" in str(info.value)
 
+    @pytest.mark.parametrize("hooked", [False, True], ids=["banded", "penalty-sweep"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_growth_guard_rejects_non_finite_values(self, bad, hooked):
+        # the LAPACK kernels do not check their input, so the guard must
+        spec = bench_spec(rate=0.1)
+        grid = GridSpec()
+        ops = assemble_operators(spec, BENCH_MERTON, grid)
+        _, _, u0 = build_grid(spec, grid)
+        u0[grid.n_space // 2] = bad
+        pen = np.full(grid.n_space - 1, 10.0)
+
+        def sweep(rhs, u_next, u_prev):
+            u_next[1:-1] = _implicit_solve(ops, rhs + pen * u_prev[1:-1], extra_diag=pen)
+
+        with np.errstate(invalid="ignore"), pytest.raises(
+            RuntimeError, match="stability envelope: max.u_next. = nan"
+        ):
+            step_imex(u0, ops, 0.0, sweep if hooked else None)
+
+    def test_factored_solve_matches_fresh_elimination(self):
+        # dgttrs on the assembly's factors runs dgtsv's arithmetic
+        ops = assemble_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
+        rhs = np.cos(np.arange(ops.grid.n_space - 1.0))
+        factored = _implicit_solve(ops, rhs)
+        fresh = _implicit_solve(ops, rhs, extra_diag=np.zeros_like(rhs))
+        assert factored.tobytes() == fresh.tobytes()
+
+    def test_singular_band_raises_linalg_error(self):
+        # zero diagonal, off-diagonals -c: singular for the odd interior count 399
+        ops = assemble_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
+        rhs = np.ones(ops.grid.n_space - 1)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix") as info:
+            _implicit_solve(ops, rhs, extra_diag=-ops.band[1])
+        assert isinstance(info.value, ValueError)  # the CLI's exit 2
+
 
 class TestSolveEuropean:
     @pytest.mark.parametrize("rate", RATES)
@@ -300,6 +344,29 @@ class TestSolveEuropean:
     def test_gates_on_integrability(self):
         with pytest.raises(ValueError, match="integrability"):
             solve_european(bench_spec(), CGMY(c=0.5, g=6.0, m=8.0, y=2.5), GridSpec())
+
+    # frozen put prices at r = 0.1: a change to the step, the tridiagonal
+    # solve or the jump apply (direct and FFT) shows here first
+    @pytest.mark.parametrize(
+        "model, grid, spot, price",
+        [
+            (NoJumps(), GridSpec(), 85.2144, 10.93861346161683),
+            (NoJumps(), GridSpec(), 100.0, 4.7548232799398615),
+            (BENCH_MERTON, GridSpec(), 85.2144, 11.235290423197835),
+            (BENCH_MERTON, GridSpec(), 100.0, 5.151255041398718),
+            (BENCH_VG, GridSpec(), 85.2144, 15.632343627449808),
+            (BENCH_VG, GridSpec(), 100.0, 10.061854566526046),
+            (BENCH_MERTON, FFT_GRID, 85.2144, 11.239702263409555),
+            (BENCH_MERTON, FFT_GRID, 100.0, 5.1581778093382615),
+        ],
+        ids=[
+            "none-85.2144", "none-100", "merton-85.2144", "merton-100",
+            "vg-85.2144", "vg-100", "merton-fft-85.2144", "merton-fft-100",
+        ],
+    )
+    def test_frozen_prices(self, model, grid, spot, price):
+        surface = solve_european(bench_spec(rate=0.1), model, grid)
+        assert surface.price_at(0.0, spot) == pytest.approx(price, rel=1e-10, abs=0.0)
 
 
 class TestPriceAt:
