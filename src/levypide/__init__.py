@@ -16,7 +16,7 @@ from .american import (
     lcp_residual,
     solve_american_penalized,
 )
-from .bs import OptionSpec, bs_price, norm_cdf, payoff, u_bs
+from .bs import OptionSpec, bs_price, payoff, u_bs
 from .cli import RunConfig, emit_plotdata, main, run
 from .levy import (
     CGMY,
@@ -26,7 +26,6 @@ from .levy import (
     LevyModel,
     Merton,
     NoJumps,
-    QuadratureSpec,
     ShapeParams,
     VarianceGamma,
     density,
@@ -65,7 +64,6 @@ __all__ = [
     "PenaltyConfig",
     "PicardError",
     "PriceSurface",
-    "QuadratureSpec",
     "RunConfig",
     "ShapeParams",
     "VarianceGamma",
@@ -79,7 +77,6 @@ __all__ = [
     "main",
     "mc_price",
     "merton_series_price",
-    "norm_cdf",
     "payoff",
     "price_at",
     "run",

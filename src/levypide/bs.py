@@ -1,8 +1,9 @@
-"""Black-Scholes closed forms and the log-variable transform shared by the solvers.
+"""Black-Scholes closed forms: the no-jump prices used for boundary data and
+validation.
 
-The PIDE solvers work in the transformed frame tau = T - t, x = ln(S/K),
-u(tau, x) = e^(r tau) V(t, S); this module owns that change of variables and
-the no-jump closed forms used for boundary data and validation.
+The PIDE solvers work in the frame tau = T - t, x = ln(S/K),
+u(tau, x) = e^(r tau) V(t, S); `pide` owns that change of variables.  `u_bs`
+is the closed form written in that frame, the solver tests' reference.
 """
 from __future__ import annotations
 
@@ -14,13 +15,8 @@ from scipy import special
 
 __all__ = [
     "OptionSpec",
-    "norm_cdf",
     "payoff",
     "bs_price",
-    "to_log_coords",
-    "from_log_coords",
-    "u_from_price",
-    "price_from_u",
     "u_bs",
 ]
 
@@ -46,16 +42,6 @@ class OptionSpec:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.kind not in ("call", "put"):
             raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
-
-
-def norm_cdf(d):
-    """Standard normal CDF, evaluated through the complementary error function.
-
-    Backed by scipy's erfc-based routine (absolute error well below 1e-12);
-    vectorized over d.
-    """
-    out = special.ndtr(np.asarray(d, dtype=float))
-    return float(out) if np.ndim(d) == 0 else out
 
 
 def payoff(spec: OptionSpec, S):
@@ -87,34 +73,6 @@ def bs_price(spec: OptionSpec, S, t: float = 0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def to_log_coords(spec: OptionSpec, t: float, S):
-    """Map (calendar time, spot) to the solver frame (tau, x) = (T - t, ln(S/K))."""
-    S_arr = np.asarray(S, dtype=float)
-    if np.any(S_arr <= 0):
-        raise ValueError("spot must be > 0")
-    x = np.log(S_arr / spec.strike)
-    return spec.expiry - t, (float(x) if x.ndim == 0 else x)
-
-
-def from_log_coords(spec: OptionSpec, tau: float, x):
-    """Inverse of to_log_coords: (tau, x) back to (t, S)."""
-    x_arr = np.asarray(x, dtype=float)
-    S = spec.strike * np.exp(x_arr)
-    return spec.expiry - tau, (float(S) if S.ndim == 0 else S)
-
-
-def u_from_price(spec: OptionSpec, tau: float, V):
-    """Forward value transform u = e^(r tau) V."""
-    out = np.asarray(V, dtype=float) * math.exp(spec.rate * tau)
-    return float(out) if out.ndim == 0 else out
-
-
-def price_from_u(spec: OptionSpec, tau: float, u):
-    """Back transform V = e^(-r tau) u."""
-    out = np.asarray(u, dtype=float) * math.exp(-spec.rate * tau)
-    return float(out) if out.ndim == 0 else out
-
-
 def u_bs(spec: OptionSpec, tau: float, x):
     """Transformed no-jump solution u(tau, x) = e^(r tau) V_bs(T - tau, K e^x).
 
@@ -127,5 +85,4 @@ def u_bs(spec: OptionSpec, tau: float, x):
     S = spec.strike * np.exp(x_arr)
     if tau == 0.0:
         return payoff(spec, S)
-    out = u_from_price(spec, tau, bs_price(spec, S, spec.expiry - tau))
-    return float(out) if np.ndim(out) == 0 else out
+    return math.exp(spec.rate * tau) * bs_price(spec, S, spec.expiry - tau)

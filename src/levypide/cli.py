@@ -167,6 +167,26 @@ def model_to_dict(model: LevyModel) -> dict:
 # run configuration
 
 
+def _object(d: Mapping, key: str) -> Mapping:
+    """d[key] as an object; absent or null reads as {}."""
+    value = d.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _list(d: Mapping, key: str) -> list:
+    """d[key] as a list; absent or null reads as []."""
+    value = d.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class OutputSpec:
     kind: str
@@ -210,7 +230,7 @@ class RunConfig:
 
         model = model_from_dict(d.get("model"))
 
-        g = d.get("grid", {})
+        g = _object(d, "grid")
         try:
             grid = GridSpec(
                 half_width=float(g.get("half_width", 4.0)),
@@ -219,7 +239,7 @@ class RunConfig:
                 z_max=None if g.get("z_max") is None else float(g["z_max"]),
                 delta=None if g.get("delta") is None else float(g["delta"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"inconsistent grid: {exc}") from exc
 
         style = str(d.get("style", "european"))
@@ -228,25 +248,25 @@ class RunConfig:
 
         penalty = None
         if d.get("penalty") is not None:
-            p = d["penalty"]
+            p = _object(d, "penalty")
             try:
                 penalty = PenaltyConfig(
                     epsilon=float(p.get("epsilon", 1e-3)),
                     max_picard=int(p.get("max_picard", 50)),
                     picard_tol=None if p.get("picard_tol") is None else float(p["picard_tol"]),
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"invalid penalty section: {exc}") from exc
 
         outputs = []
-        for o in d.get("outputs", ()):
+        for o in _list(d, "outputs"):
             try:
                 outputs.append(OutputSpec(kind=str(o["kind"]), path=str(o["path"])))
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"each output needs 'kind' and 'path': {o!r}") from exc
 
         scenarios = []
-        for s in d.get("scenarios", ()):
+        for s in _list(d, "scenarios"):
             try:
                 scenarios.append(
                     Scenario(rate=float(s["rate"]), spots=tuple(float(x) for x in s["spots"]))
@@ -267,42 +287,14 @@ class RunConfig:
         cfg.validate()
         return cfg
 
-    def to_dict(self) -> dict:
-        opt = self.option
-        d = {
-            "option": {
-                "kind": opt.kind,
-                "strike": opt.strike,
-                "expiry": opt.expiry,
-                "rate": opt.rate,
-                "sigma": opt.sigma,
-            },
-            "model": model_to_dict(self.model),
-            "grid": {
-                "half_width": self.grid.half_width,
-                "n_space": self.grid.n_space,
-                "n_time": self.grid.n_time,
-                "z_max": self.grid.z_max,
-                "delta": self.grid.delta,
-            },
-            "style": self.style,
-            "outputs": [{"kind": o.kind, "path": o.path} for o in self.outputs],
-            "scenarios": [{"rate": s.rate, "spots": list(s.spots)} for s in self.scenarios],
-            "closed_form": self.closed_form,
-        }
-        if self.penalty is not None:
-            d["penalty"] = {
-                "epsilon": self.penalty.epsilon,
-                "max_picard": self.penalty.max_picard,
-                "picard_tol": self.penalty.picard_tol,
-            }
-        return d
-
     def validate(self) -> None:
         if not self.scenarios:
             raise ConfigError("scenario list is empty; nothing to price")
         K, L = self.option.strike, self.grid.half_width
-        lo, hi = K * math.exp(-L), K * math.exp(L)
+        try:
+            lo, hi = K * math.exp(-L), K * math.exp(L)
+        except OverflowError as exc:
+            raise ConfigError(f"grid half_width {L:g} is too wide: K e^L overflows") from exc
         for sc in self.scenarios:
             if not sc.spots:
                 raise ConfigError(f"scenario r={sc.rate:g} has an empty spot list")
@@ -342,41 +334,29 @@ def _model_label(model: LevyModel) -> str:
 # plot data
 
 
-def emit_plotdata(
-    surfaces,
-    path: str,
-    s_min: float = 80.0,
-    s_max: float = 125.0,
-    n_samples: int = 91,
-) -> None:
-    """Write columnar t=0 prices `S,V_<label>,...` sampled on [s_min, s_max].
+def emit_plotdata(surfaces: Mapping[str, object], path: str) -> None:
+    """Write columnar t=0 prices `S,V_<label>,...` at 91 spots on [80, 125].
 
     surfaces maps labels to either a PriceSurface or a callable S -> V (a
     closed-form reference).  Labels bs, vg, merton come first in that order;
     any others follow in the order given.  Values use 6 significant digits.
     """
-    items = list(surfaces.items()) if isinstance(surfaces, Mapping) else list(surfaces)
-    if not items:
+    if not surfaces:
         raise ValueError("need at least one surface")
-    labels = [label for label, _ in items]
-    if len(set(labels)) != len(labels):
-        dupes = sorted({x for x in labels if labels.count(x) > 1})
-        raise ValueError(f"overlapping column names: {', '.join(dupes)}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    ordered = [it for name in _CANONICAL_COLUMNS for it in items if it[0] == name]
-    ordered += [it for it in items if it[0] not in _CANONICAL_COLUMNS]
+    labels = [name for name in _CANONICAL_COLUMNS if name in surfaces]
+    labels += [name for name in surfaces if name not in _CANONICAL_COLUMNS]
 
-    S = np.linspace(s_min, s_max, n_samples)
+    S = np.linspace(80.0, 125.0, 91)
     columns = []
-    for _, surf in ordered:
+    for label in labels:
+        surf = surfaces[label]
         if isinstance(surf, PriceSurface):
             vals = np.array([float(price_at(surf, 0.0, s)) for s in S])
         else:
             vals = np.asarray(surf(S), dtype=float)
         columns.append(vals)
     with open(path, "w", newline="") as fh:
-        fh.write("S," + ",".join(f"V_{label}" for label, _ in ordered) + "\n")
+        fh.write("S," + ",".join(f"V_{label}" for label in labels) + "\n")
         for i, s in enumerate(S):
             fh.write(f"{s:.6g}," + ",".join(f"{col[i]:.6g}" for col in columns) + "\n")
 
@@ -520,7 +500,9 @@ def _load_config(config_path: str, overrides: argparse.Namespace | None) -> RunC
     return RunConfig.from_dict(raw)
 
 
-def _apply_overrides(d: dict, args: argparse.Namespace) -> None:
+def _apply_overrides(d, args: argparse.Namespace) -> None:
+    if not isinstance(d, dict):
+        return  # RunConfig.from_dict refuses the root
     if getattr(args, "model", None) is not None:
         text = args.model.strip()
         if text.startswith("{"):
@@ -531,26 +513,27 @@ def _apply_overrides(d: dict, args: argparse.Namespace) -> None:
         else:
             d["model"] = {"type": text}
     if getattr(args, "rate", None) is not None:
-        scenarios = [dict(sc) for sc in d.get("scenarios", ())]
-        for sc in scenarios:
-            sc["rate"] = args.rate
-        deduped: list[dict] = []
-        for sc in scenarios:
+        deduped: list = []
+        for sc in _list(d, "scenarios"):
+            if isinstance(sc, Mapping):
+                sc = {**sc, "rate": args.rate}
             if sc not in deduped:
                 deduped.append(sc)
         d["scenarios"] = deduped
     if getattr(args, "grid_n", None) is not None:
-        d.setdefault("grid", {})["n_space"] = args.grid_n
+        d["grid"] = {**_object(d, "grid"), "n_space": args.grid_n}
     if getattr(args, "grid_m", None) is not None:
-        d.setdefault("grid", {})["n_time"] = args.grid_m
+        d["grid"] = {**_object(d, "grid"), "n_time": args.grid_m}
     if getattr(args, "epsilon", None) is not None:
-        penalty = d.get("penalty") or {}
-        penalty["epsilon"] = args.epsilon
-        d["penalty"] = penalty
+        d["penalty"] = {**_object(d, "penalty"), "epsilon": args.epsilon}
     if getattr(args, "closed_form", False):
         d["closed_form"] = True
     if getattr(args, "output", None) is not None:
-        outputs = [o for o in d.get("outputs", ()) if o.get("kind") != "table"]
+        outputs = [
+            o
+            for o in _list(d, "outputs")
+            if not (isinstance(o, Mapping) and o.get("kind") == "table")
+        ]
         outputs.append({"kind": "table", "path": args.output})
         d["outputs"] = outputs
 

@@ -27,7 +27,6 @@ __all__ = [
     "CGMY",
     "LevyModel",
     "ShapeParams",
-    "QuadratureSpec",
     "CheckReport",
     "density",
     "shape_witness",
@@ -296,29 +295,15 @@ def finite_activity(model: LevyModel) -> bool:
 # ---------------------------------------------------------------------------
 # quadrature plumbing
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls the measure-integral quadratures.
-
-    The domain [-z_max, -delta] u [delta, z_max] is covered by composite
-    Simpson rules (log-spaced next to the origin, linear beyond |z| = 1) with
-    n panels per segment; the |z| < delta core is handled analytically per
-    integrand.  Convergence is accepted when doubling n moves the value by
-    less than rel_tol relatively.
-    """
-
-    z_max: float = 10.0
-    delta: float = 1e-3
-    n: int = 2048
-    rel_tol: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.z_max <= 1.0:
-            raise ValueError("z_max must exceed 1")
-        if self.n < 8 or self.n % 2:
-            raise ValueError("n must be an even panel count >= 8")
+# The measure-integral quadratures cover [-_Z_MAX, -_DELTA] u [_DELTA, _Z_MAX]
+# by composite Simpson rules (log-spaced next to the origin, linear beyond
+# |z| = 1) with _N_PANELS panels per segment; the |z| < _DELTA core is handled
+# analytically per integrand.  Convergence is accepted when doubling the panel
+# count moves the value by less than _REL_TOL relatively.
+_Z_MAX = 10.0
+_DELTA = 1e-3
+_N_PANELS = 2048
+_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -420,11 +405,11 @@ def _one_sided_moment(model: LevyModel, k: int, delta: float) -> float:
 # ---------------------------------------------------------------------------
 # measure checks
 
-def integrability_check(model: LevyModel, quad: QuadratureSpec = QuadratureSpec()) -> CheckReport:
+def integrability_check(model: LevyModel) -> CheckReport:
     """Evaluate the defining integrability condition: integral of min(z^2, 1) nu(dz).
 
     Passes when the value is finite and stable (relative change below
-    quad.rel_tol when the panel count doubles).
+    _REL_TOL = 1e-3 when the panel count doubles).
     """
     if isinstance(model, NoJumps):
         return CheckReport(0.0, True, "empty measure")
@@ -437,19 +422,19 @@ def integrability_check(model: LevyModel, quad: QuadratureSpec = QuadratureSpec(
         )
 
     def value_at(n: int) -> float:
-        total = truncated_second_moment(model, quad.delta)
+        total = truncated_second_moment(model, _DELTA)
         for side in (1.0, -1.0):
             total += float(
-                _simpson_log(lambda t: t * t * np.asarray(density(model, side * t)), quad.delta, 1.0, n)
+                _simpson_log(lambda t: t * t * np.asarray(density(model, side * t)), _DELTA, 1.0, n)
             )
             total += float(
-                _simpson(lambda t: np.asarray(density(model, side * t)), 1.0, quad.z_max, n)
+                _simpson(lambda t: np.asarray(density(model, side * t)), 1.0, _Z_MAX, n)
             )
         return total
 
-    v1 = value_at(quad.n)
-    v2 = value_at(2 * quad.n)
-    converged = math.isfinite(v2) and abs(v2 - v1) <= quad.rel_tol * max(abs(v2), 1e-12)
+    v1 = value_at(_N_PANELS)
+    v2 = value_at(2 * _N_PANELS)
+    converged = math.isfinite(v2) and abs(v2 - v1) <= _REL_TOL * max(abs(v2), 1e-12)
     detail = (
         f"integral of min(z^2,1) nu(dz) = {v2:.6g}"
         if converged
@@ -458,15 +443,13 @@ def integrability_check(model: LevyModel, quad: QuadratureSpec = QuadratureSpec(
     return CheckReport(v2, converged, detail)
 
 
-def structural_condition_check(
-    model: LevyModel, r: float, quad: QuadratureSpec = QuadratureSpec()
-) -> CheckReport:
+def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
     """Check the upward-jump budget: integral of (e^y - 1) nu(dy) over (0, inf) <= r.
 
     This is the sufficient condition under which the American put price is
     characterized by the complementarity problem the penalty solver targets.
     Divergent configurations are reported (not raised) with the violated decay
-    condition named.  The upper cutoff extends beyond quad.z_max automatically
+    condition named.  The upper cutoff extends beyond _Z_MAX = 10 automatically
     when the right wing decays slowly, keeping the truncated tail negligible.
     """
     if isinstance(model, NoJumps):
@@ -491,32 +474,32 @@ def structural_condition_check(
 
     if isinstance(model, (Merton, Kou)):
         core = _gauss_legendre(
-            lambda t: np.expm1(t) * np.asarray(density(model, t)), 0.0, quad.delta
+            lambda t: np.expm1(t) * np.asarray(density(model, t)), 0.0, _DELTA
         )
     else:
         # expand e^y - 1 through the cubic term; remainder is O(delta^(4-alpha))
         core = (
-            _one_sided_moment(model, 1, quad.delta)
-            + _one_sided_moment(model, 2, quad.delta) / 2.0
-            + _one_sided_moment(model, 3, quad.delta) / 6.0
+            _one_sided_moment(model, 1, _DELTA)
+            + _one_sided_moment(model, 2, _DELTA) / 2.0
+            + _one_sided_moment(model, 3, _DELTA) / 6.0
         )
 
     if witness.mu > 0.0:
-        upper = quad.z_max
+        upper = _Z_MAX
     else:
         rate = -(witness.d_minus + 1.0)
-        upper = max(quad.z_max, min(400.0, 40.0 / rate))
+        upper = max(_Z_MAX, min(400.0, 40.0 / rate))
 
     def tail(n: int) -> float:
         v = float(
-            _simpson_log(lambda t: np.expm1(t) * np.asarray(density(model, t)), quad.delta, 1.0, n)
+            _simpson_log(lambda t: np.expm1(t) * np.asarray(density(model, t)), _DELTA, 1.0, n)
         )
         v += float(_simpson(lambda t: np.expm1(t) * np.asarray(density(model, t)), 1.0, upper, n))
         return v
 
-    v1 = core + tail(quad.n)
-    v2 = core + tail(2 * quad.n)
-    converged = math.isfinite(v2) and abs(v2 - v1) <= quad.rel_tol * max(abs(v2), 1e-12)
+    v1 = core + tail(_N_PANELS)
+    v2 = core + tail(2 * _N_PANELS)
+    converged = math.isfinite(v2) and abs(v2 - v1) <= _REL_TOL * max(abs(v2), 1e-12)
     passed = converged and v2 <= r + 1e-12
     if not converged:
         detail = f"quadrature not converged: {v1:.6g} -> {v2:.6g} under refinement"
@@ -530,7 +513,6 @@ def characteristic_exponent(
     sigma: float,
     omega: float,
     y: float,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> complex:
     """Characteristic exponent of the log-price Levy process.
 
@@ -548,20 +530,20 @@ def characteristic_exponent(
     if witness.alpha >= 3.0:
         raise ValueError("measure is not integrable against min(z^2, 1)")
 
-    total = base - 0.5 * y * y * truncated_second_moment(model, quad.delta)
+    total = base - 0.5 * y * y * truncated_second_moment(model, _DELTA)
     for side in (1.0, -1.0):
         inner = _simpson_log(
             lambda t: (np.exp(1j * y * side * t) - 1.0 - 1j * y * side * t)
             * np.asarray(density(model, side * t)),
-            quad.delta,
+            _DELTA,
             1.0,
-            quad.n,
+            _N_PANELS,
         )
         outer = _simpson(
             lambda t: (np.exp(1j * y * side * t) - 1.0) * np.asarray(density(model, side * t)),
             1.0,
-            quad.z_max,
-            quad.n,
+            _Z_MAX,
+            _N_PANELS,
         )
         total = total + inner + outer
     return complex(total)

@@ -31,7 +31,6 @@ once at assembly.  The two agree to roundoff (relative difference below
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -63,7 +62,6 @@ __all__ = [
     "solve_european",
     "price_at",
     "surface_to_csv",
-    "surface_from_csv",
 ]
 
 
@@ -503,25 +501,3 @@ def surface_to_csv(surface: PriceSurface, path: str) -> None:
             row = surface.u[k]
             for i, x in enumerate(surface.xs):
                 fh.write(f"{tau:.9g},{x:.9g},{row[i]:.9g}\n")
-
-
-def surface_from_csv(path: str, spec: OptionSpec) -> PriceSurface:
-    """Rebuild a surface from its CSV serialization (spec is not stored in the file)."""
-    taus: list[float] = []
-    xs: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["tau", "x", "u"]:
-            raise ValueError(f"unexpected surface header {header!r}")
-        for tau_s, x_s, u_s in reader:
-            tau, x = float(tau_s), float(x_s)
-            if not taus or tau != taus[-1]:
-                taus.append(tau)
-            if len(taus) == 1:
-                xs.append(x)
-            values.append(float(u_s))
-    n_x = len(xs)
-    u = np.asarray(values, dtype=float).reshape(len(taus), n_x)
-    return PriceSurface(spec=spec, taus=np.asarray(taus), xs=np.asarray(xs), u=u)

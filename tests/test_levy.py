@@ -22,7 +22,6 @@ from levypide.levy import (
     Kou,
     Merton,
     NoJumps,
-    QuadratureSpec,
     ShapeParams,
     VarianceGamma,
     characteristic_exponent,
@@ -235,22 +234,6 @@ class TestActivity:
 
 
 # ---------------------------------------------------------------------------
-# quadrature configuration
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        q = QuadratureSpec()
-        assert (q.z_max, q.delta, q.n, q.rel_tol) == (10.0, 1e-3, 2048, 1e-3)
-
-    @pytest.mark.parametrize(
-        "kw", [{"delta": 0.0}, {"delta": 1.5}, {"z_max": 0.5}, {"n": 7}, {"n": 4}]
-    )
-    def test_rejects_bad_fields(self, kw):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kw)
-
-
-# ---------------------------------------------------------------------------
 # small-jump variance
 
 class TestTruncatedSecondMoment:
@@ -390,6 +373,29 @@ class TestStructuralCondition:
         val = structural_condition_check(BENCH_MERTON, 0.1).value
         assert structural_condition_check(BENCH_MERTON, val + 1e-6).passed
         assert not structural_condition_check(BENCH_MERTON, val - 1e-6).passed
+
+
+# ---------------------------------------------------------------------------
+# frozen check values
+
+class TestFrozenCheckValues:
+    """Both checks on the benchmark families, to 1e-12: a change of the
+    quadrature constants moves these, though not the 6-digit `check` output."""
+
+    FROZEN = {
+        "merton": (0.006249999738629176, 0.0006772314403227547),
+        "kou": (0.023748206171210387, 0.024999999999899474),
+        "vg": (0.10248811218889918, 0.16849621523095334),
+        "nig": (0.13257422536868124, math.inf),
+        "cgmy": (0.04967517971929041, 0.32378444942707907),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_values(self, name):
+        integrability, structural = self.FROZEN[name]
+        model = ALL_JUMP_MODELS[name]
+        assert integrability_check(model).value == pytest.approx(integrability, rel=1e-12)
+        assert structural_condition_check(model, 0.1).value == pytest.approx(structural, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
