@@ -9,7 +9,11 @@ below the obstacle by O(eps).  The time step and the march are pide's
 stands in for the step's banded solve.  It runs a fixed-point iteration: the
 penalty's active set lags one iterate while its value is taken implicitly as
 an extra diagonal, which keeps every inner solve tridiagonal and converges in
-a few sweeps even for eps much smaller than dt.
+a few sweeps even for eps much smaller than dt.  The sweep stops when the
+update falls below picard_tol, or, if another sweep is allowed, when the new
+iterate has the active set the sweep just used: the next sweep would repeat
+that solve bit for bit and stop on a zero update, so the stopping rule saves
+a solve without changing a bit of the result.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ import numpy as np
 from .bs import OptionSpec, payoff
 from .levy import LevyModel, integrability_check, structural_condition_check
 from .pide import (
+    FarField,
     GridSpec,
     PriceSurface,
     assemble_operators,
@@ -57,12 +62,12 @@ class PenaltyConfig:
     picard_tol: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_picard < 1:
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not self.max_picard >= 1:
             raise ValueError(f"max_picard must be >= 1, got {self.max_picard}")
-        if self.picard_tol is not None and self.picard_tol <= 0:
-            raise ValueError(f"picard_tol must be > 0, got {self.picard_tol}")
+        if self.picard_tol is not None and not 0 < self.picard_tol < math.inf:
+            raise ValueError(f"picard_tol must be finite and > 0, got {self.picard_tol}")
 
 
 class PicardError(RuntimeError):
@@ -88,16 +93,15 @@ class ExerciseBoundary:
         boundary_to_csv(self, path)
 
 
-def exercise_asymptote(spec: OptionSpec):
+def exercise_asymptote(spec: OptionSpec) -> FarField:
     """Far-field values of the transformed American put: deep in the money the
     option is exercised, so u = e^(r tau) (K - S) there; 0 on the other side."""
-    K, r = spec.strike, spec.rate
-
-    def fn(x, tau: float):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, K * math.exp(r * tau) * (1.0 - np.exp(x)), 0.0)
-
-    return fn
+    K = spec.strike
+    return FarField(
+        rate=spec.rate,
+        level=lambda x: np.zeros(np.shape(x)),
+        growth=lambda x: np.where(np.less(x, 0.0), K * (1.0 - np.exp(x)), 0.0),
+    )
 
 
 def penalty_term(
@@ -138,18 +142,25 @@ def solve_american_penalized(
     tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike
     dt = ops.dt
     w0 = payoff(spec, spec.strike * np.exp(xs))
-    weight_int = np.exp(np.minimum(xs[1:-1], 0.0))
+    pen_scale = (dt / pcfg.epsilon) * np.exp(np.minimum(xs[1:-1], 0.0))
 
     def sweep(level: int, rhs: np.ndarray, u_next: np.ndarray, u_prev: np.ndarray) -> None:
         w = math.exp(spec.rate * taus[level]) * w0
+        w_int = w[1:-1]
         u_iter = u_prev
-        for _ in range(pcfg.max_picard):
-            active = (u_iter[1:-1] < w[1:-1]).astype(float)
-            pen = (dt / pcfg.epsilon) * weight_int * active
-            u_next[1:-1] = _implicit_solve(ops, rhs + pen * w[1:-1], extra_diag=pen)
+        active = u_iter[1:-1] < w_int
+        for k in range(pcfg.max_picard):
+            pen = pen_scale * active
+            u_next[1:-1] = _implicit_solve(ops, rhs + pen * w_int, extra_diag=pen)
             diff = float(np.max(np.abs(u_next - u_iter)))
             if diff < tol:
                 return
+            # the same active set would repeat this solve bit for bit in the
+            # next sweep, which then stops on diff == 0
+            next_active = u_next[1:-1] < w_int
+            if k + 1 < pcfg.max_picard and np.array_equal(next_active, active):
+                return
+            active = next_active
             u_iter = u_next.copy()
         worst = int(np.argmax(np.abs(u_next - u_prev)))
         raise PicardError(
@@ -245,7 +256,7 @@ def lcp_residual(
     resid_sup = 0.0
     for n in range(2, len(taus)):
         u_new, u_old = surface.u[n], surface.u[n - 1]
-        jumps = ops.integral.apply(u_old, xs, taus[n - 1], bfn)
+        jumps = ops.jump_term(u_old, taus[n - 1])
         d1 = (u_old[2:] - u_old[:-2]) / (2.0 * dx)
         d2 = (u_new[2:] - 2.0 * u_new[1:-1] + u_new[:-2]) / dx**2
         residual = (u_new[1:-1] - u_old[1:-1]) / dt - sig2h * d2 - drift_c * d1 - jumps[1:-1]

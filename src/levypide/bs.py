@@ -32,14 +32,15 @@ class OptionSpec:
     kind: str = "put"
 
     def __post_init__(self) -> None:
-        if self.strike <= 0:
-            raise ValueError(f"strike must be > 0, got {self.strike}")
-        if self.expiry <= 0:
-            raise ValueError(f"expiry must be > 0, got {self.expiry}")
-        if self.rate < 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        # chained comparisons: a NaN fails every one of them
+        if not 0 < self.strike < math.inf:
+            raise ValueError(f"strike must be finite and > 0, got {self.strike}")
+        if not 0 < self.expiry < math.inf:
+            raise ValueError(f"expiry must be finite and > 0, got {self.expiry}")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.kind not in ("call", "put"):
             raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
 

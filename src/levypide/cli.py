@@ -274,6 +274,10 @@ class RunConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"each scenario needs 'rate' and 'spots': {s!r}") from exc
 
+        closed_form = d.get("closed_form", False)
+        if not isinstance(closed_form, bool):
+            raise ConfigError(f"closed_form must be true or false, got {closed_form!r}")
+
         cfg = cls(
             option=option,
             model=model,
@@ -282,7 +286,7 @@ class RunConfig:
             penalty=penalty,
             outputs=tuple(outputs),
             scenarios=tuple(scenarios),
-            closed_form=bool(d.get("closed_form", False)),
+            closed_form=closed_form,
         )
         cfg.validate()
         return cfg
@@ -296,6 +300,10 @@ class RunConfig:
         except OverflowError as exc:
             raise ConfigError(f"grid half_width {L:g} is too wide: K e^L overflows") from exc
         for sc in self.scenarios:
+            try:
+                dataclasses.replace(self.option, rate=sc.rate)
+            except ValueError as exc:
+                raise ConfigError(f"scenario r={sc.rate:g}: {exc}") from exc
             if not sc.spots:
                 raise ConfigError(f"scenario r={sc.rate:g} has an empty spot list")
             for s in sc.spots:

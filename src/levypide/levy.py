@@ -59,10 +59,12 @@ class Merton:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"jump intensity must be >= 0, got {self.lam}")
-        if self.delta <= 0:
-            raise ValueError(f"jump size std must be > 0, got {self.delta}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"jump intensity must be finite and >= 0, got {self.lam}")
+        if not math.isfinite(self.m):
+            raise ValueError(f"mean jump size must be finite, got {self.m}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"jump size std must be finite and > 0, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,12 @@ class Kou:
     lam_minus: float
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError(f"jump intensity must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"jump intensity must be finite and > 0, got {self.lam}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"upward-jump probability must lie in [0,1], got {self.theta}")
-        if self.lam_plus <= 0 or self.lam_minus <= 0:
-            raise ValueError("tail rates lam_plus and lam_minus must be > 0")
+        if not (0 < self.lam_plus < math.inf and 0 < self.lam_minus < math.inf):
+            raise ValueError("tail rates lam_plus and lam_minus must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,10 @@ class VarianceGamma:
     c: float
 
     def __post_init__(self) -> None:
-        if self.b <= abs(self.a):
-            raise ValueError("need b > |a| so that both tails decay")
-        if self.c <= 0:
-            raise ValueError(f"scale c must be > 0, got {self.c}")
+        if not abs(self.a) < self.b < math.inf:
+            raise ValueError("need finite b > |a| so that both tails decay")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"scale c must be finite and > 0, got {self.c}")
 
     @classmethod
     def from_bm_params(cls, theta: float, kappa: float, sigma_vg: float) -> "VarianceGamma":
@@ -110,8 +112,10 @@ class VarianceGamma:
         volatility; the density parameters are a = theta/sigma_vg^2,
         b = sqrt(theta^2 + 2 sigma_vg^2/kappa)/sigma_vg^2, c = 1/kappa.
         """
-        if kappa <= 0 or sigma_vg <= 0:
-            raise ValueError("kappa and sigma_vg must be > 0")
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        if not (0 < kappa < math.inf and 0 < sigma_vg < math.inf):
+            raise ValueError("kappa and sigma_vg must be finite and > 0")
         a = theta / sigma_vg**2
         b = math.sqrt(theta**2 + 2.0 * sigma_vg**2 / kappa) / sigma_vg**2
         return cls(a=a, b=b, c=1.0 / kappa)
@@ -131,10 +135,10 @@ class NIG:
     c: float
 
     def __post_init__(self) -> None:
-        if self.b <= abs(self.a):
-            raise ValueError("need b > |a| so that both tails decay")
-        if self.c <= 0:
-            raise ValueError(f"scale c must be > 0, got {self.c}")
+        if not abs(self.a) < self.b < math.inf:
+            raise ValueError("need finite b > |a| so that both tails decay")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"scale c must be finite and > 0, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -153,10 +157,12 @@ class CGMY:
     y: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0 or self.g <= 0 or self.m <= 0:
-            raise ValueError("c, g, m must all be > 0")
-        if self.y >= 3.0:
-            raise ValueError(f"singularity order 1+y must stay below 4, got y={self.y}")
+        if not all(0 < v < math.inf for v in (self.c, self.g, self.m)):
+            raise ValueError("c, g, m must all be finite and > 0")
+        if not -math.inf < self.y < 3.0:
+            raise ValueError(
+                f"y must be finite and the singularity order 1+y below 4, got y={self.y}"
+            )
 
 
 LevyModel = Union[NoJumps, Merton, Kou, VarianceGamma, NIG, CGMY]

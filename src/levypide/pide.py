@@ -22,11 +22,21 @@ new level's interior (the American solve passes its penalty sweep); every
 step, hooked or not, ends in the same growth guard, which also refuses a NaN
 or an infinity: the LAPACK kernels do not check their input.
 
-The large-jump part of the operator is a correlation of the padded node
-vector with a kernel of 2J+1 lattice weights.  Kernels with J below
-_FFT_MIN_OFFSET use the direct O(N J) `np.correlate`; longer ones use a
-circular convolution through a real FFT, with the kernel's transform computed
-once at assembly.  The two agree to roundoff (relative difference below
+The far field, which supplies the Dirichlet data at x = +-L and the values
+of u beyond the grid that the jump integral reaches, is a `FarField`:
+u(x, tau) = level(x) + e^(rate tau) growth(x).  Assembly evaluates level and
+growth once on the fixed nodes beyond the grid and at the two edges, so a
+step evaluates no far field: it scales the precomputed growth terms by
+e^(rate tau) at its two time levels.
+
+The large-jump part of the operator is a correlation of the node vector
+with a kernel of 2J+1 lattice weights.  Kernels with J below _FFT_MIN_OFFSET
+use the direct O(N J) `np.correlate` on the node vector padded with the 2J
+far-field values, one dot product per row.  Longer ones correlate the N+1 grid nodes alone through a
+real FFT of length N+1+J (rounded up to a 2^a 3^b 5^c length), with the
+kernel's transform computed once at assembly, and add the far-field values'
+share of every row, which is linear in them and is also precomputed per
+operator.  The two paths agree to roundoff (relative difference below
 1e-15); the cut-over is where their per-apply timings cross.
 """
 from __future__ import annotations
@@ -55,6 +65,7 @@ __all__ = [
     "IntegralOperator",
     "ImexOperators",
     "build_grid",
+    "FarField",
     "european_asymptote",
     "assemble_integral_operator",
     "assemble_operators",
@@ -82,12 +93,12 @@ class GridSpec:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
         if self.n_space < 4 or self.n_space % 2:
             raise ValueError(f"n_space must be an even count >= 4, got {self.n_space}")
-        if self.n_time < 1:
-            raise ValueError(f"n_time must be >= 1, got {self.n_time}")
+        if not 1 <= self.n_time < math.inf:
+            raise ValueError(f"n_time must be a finite count >= 1, got {self.n_time}")
         if self.z_max is None:
             object.__setattr__(self, "z_max", self.half_width)
         if self.delta is None:
@@ -116,28 +127,47 @@ def build_grid(spec: OptionSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray
     return xs, taus, u0
 
 
-def european_asymptote(spec: OptionSpec) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Far-field values of the transformed European solution, used for Dirichlet
-    data at x = +-L and for evaluating the jump integral beyond the grid."""
-    K, r = spec.strike, spec.rate
+@dataclass(frozen=True)
+class FarField:
+    """Far-field values u(x, tau) = level(x) + e^(rate tau) growth(x) of the
+    transformed solution: the Dirichlet data at x = +-L and the values beyond
+    the grid that the jump integral reaches.
+
+    level and growth depend on x alone, so assembly evaluates them once on the
+    fixed nodes and a step needs only the factor e^(rate tau).
+    """
+
+    rate: float
+    level: Callable[[np.ndarray], np.ndarray]
+    growth: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x, tau: float) -> np.ndarray:
+        return self.level(x) + math.exp(self.rate * tau) * self.growth(x)
+
+
+def european_asymptote(spec: OptionSpec) -> FarField:
+    """Far-field values of the transformed European solution: K - e^(r tau) K e^x
+    for x < 0 and 0 beyond for a put, the mirror image for a call."""
+    K = spec.strike
     if spec.kind == "put":
-        def fn(x: np.ndarray, tau: float) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return np.where(x < 0, K - K * np.exp(x + r * tau), 0.0)
+        side, sign = np.less, 1.0
     else:
-        def fn(x: np.ndarray, tau: float) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return np.where(x > 0, K * np.exp(x + r * tau) - K, 0.0)
-    return fn
+        side, sign = np.greater, -1.0
+    return FarField(
+        rate=spec.rate,
+        level=lambda x: np.where(side(x, 0.0), sign * K, 0.0),
+        growth=lambda x: np.where(side(x, 0.0), -sign * K * np.exp(x), 0.0),
+    )
 
 
 # ---------------------------------------------------------------------------
 # the discrete jump operator
 
-# Kernels whose largest offset J is at least this take the FFT path.  Per
-# apply on a 2-vCPU Xeon (N = 2J), correlate against FFT: J = 200 19 us vs
-# 22 us; J = 220-280 within noise of each other; J = 300 41 us vs 25 us;
-# J = 1600 2.3 ms vs 0.10 ms.
+# Kernels whose largest offset J is at least this take the FFT path.  One
+# jump evaluation on a 2-vCPU Xeon (N = 2J, best of 9 x 200, two runs), direct
+# against FFT: J = 200 35-52 us vs 54-59 us; J = 250 53-68 us vs 49-60 us;
+# J = 300 87-89 us vs 63-64 us; J = 1600 2.1-2.6 ms vs 0.17 ms.  The crossing
+# lies between J = 200 and 300 and moves with the host's load.
 _FFT_MIN_OFFSET = 300
 
 
@@ -188,17 +218,38 @@ class IntegralOperator:
             raise ValueError(
                 f"apply got {u.size} nodes; the operator was assembled for {self.n_nodes}"
             )
+        return self.evaluate(u, self.far_data(extend(self.ext_nodes, tau)))
+
+    def far_data(self, ext: np.ndarray) -> np.ndarray:
+        """What evaluate takes from u's values at ext_nodes; linear in them.
+
+        The direct path correlates the padded node vector, so it takes the
+        values themselves.  The FFT path correlates the grid nodes alone and
+        takes the values' share of every row: row i reaches the J points left
+        of the grid through the offsets below -i, and the J points right of it
+        through those above N - i.
+        """
+        if self.kernel_rfft is None:
+            return ext
+        J = self.kernel.size // 2
+        out = np.zeros(self.n_nodes)
+        out[:J] += np.correlate(ext[:J], self.kernel[:J], mode="full")[J - 1 :]
+        out[-J:] += np.correlate(ext[J:], self.kernel[J + 1 :], mode="full")[:J]
+        return out
+
+    def evaluate(self, u: np.ndarray, far: np.ndarray) -> np.ndarray:
+        """The operator on u, with far = far_data(u's values at ext_nodes);
+        boundary rows zero."""
         out = np.zeros_like(u)
         dx = self.dx
         if self.offsets.size:
             J = self.kernel.size // 2
-            ext = extend(self.ext_nodes, tau)
-            upad = np.concatenate([ext[:J], u, ext[J:]])
             if self.kernel_rfft is None:
+                upad = np.concatenate([far[:J], u, far[J:]])
                 conv = np.correlate(upad, self.kernel, mode="valid")
             else:
-                spectrum = np.fft.rfft(upad, self.fft_len) * self.kernel_rfft
-                conv = np.fft.irfft(spectrum, self.fft_len)[2 * J : upad.size]
+                spectrum = np.fft.rfft(u, self.fft_len) * self.kernel_rfft
+                conv = np.fft.irfft(spectrum, self.fft_len)[J : J + u.size] + far
             out += conv - self.total_weight * u
         if self.local_correction != 0.0 or self.drift_correction != 0.0:
             d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
@@ -227,13 +278,15 @@ def _smooth_length(n: int) -> int:
 
 def _kernel_transform(kernel: np.ndarray, n_nodes: int) -> tuple[np.ndarray | None, int]:
     """(rfft of the reversed kernel, its length) for a kernel long enough to
-    take the FFT path, else (None, 0).  The length holds the padded node
-    vector, n_nodes + 2J, so the wrap-around of the circular convolution
-    stays out of the window the apply keeps."""
+    take the FFT path, else (None, 0).  The correlation runs over the grid
+    nodes alone, so the full linear convolution has n_nodes + 2J terms and
+    the grid term keeps those from J to J + n_nodes - 1; a length of
+    n_nodes + J keeps the wrap-around of the circular convolution out of
+    that window."""
     J = kernel.size // 2
     if J < _FFT_MIN_OFFSET:
         return None, 0
-    n = _smooth_length(n_nodes + 2 * J)
+    n = _smooth_length(n_nodes + J)
     return np.fft.rfft(kernel[::-1], n), n
 
 
@@ -310,21 +363,39 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
 @dataclass
 class ImexOperators:
     """Assembled pieces shared by the time steps: grid arrays, the jump
-    operator, the boundary-value callable, and the banded implicit matrix
-    with its LU factors."""
+    operator, the far field with its precomputed terms, and the banded
+    implicit matrix with its LU factors."""
 
     spec: OptionSpec
     grid: GridSpec
     xs: np.ndarray
-    # the two Dirichlet nodes [xs[0], xs[-1]]
-    edge_xs: np.ndarray
     dt: float
     integral: IntegralOperator
-    boundary: Callable[[np.ndarray, float], np.ndarray]
+    boundary: FarField
+    # integral.far_data of the far field's level and growth beyond the grid
+    far_level: np.ndarray = field(repr=False)
+    far_growth: np.ndarray = field(repr=False)
+    # level and growth at the two Dirichlet nodes xs[0], xs[-1]
+    edge_level: tuple[float, float]
+    edge_growth: tuple[float, float]
     # rows: super-diagonal, diagonal, sub-diagonal
     band: np.ndarray = field(repr=False)
     # dgttrf's (dl, d, du, du2, ipiv) of band
     band_lu: tuple = field(repr=False)
+
+    def jump_term(self, u: np.ndarray, tau: float) -> np.ndarray:
+        """The jump operator on u at tau, with the far field supplying u beyond
+        the grid: the step's explicit jump term."""
+        far = self.far_level + math.exp(self.boundary.rate * tau) * self.far_growth
+        return self.integral.evaluate(u, far)
+
+    def edge_values(self, tau: float) -> tuple[float, float]:
+        """The Dirichlet values at xs[0] and xs[-1] at tau."""
+        grow = math.exp(self.boundary.rate * tau)
+        return (
+            self.edge_level[0] + grow * self.edge_growth[0],
+            self.edge_level[1] + grow * self.edge_growth[1],
+        )
 
 
 def _diffusion_band(spec: OptionSpec, grid: GridSpec, dt: float) -> np.ndarray:
@@ -341,7 +412,7 @@ def assemble_operators(
     spec: OptionSpec,
     model: LevyModel,
     grid: GridSpec,
-    boundary: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    boundary: FarField | None = None,
 ) -> ImexOperators:
     """Assemble everything step_imex needs; boundary defaults to the European
     far-field asymptote for spec's payoff kind."""
@@ -349,6 +420,8 @@ def assemble_operators(
         boundary = european_asymptote(spec)
     dt = spec.expiry / grid.n_time
     xs = grid.xs()
+    integral = assemble_integral_operator(model, grid)
+    edge_xs = np.array([xs[0], xs[-1]])
     band = _diffusion_band(spec, grid, dt)
     *band_lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
     _check_info(info)
@@ -356,10 +429,13 @@ def assemble_operators(
         spec=spec,
         grid=grid,
         xs=xs,
-        edge_xs=np.array([xs[0], xs[-1]]),
         dt=dt,
-        integral=assemble_integral_operator(model, grid),
+        integral=integral,
         boundary=boundary,
+        far_level=integral.far_data(boundary.level(integral.ext_nodes)),
+        far_growth=integral.far_data(boundary.growth(integral.ext_nodes)),
+        edge_level=tuple(boundary.level(edge_xs).tolist()),
+        edge_growth=tuple(boundary.growth(edge_xs).tolist()),
         band=band,
         band_lu=tuple(band_lu),
     )
@@ -411,11 +487,11 @@ def step_imex(
     equations, and u_next already holds them at its ends.
     """
     spec, dx, dt = ops.spec, ops.grid.dx, ops.dt
-    jumps = ops.integral.apply(u_prev, ops.xs, tau_prev, ops.boundary)
+    jumps = ops.jump_term(u_prev, tau_prev)
     d1 = (u_prev[2:] - u_prev[:-2]) / (2.0 * dx)
     rhs = u_prev[1:-1] + dt * ((spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1])
     u_next = np.empty_like(u_prev)
-    u_next[0], u_next[-1] = ops.boundary(ops.edge_xs, tau_prev + dt)
+    u_next[0], u_next[-1] = ops.edge_values(tau_prev + dt)
     c = dt * 0.5 * spec.sigma**2 / dx**2
     rhs[0] += c * u_next[0]
     rhs[-1] += c * u_next[-1]

@@ -20,7 +20,14 @@ from levypide.american import (
 )
 from levypide.bs import payoff
 from levypide.levy import Kou, NoJumps
-from levypide.pide import GridSpec, PriceSurface, assemble_operators, solve_european
+from levypide.pide import (
+    GridSpec,
+    PriceSurface,
+    _implicit_solve,
+    _march,
+    assemble_operators,
+    solve_european,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +39,35 @@ def eps_sweep():
         eps: solve_american_penalized(spec, BENCH_MERTON, grid, PenaltyConfig(epsilon=eps))
         for eps in (1e-2, 1e-3)
     }
+
+
+def reference_solve(spec, model, grid, pcfg):
+    """The penalized solve with every sweep run until two iterates agree:
+    the loop whose repeat of an unchanged active set the solver skips."""
+    ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
+    xs, taus, dt = ops.xs, grid.taus(spec.expiry), ops.dt
+    tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike
+    w0 = payoff(spec, spec.strike * np.exp(xs))
+    weight_int = np.exp(np.minimum(xs[1:-1], 0.0))
+
+    def sweep(level, rhs, u_next, u_prev):
+        w = math.exp(spec.rate * taus[level]) * w0
+        u_iter = u_prev
+        for _ in range(pcfg.max_picard):
+            active = (u_iter[1:-1] < w[1:-1]).astype(float)
+            pen = (dt / pcfg.epsilon) * weight_int * active
+            u_next[1:-1] = _implicit_solve(ops, rhs + pen * w[1:-1], extra_diag=pen)
+            diff = float(np.max(np.abs(u_next - u_iter)))
+            if diff < tol:
+                return
+            u_iter = u_next.copy()
+        worst = int(np.argmax(np.abs(u_next - u_prev)))
+        raise PicardError(
+            f"time level {level}", node=worst, x=float(xs[worst]), gap=diff,
+            iterations=pcfg.max_picard,
+        )
+
+    return _march(ops, sweep)
 
 
 def obstacle_violation(surface):
@@ -46,7 +82,15 @@ def obstacle_violation(surface):
 
 class TestPenaltyConfig:
     @pytest.mark.parametrize(
-        "kw", [{"epsilon": 0.0}, {"max_picard": 0}, {"picard_tol": 0.0}]
+        "kw",
+        [
+            {"epsilon": 0.0},
+            {"max_picard": 0},
+            {"picard_tol": 0.0},
+            {"epsilon": math.nan},
+            {"max_picard": math.nan},
+            {"picard_tol": math.inf},
+        ],
     )
     def test_rejects_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -189,6 +233,33 @@ class TestSolveAmerican:
     def test_frozen_prices(self, model, spot, price):
         am = solve_american_penalized(bench_spec(rate=0.1), model, GridSpec())
         assert am.price_at(0.0, spot) == pytest.approx(price, rel=1e-10, abs=0.0)
+
+
+# the VG measure's upward-jump budget exceeds both rates; that warning has its own test
+@pytest.mark.filterwarnings("ignore:structural condition:RuntimeWarning")
+class TestSweepStoppingRule:
+    @pytest.mark.parametrize("rate", [0.05, 0.1])
+    @pytest.mark.parametrize("model", [BENCH_MERTON, BENCH_VG], ids=["merton", "vg"])
+    def test_matches_the_full_sweep_bit_for_bit(self, model, rate):
+        spec = bench_spec(rate=rate)
+        am = solve_american_penalized(spec, model, GridSpec())
+        ref = reference_solve(spec, model, GridSpec(), PenaltyConfig())
+        assert am.u.tobytes() == ref.u.tobytes()
+
+    @pytest.mark.parametrize("max_picard", [1, 2])
+    @pytest.mark.parametrize("model", [BENCH_MERTON, BENCH_VG], ids=["merton", "vg"])
+    def test_stalls_where_the_full_sweep_stalls(self, model, max_picard):
+        spec = bench_spec(rate=0.1)
+        cfg = PenaltyConfig(max_picard=max_picard, picard_tol=1e-12)
+        with pytest.raises(PicardError) as got:
+            solve_american_penalized(spec, model, GridSpec(), cfg)
+        with pytest.raises(PicardError) as ref:
+            reference_solve(spec, model, GridSpec(), cfg)
+        err, expect = got.value, ref.value
+        assert f"at {expect} " in str(err)
+        assert (err.node, err.x, err.gap, err.iterations) == (
+            expect.node, expect.x, expect.gap, expect.iterations
+        )
 
 
 class TestExerciseBoundary:

@@ -33,9 +33,12 @@ from levypide.levy import Merton, NoJumps, VarianceGamma
 from levypide.pide import GridSpec, solve_european
 
 
+OPTION = {"kind": "put", "strike": 100.0, "expiry": 1.0, "sigma": 0.23}
+
+
 def write_cfg(tmp_path, name="cfg.json", **overrides):
     cfg = {
-        "option": {"kind": "put", "strike": 100.0, "expiry": 1.0, "sigma": 0.23},
+        "option": OPTION,
         "model": {"type": "none"},
         "grid": {"n_space": 100, "n_time": 50},
         "scenarios": [{"rate": 0.1, "spots": [90.0, 100.0, 110.0]}],
@@ -155,7 +158,7 @@ class TestModelSerialization:
 
 class TestRunConfig:
     def test_minimal_parses_with_defaults(self, tmp_path):
-        cfg = RunConfig.from_dict(json.loads(open(write_cfg(tmp_path)).read()))
+        cfg = RunConfig.from_dict(json.loads(Path(write_cfg(tmp_path)).read_text()))
         assert cfg.style == "european"
         assert cfg.model == NoJumps()
         assert cfg.closed_form is False
@@ -175,26 +178,26 @@ class TestRunConfig:
         ],
     )
     def test_validation_failures(self, tmp_path, mutation, message):
-        base = json.loads(open(write_cfg(tmp_path)).read())
+        base = json.loads(Path(write_cfg(tmp_path)).read_text())
         base.update(mutation)
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_dict(base)
 
     def test_boundary_output_needs_american_style(self, tmp_path):
-        base = json.loads(open(write_cfg(tmp_path)).read())
+        base = json.loads(Path(write_cfg(tmp_path)).read_text())
         base["outputs"] = [{"kind": "boundary", "path": str(tmp_path / "b.csv")}]
         with pytest.raises(ConfigError, match="american"):
             RunConfig.from_dict(base)
 
     def test_closed_form_excludes_grid_outputs(self, tmp_path):
-        base = json.loads(open(write_cfg(tmp_path)).read())
+        base = json.loads(Path(write_cfg(tmp_path)).read_text())
         base["closed_form"] = True
         base["outputs"] = [{"kind": "surface", "path": str(tmp_path / "s.csv")}]
         with pytest.raises(ConfigError, match="closed_form"):
             RunConfig.from_dict(base)
 
     def test_unwritable_output_path(self, tmp_path):
-        base = json.loads(open(write_cfg(tmp_path)).read())
+        base = json.loads(Path(write_cfg(tmp_path)).read_text())
         base["outputs"] = [{"kind": "table", "path": str(tmp_path / "no/such/dir/t.csv")}]
         with pytest.raises(ConfigError, match="not writable"):
             RunConfig.from_dict(base)
@@ -224,6 +227,49 @@ class TestRunConfig:
     ):
         path = write_cfg(tmp_path, **mutation)
         assert main([command, "--config", path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["price", "check"])
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ({"option": {**OPTION, "expiry": math.nan}}, "expiry must be finite"),
+            ({"option": {**OPTION, "sigma": 1e400}}, "sigma must be finite"),
+            ({"option": {**OPTION, "strike": -math.inf}}, "strike must be finite"),
+            ({"scenarios": [{"rate": math.nan, "spots": [100.0]}]}, "rate must be finite"),
+            ({"scenarios": [{"rate": math.inf, "spots": [100.0]}]}, "rate must be finite"),
+            ({"scenarios": [{"rate": -0.1, "spots": [100.0]}]}, "rate must be finite and >= 0"),
+            ({"model": {"type": "merton", "lam": math.nan, "m": -0.2, "delta": 0.15}},
+             "jump intensity"),
+            ({"model": {"type": "merton", "lam": 0.1, "m": math.inf, "delta": 0.15}},
+             "mean jump size"),
+            ({"model": {"type": "kou", "lam": 0.1, "theta": 0.5, "lam_plus": math.inf,
+                        "lam_minus": 2.0}}, "tail rates"),
+            ({"model": {"type": "vg", "a": 1.0, "b": math.inf, "c": 3.7}}, "need finite b"),
+            ({"model": {"type": "vg", "theta": math.nan, "kappa": 0.27, "sigma_vg": 0.23}},
+             "theta must be finite"),
+            ({"model": {"type": "vg", "theta": -0.43, "kappa": math.inf, "sigma_vg": 0.23}},
+             "kappa and sigma_vg"),
+            ({"model": {"type": "nig", "a": -3.0, "b": 10.0, "c": math.nan}}, "scale c"),
+            ({"model": {"type": "cgmy", "c": 1.0, "g": 6.0, "m": 8.0, "y": math.nan}},
+             "y must be finite"),
+            ({"model": {"type": "cgmy", "c": 1.0, "g": math.inf, "m": 8.0, "y": 0.5}},
+             "c, g, m"),
+            ({"style": "american", "penalty": {"epsilon": math.nan}}, "epsilon must be finite"),
+            ({"style": "american", "penalty": {"picard_tol": math.inf}}, "picard_tol"),
+            ({"grid": {"half_width": math.inf}}, "half_width must be finite"),
+            ({"grid": {"half_width": 4.0, "z_max": math.nan}}, "z_max"),
+            ({"closed_form": "no"}, "closed_form must be true or false"),
+            ({"closed_form": 1}, "closed_form must be true or false"),
+        ],
+    )
+    def test_non_finite_and_mistyped_values_are_one_line_errors(
+        self, tmp_path, capsys, command, mutation, message
+    ):
+        path = write_cfg(tmp_path, **mutation)
+        assert main([command, "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from conftest import (
     ALL_JUMP_MODELS,
@@ -14,10 +15,12 @@ from conftest import (
     bench_spec,
     grid_spots,
 )
+from levypide.american import exercise_asymptote
 from levypide.bs import bs_price, payoff, u_bs
 from levypide.levy import CGMY, NoJumps
 from levypide.oracle import merton_series_price
 from levypide.pide import (
+    FarField,
     GridSpec,
     _implicit_solve,
     assemble_integral_operator,
@@ -62,6 +65,9 @@ class TestGridSpec:
             {"delta": 0.2},
             {"z_max": 5.0},
             {"delta": 0.04, "z_max": 0.03},
+            {"half_width": math.inf},
+            {"half_width": math.nan},
+            {"n_time": math.inf},
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -231,7 +237,7 @@ class TestStepImex:
     def test_zero_data_stays_zero(self):
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
-        zero = lambda xq, tau: np.zeros(np.shape(xq))
+        zero = FarField(0.0, level=np.zeros_like, growth=np.zeros_like)
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=zero)
         u1 = step_imex(np.zeros(grid.n_space + 1), ops, 0.0)
         assert np.array_equal(u1, np.zeros(grid.n_space + 1))
@@ -241,7 +247,7 @@ class TestStepImex:
         # steps of the scheme follow it to a few parts in 1e7
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
-        fwd = lambda xq, tau: STRIKE * np.exp(spec.rate * tau + np.asarray(xq, dtype=float))
+        fwd = FarField(spec.rate, level=np.zeros_like, growth=lambda xq: STRIKE * np.exp(xq))
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=fwd)
         xs = grid.xs()
         u, tau = fwd(xs, 0.0), 0.0
@@ -254,7 +260,7 @@ class TestStepImex:
     def test_growth_guard_trips_on_exploding_boundary(self):
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
-        blowup = lambda xq, tau: np.full(np.shape(xq), 1e9)
+        blowup = FarField(0.0, level=lambda xq: np.full(np.shape(xq), 1e9), growth=np.zeros_like)
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=blowup)
         _, _, u0 = build_grid(spec, grid)
         with pytest.raises(RuntimeError, match="stability") as info:
@@ -281,6 +287,29 @@ class TestStepImex:
             RuntimeError, match="stability envelope: max.u_next. = nan"
         ):
             step_imex(u0, ops, 0.0, sweep if hooked else None)
+
+    @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
+    @pytest.mark.parametrize("far", ["put", "call", "exercise"])
+    def test_matches_a_step_built_from_apply(self, far, grid):
+        # the step takes the far field's share of the jump term from the terms
+        # precomputed at assembly; here the far field is evaluated afresh
+        spec = bench_spec(rate=0.1, kind="call" if far == "call" else "put")
+        boundary = exercise_asymptote(spec) if far == "exercise" else european_asymptote(spec)
+        ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=boundary)
+        xs, dx, dt, tau = ops.xs, grid.dx, ops.dt, 0.3
+        u = boundary(xs, tau) + 5.0 * np.cos(3.0 * xs)
+        got = step_imex(u, ops, tau)
+
+        jumps = ops.integral.apply(u, xs, tau, boundary)
+        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+        rhs = u[1:-1] + dt * ((spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1])
+        lo, hi = boundary(np.array([xs[0], xs[-1]]), tau + dt)
+        c = dt * 0.5 * spec.sigma**2 / dx**2
+        rhs[0] += c * lo
+        rhs[-1] += c * hi
+        ref = np.concatenate([[lo], solve_banded((1, 1), ops.band, rhs), [hi]])
+        assert got[0] == lo and got[-1] == hi
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_factored_solve_matches_fresh_elimination(self):
         # dgttrs on the assembly's factors runs dgtsv's arithmetic
