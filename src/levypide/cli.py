@@ -325,11 +325,16 @@ class RunConfig:
                 raise ConfigError(
                     f"{o.kind} output needs the grid solve; drop closed_form"
                 )
-            parent = os.path.dirname(os.path.abspath(o.path))
-            if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-                raise ConfigError(
-                    f"output path not writable: {o.path} (directory {parent} missing or read-only)"
-                )
+            _check_writable(o.path)
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path whose directory is missing or read-only."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ConfigError(
+            f"output path not writable: {path} (directory {parent} missing or read-only)"
+        )
 
 
 def _model_label(model: LevyModel) -> str:
@@ -609,9 +614,7 @@ def _run_table1(args: argparse.Namespace) -> int:
             n_time=args.grid_m if args.grid_m else 200,
         )
         if args.output:
-            parent = os.path.dirname(os.path.abspath(args.output))
-            if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-                raise ConfigError(f"output path not writable: {args.output}")
+            _check_writable(args.output)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,12 +5,18 @@ Both price the same dynamics as the finite-difference solver (diffusion of
 volatility sigma from the option spec plus the model's jumps, drift fixed by
 the discounted-forward identity) but share no code with it, so three-way
 agreement is meaningful evidence of correctness.
+
+The simulator's formulas for a family live in one entry of `_SIMULATORS`:
+the compensator and the per-step jump sampler.  Simulating a new family
+takes those two functions and the entry; they read the measure's parameters
+but none of `levy`'s density formulas.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -109,46 +115,54 @@ def _normals(gen: np.random.Generator, shape) -> np.ndarray:
     return ndtri(_uniform_open(gen, shape))
 
 
-def _compensator(model: LevyModel) -> float:
-    """omega = integral of (e^z - 1) against the jump measure."""
-    if isinstance(model, NoJumps):
-        return 0.0
-    if isinstance(model, Merton):
-        return model.lam * (math.exp(model.m + 0.5 * model.delta**2) - 1.0)
-    if isinstance(model, VarianceGamma):
-        a, b, c = model.a, model.b, model.c
-        if b - a <= 1.0:
-            raise ValueError(
-                f"exponential moment of the jumps diverges (b - a = {b - a:g} <= 1); "
-                "the risk-neutral drift is undefined"
-            )
-        return c * math.log((b * b - a * a) / (b * b - (a + 1.0) ** 2))
-    raise NotImplementedError(f"no simulator for {type(model).__name__}")
+def _pair(mean: np.ndarray, scale: np.ndarray, z: np.ndarray, antithetic: bool) -> np.ndarray:
+    """mean + scale z, or the antithetic pair (mean + scale z, mean - scale z)."""
+    if antithetic:
+        return np.stack([mean + scale * z, mean - scale * z])
+    return mean + scale * z
 
 
-def _batch_log_jumps(
-    model: LevyModel, gen: np.random.Generator, n: int, dt: float, antithetic: bool
-) -> np.ndarray:
-    """One time step's jump contribution; shape (n,) or (2, n) for antithetic
-    pairs that share counts and subordinators and differ by the normals' sign."""
-    if isinstance(model, NoJumps):
-        return np.zeros((2, n) if antithetic else n)
-    if isinstance(model, Merton):
-        counts = gen.poisson(model.lam * dt, size=n)
-        z = _normals(gen, n)
-        scale = model.delta * np.sqrt(counts)
-        if antithetic:
-            return np.stack([model.m * counts + scale * z, model.m * counts - scale * z])
-        return model.m * counts + scale * z
-    if isinstance(model, VarianceGamma):
-        theta, kappa, sigma_vg = model.bm_params()
-        g = gen.gamma(dt / kappa, kappa, size=n)
-        z = _normals(gen, n)
-        scale = sigma_vg * np.sqrt(g)
-        if antithetic:
-            return np.stack([theta * g + scale * z, theta * g - scale * z])
-        return theta * g + scale * z
-    raise NotImplementedError(f"no simulator for {type(model).__name__}")
+def _no_jumps(model: NoJumps, gen, n: int, dt: float, antithetic: bool) -> np.ndarray:
+    return np.zeros((2, n) if antithetic else n)
+
+
+def _merton_compensator(model: Merton) -> float:
+    return model.lam * (math.exp(model.m + 0.5 * model.delta**2) - 1.0)
+
+
+def _merton_jumps(model: Merton, gen, n: int, dt: float, antithetic: bool) -> np.ndarray:
+    counts = gen.poisson(model.lam * dt, size=n)
+    z = _normals(gen, n)
+    return _pair(model.m * counts, model.delta * np.sqrt(counts), z, antithetic)
+
+
+def _vg_compensator(model: VarianceGamma) -> float:
+    a, b, c = model.a, model.b, model.c
+    if b - a <= 1.0:
+        raise ValueError(
+            f"exponential moment of the jumps diverges (b - a = {b - a:g} <= 1); "
+            "the risk-neutral drift is undefined"
+        )
+    return c * math.log((b * b - a * a) / (b * b - (a + 1.0) ** 2))
+
+
+def _vg_jumps(model: VarianceGamma, gen, n: int, dt: float, antithetic: bool) -> np.ndarray:
+    theta, kappa, sigma_vg = model.bm_params()
+    g = gen.gamma(dt / kappa, kappa, size=n)
+    z = _normals(gen, n)
+    return _pair(theta * g, sigma_vg * np.sqrt(g), z, antithetic)
+
+
+# Per simulated family: the compensator omega = integral of (e^z - 1) against
+# the jump measure, and one time step's log-jumps for n paths, shape (n,) or
+# (2, n) for antithetic pairs that share counts and subordinators and differ
+# by the normals' sign.  Kept apart from the measure classes in `levy`, so the
+# oracle shares no arithmetic with the solver.
+_SIMULATORS = {
+    NoJumps: (lambda model: 0.0, _no_jumps),
+    Merton: (_merton_compensator, _merton_jumps),
+    VarianceGamma: (_vg_compensator, _vg_jumps),
+}
 
 
 def _batch_terminal_spots(
@@ -160,14 +174,16 @@ def _batch_terminal_spots(
     n: int,
     n_steps: int,
     antithetic: bool,
+    omega: float,
+    log_jumps: Callable,
 ) -> np.ndarray:
     dt = tau / n_steps
-    drift = (spec.rate - 0.5 * spec.sigma**2 - _compensator(model)) * dt
+    drift = (spec.rate - 0.5 * spec.sigma**2 - omega) * dt
     vol = spec.sigma * math.sqrt(dt)
     log_s = np.full((2, n) if antithetic else n, math.log(S))
     for _ in range(n_steps):
         z = _normals(gen, n)
-        jumps = _batch_log_jumps(model, gen, n, dt, antithetic)
+        jumps = log_jumps(model, gen, n, dt, antithetic)
         if antithetic:
             log_s[0] += drift + vol * z
             log_s[1] += drift - vol * z
@@ -183,7 +199,11 @@ def _mc_estimate(spec, model, S, mc: McConfig, statistic) -> McResult:
     per-path samples; antithetic pairs are averaged into one sample each."""
     if S <= 0:
         raise ValueError(f"spot must be > 0, got {S}")
-    _compensator(model)  # fail fast on unsupported or non-integrable models
+    try:
+        compensator, log_jumps = _SIMULATORS[type(model)]
+    except KeyError:
+        raise NotImplementedError(f"no simulator for {type(model).__name__}") from None
+    omega = compensator(model)  # fails fast on a non-integrable measure
     tau = spec.expiry
     n_samples = mc.n_paths // 2 if mc.antithetic else mc.n_paths
     n_batches = -(-n_samples // _BATCH)
@@ -195,7 +215,9 @@ def _mc_estimate(spec, model, S, mc: McConfig, statistic) -> McResult:
     for child in children:
         gen = np.random.Generator(np.random.Philox(child))
         n = min(_BATCH, n_samples - done)
-        spots = _batch_terminal_spots(spec, model, S, tau, gen, n, mc.n_steps, mc.antithetic)
+        spots = _batch_terminal_spots(
+            spec, model, S, tau, gen, n, mc.n_steps, mc.antithetic, omega, log_jumps
+        )
         vals = disc * statistic(spots)
         if mc.antithetic:
             vals = 0.5 * (vals[0] + vals[1])

@@ -570,9 +570,13 @@ class TestTable1:
         assert float(atm[3]) == pytest.approx(9.15549, abs=1e-4)  # 100 (2 N(0.115) - 1)
         assert "merton_r0" in capsys.readouterr().out
 
-    def test_unwritable_output(self, tmp_path):
+    def test_unwritable_output(self, tmp_path, capsys):
         dest = tmp_path / "no/dir/t.csv"
         assert main(["table1", "--output", str(dest)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output path not writable: {dest} "
+            f"(directory {dest.parent} missing or read-only)\n"
+        )
 
     def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch, capsys):
         runs = []

@@ -379,8 +379,10 @@ class TestStructuralCondition:
 # frozen check values
 
 class TestFrozenCheckValues:
-    """Both checks on the benchmark families, to 1e-12: a change of the
-    quadrature constants moves these, though not the 6-digit `check` output."""
+    """Both checks and the characteristic exponent on the benchmark families,
+    to 1e-12: a change of the quadrature constants or of the order in which
+    the wing integrals are added moves these, though not the 6-digit `check`
+    output."""
 
     FROZEN = {
         "merton": (0.006249999738629176, 0.0006772314403227547),
@@ -396,6 +398,42 @@ class TestFrozenCheckValues:
         model = ALL_JUMP_MODELS[name]
         assert integrability_check(model).value == pytest.approx(integrability, rel=1e-12)
         assert structural_condition_check(model, 0.1).value == pytest.approx(structural, rel=1e-12)
+
+    # characteristic_exponent(model, 0.23, 0.05, y) at y = 0.5, 3 and 20
+    EXPONENT = {
+        "merton": (
+            -0.0073915352304390145 + 0.025044694561480677j,
+            -0.26346383631855014 + 0.1589728451863501j,
+            -10.680726132472431 + 1.4008406326551939j,
+        ),
+        "kou": (
+            -0.010905027769603386 + 0.022094564630575003j,
+            -0.2976653845627904 + 0.1564300518447713j,
+            -10.678404706143864 + 1.0324309679205017j,
+        ),
+        "vg": (
+            -0.01942683948463266 + 0.02503587757737423j,
+            -0.6571819323519162 + 0.2650719233779795j,
+            -16.15203261780445 + 7.569293116415613j,
+        ),
+        "nig": (
+            -0.02326018161712104 + 0.024228362201099397j,
+            -0.7841090474678922 + 0.2012733715266615j,
+            -20.454105180566387 + 2.9108349247846728j,
+        ),
+        "cgmy": (
+            -0.012818004649306214 + 0.02499387412033038j,
+            -0.44884146720926493 + 0.16457572184429603j,
+            -14.535060929142572 + 1.7431796539270266j,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPONENT))
+    def test_exponent(self, name):
+        model = ALL_JUMP_MODELS[name]
+        for y, frozen in zip((0.5, 3.0, 20.0), self.EXPONENT[name]):
+            val = characteristic_exponent(model, 0.23, 0.05, y)
+            assert val == pytest.approx(frozen, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

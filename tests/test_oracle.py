@@ -144,6 +144,18 @@ class TestMcPrice:
         paired = mc_price(spec, NoJumps(), 100.0, McConfig(seed=3, antithetic=True))
         assert paired.stderr < plain.stderr
 
+    def test_standard_error_is_calibrated(self):
+        # z-scores of 200 seeds against the series: a biased estimator moves
+        # their mean off 0, a misstated standard error their spread off 1
+        spec = bench_spec(rate=0.1)
+        ref = merton_series_price(spec, BENCH_MERTON, 100.0)
+        z = []
+        for seed in range(200):
+            res = mc_price(spec, BENCH_MERTON, 100.0, McConfig(n_paths=20_000, seed=seed))
+            z.append((res.price - ref) / res.stderr)
+        assert abs(np.mean(z)) <= 0.25
+        assert 0.8 <= np.std(z, ddof=1) <= 1.2
+
     def test_rejects_nonpositive_spot(self):
         with pytest.raises(ValueError, match="spot"):
             mc_price(bench_spec(), BENCH_MERTON, 0.0)
