@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bs import OptionSpec, payoff
-from .levy import LevyModel, integrability_check, structural_condition_check
+from .levy import LevyModel, structural_condition_check
 from .pide import (
     FarField,
     GridSpec,
@@ -45,7 +45,6 @@ __all__ = [
     "penalty_term",
     "solve_american_penalized",
     "extract_boundary",
-    "boundary_to_csv",
     "lcp_residual",
 ]
 
@@ -90,7 +89,11 @@ class ExerciseBoundary:
     s_f: np.ndarray
 
     def to_csv(self, path: str) -> None:
-        boundary_to_csv(self, path)
+        """Write the boundary as `tau,s_f` rows, 9 significant digits."""
+        with open(path, "w", newline="") as fh:
+            fh.write("tau,s_f\n")
+            for tau, s in zip(self.taus, self.s_f):
+                fh.write(f"{tau:.9g},{s:.9g}\n")
 
 
 def exercise_asymptote(spec: OptionSpec) -> FarField:
@@ -98,7 +101,6 @@ def exercise_asymptote(spec: OptionSpec) -> FarField:
     option is exercised, so u = e^(r tau) (K - S) there; 0 on the other side."""
     K = spec.strike
     return FarField(
-        rate=spec.rate,
         level=lambda x: np.zeros(np.shape(x)),
         growth=lambda x: np.where(np.less(x, 0.0), K * (1.0 - np.exp(x)), 0.0),
     )
@@ -124,9 +126,9 @@ def solve_american_penalized(
     """March the penalized equation; per step, iterate the penalty to a fixed point."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
-    report = integrability_check(model)
-    if not report.passed:
-        raise ValueError(f"measure fails the integrability check: {report.detail}")
+    # assembly refuses a measure that fails the integrability check, so such a
+    # measure raises before the structural check can warn
+    ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
     structural = structural_condition_check(model, spec.rate)
     if not structural.passed:
         warnings.warn(
@@ -137,7 +139,6 @@ def solve_american_penalized(
             stacklevel=2,
         )
 
-    ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
     xs, taus = ops.xs, grid.taus(spec.expiry)
     tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike
     dt = ops.dt
@@ -177,15 +178,15 @@ def solve_american_penalized(
     return _march(ops, sweep)
 
 
-def extract_boundary(surface: PriceSurface, tol: float | None = None) -> ExerciseBoundary:
-    """Per time level, the largest spot S <= K whose price sits on the payoff.
+def extract_boundary(surface: PriceSurface) -> ExerciseBoundary:
+    """Per time level, the largest spot S <= K whose price sits on the payoff,
+    within 1e-6 * strike.
 
-    tol defaults to 1e-6 * strike.  Levels whose exercise region is empty get
-    NaN.  Monotonicity of the boundary is reported by callers, not enforced.
+    Levels whose exercise region is empty get NaN.  Monotonicity of the
+    boundary is reported by callers, not enforced.
     """
     spec = surface.spec
-    if tol is None:
-        tol = 1e-6 * spec.strike
+    tol = 1e-6 * spec.strike
     mask = surface.xs <= 0.0
     S_nodes = spec.strike * np.exp(surface.xs[mask])
     intrinsic = spec.strike - S_nodes
@@ -195,13 +196,6 @@ def extract_boundary(surface: PriceSurface, tol: float | None = None) -> Exercis
     last = on_payoff.shape[1] - 1 - np.argmax(on_payoff[:, ::-1], axis=1)
     s_f = np.where(on_payoff.any(axis=1), S_nodes[last], np.nan)
     return ExerciseBoundary(taus=surface.taus.copy(), s_f=s_f)
-
-
-def boundary_to_csv(boundary: ExerciseBoundary, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("tau,s_f\n")
-        for tau, s in zip(boundary.taus, boundary.s_f):
-            fh.write(f"{tau:.9g},{s:.9g}\n")
 
 
 @dataclass(frozen=True)

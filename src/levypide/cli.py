@@ -82,8 +82,6 @@ _MODELS = {
 _MODEL_ALIASES = {"nojumps": "none", "bs": "none", "variance_gamma": "vg"}
 # VG's alternative parameter set, the subordinated Brownian motion's.
 _VG_BM_PARAMS = ("theta", "kappa", "sigma_vg")
-# Figure-style column ordering; extra labels follow in the order given.
-_CANONICAL_COLUMNS = ("bs", "vg", "merton")
 _TABLE1_SPOTS = (85.2144, 88.692, 92.3116, 96.0789, 100.0, 104.081, 108.329, 112.75)
 
 
@@ -152,7 +150,14 @@ def _floats(params: Mapping, names: tuple[str, ...], kind: str) -> dict[str, flo
         raise ConfigError(
             f"{kind} model needs exactly the parameters {list(names)}, got {sorted(params)}"
         )
-    return {k: float(params[k]) for k in names}
+    return {k: _number(params[k], f"{kind} {k}") for k in names}
+
+
+def _number(value, name: str, convert: Callable = float):
+    """convert(value), refusing a JSON boolean, which Python reads as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    return convert(value)
 
 
 def model_to_dict(model: LevyModel) -> dict:
@@ -217,10 +222,10 @@ class RunConfig:
         try:
             opt = d["option"]
             option = OptionSpec(
-                strike=float(opt["strike"]),
-                expiry=float(opt["expiry"]),
-                rate=float(opt.get("rate", 0.0)),
-                sigma=float(opt["sigma"]),
+                strike=_number(opt["strike"], "strike"),
+                expiry=_number(opt["expiry"], "expiry"),
+                rate=_number(opt.get("rate", 0.0), "rate"),
+                sigma=_number(opt["sigma"], "sigma"),
                 kind=str(opt.get("kind", "put")),
             )
         except KeyError as exc:
@@ -233,11 +238,11 @@ class RunConfig:
         g = _object(d, "grid")
         try:
             grid = GridSpec(
-                half_width=float(g.get("half_width", 4.0)),
-                n_space=int(g.get("n_space", 400)),
-                n_time=int(g.get("n_time", 200)),
-                z_max=None if g.get("z_max") is None else float(g["z_max"]),
-                delta=None if g.get("delta") is None else float(g["delta"]),
+                half_width=_number(g.get("half_width", 4.0), "half_width"),
+                n_space=_number(g.get("n_space", 400), "n_space", int),
+                n_time=_number(g.get("n_time", 200), "n_time", int),
+                z_max=None if g.get("z_max") is None else _number(g["z_max"], "z_max"),
+                delta=None if g.get("delta") is None else _number(g["delta"], "delta"),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"inconsistent grid: {exc}") from exc
@@ -249,11 +254,12 @@ class RunConfig:
         penalty = None
         if d.get("penalty") is not None:
             p = _object(d, "penalty")
+            tol = p.get("picard_tol")
             try:
                 penalty = PenaltyConfig(
-                    epsilon=float(p.get("epsilon", 1e-3)),
-                    max_picard=int(p.get("max_picard", 50)),
-                    picard_tol=None if p.get("picard_tol") is None else float(p["picard_tol"]),
+                    epsilon=_number(p.get("epsilon", 1e-3), "epsilon"),
+                    max_picard=_number(p.get("max_picard", 50), "max_picard", int),
+                    picard_tol=None if tol is None else _number(tol, "picard_tol"),
                 )
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"invalid penalty section: {exc}") from exc
@@ -269,8 +275,13 @@ class RunConfig:
         for s in _list(d, "scenarios"):
             try:
                 scenarios.append(
-                    Scenario(rate=float(s["rate"]), spots=tuple(float(x) for x in s["spots"]))
+                    Scenario(
+                        rate=_number(s["rate"], "scenario rate"),
+                        spots=tuple(_number(x, "spot") for x in s["spots"]),
+                    )
                 )
+            except ConfigError:
+                raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"each scenario needs 'rate' and 'spots': {s!r}") from exc
 
@@ -351,25 +362,21 @@ def emit_plotdata(surfaces: Mapping[str, object], path: str) -> None:
     """Write columnar t=0 prices `S,V_<label>,...` at 91 spots on [80, 125].
 
     surfaces maps labels to either a PriceSurface or a callable S -> V (a
-    closed-form reference).  Labels bs, vg, merton come first in that order;
-    any others follow in the order given.  Values use 6 significant digits.
+    closed-form reference); the columns keep the mapping's order.  Values use
+    6 significant digits.
     """
     if not surfaces:
         raise ValueError("need at least one surface")
-    labels = [name for name in _CANONICAL_COLUMNS if name in surfaces]
-    labels += [name for name in surfaces if name not in _CANONICAL_COLUMNS]
-
     S = np.linspace(80.0, 125.0, 91)
     columns = []
-    for label in labels:
-        surf = surfaces[label]
+    for surf in surfaces.values():
         if isinstance(surf, PriceSurface):
             vals = np.array([float(price_at(surf, 0.0, s)) for s in S])
         else:
             vals = np.asarray(surf(S), dtype=float)
         columns.append(vals)
     with open(path, "w", newline="") as fh:
-        fh.write("S," + ",".join(f"V_{label}" for label in labels) + "\n")
+        fh.write("S," + ",".join(f"V_{label}" for label in surfaces) + "\n")
         for i, s in enumerate(S):
             fh.write(f"{s:.6g}," + ",".join(f"{col[i]:.6g}" for col in columns) + "\n")
 

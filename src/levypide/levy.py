@@ -434,7 +434,6 @@ class CheckReport:
     value: float
     passed: bool
     detail: str = ""
-    r: float | None = None
 
 
 def _simpson(f: Callable, a: float, b: float, n: int):
@@ -507,7 +506,7 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
     when the right wing decays slowly, keeping the truncated tail negligible.
     """
     if isinstance(model, NoJumps):
-        return CheckReport(0.0, True, "empty measure", r=r)
+        return CheckReport(0.0, True, "empty measure")
     witness = shape_witness(model)
     if witness.alpha >= 2.0:
         return CheckReport(
@@ -515,7 +514,6 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
             False,
             "divergent at the origin: (e^y - 1) ~ y against a |z|^-alpha singularity "
             f"with alpha = {witness.alpha:g} >= 2",
-            r=r,
         )
     if witness.mu == 0.0 and witness.d_minus + 1.0 >= 0.0:
         return CheckReport(
@@ -523,7 +521,6 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
             False,
             "divergent in the right tail: the upward wing must decay faster than e^-y "
             f"(d_minus + 1 = {witness.d_minus + 1.0:g} >= 0)",
-            r=r,
         )
 
     if model._FINITE_ACTIVITY:
@@ -548,7 +545,7 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
     )
     passed = failure is None and value <= r + 1e-12
     detail = failure or f"upward-jump budget {value:.6g} vs rate {r:g}"
-    return CheckReport(value, passed, detail, r=r)
+    return CheckReport(value, passed, detail)
 
 
 def characteristic_exponent(

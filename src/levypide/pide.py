@@ -24,10 +24,10 @@ or an infinity: the LAPACK kernels do not check their input.
 
 The far field, which supplies the Dirichlet data at x = +-L and the values
 of u beyond the grid that the jump integral reaches, is a `FarField`:
-u(x, tau) = level(x) + e^(rate tau) growth(x).  Assembly evaluates level and
-growth once on the fixed nodes beyond the grid and at the two edges, so a
-step evaluates no far field: it scales the precomputed growth terms by
-e^(rate tau) at its two time levels.
+u(x, tau) = level(x) + e^(r tau) growth(x), with r the spec's rate.  Assembly
+evaluates level and growth once on the fixed nodes beyond the grid and at the
+two edges, so a step evaluates no far field: it scales the precomputed growth
+terms by e^(r tau) at its two time levels.
 
 The large-jump part of the operator is a correlation of the node vector
 with a kernel of 2J+1 lattice weights.  Kernels with J below _FFT_MIN_OFFSET
@@ -54,7 +54,6 @@ from .levy import (
     LevyModel,
     NoJumps,
     integrability_check,
-    shape_witness,
     truncated_second_moment,
     density,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "step_imex",
     "solve_european",
     "price_at",
-    "surface_to_csv",
 ]
 
 
@@ -129,20 +127,16 @@ def build_grid(spec: OptionSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class FarField:
-    """Far-field values u(x, tau) = level(x) + e^(rate tau) growth(x) of the
-    transformed solution: the Dirichlet data at x = +-L and the values beyond
-    the grid that the jump integral reaches.
+    """Far-field values u(x, tau) = level(x) + e^(r tau) growth(x) of the
+    transformed solution, r the spec's rate: the Dirichlet data at x = +-L and
+    the values beyond the grid that the jump integral reaches.
 
     level and growth depend on x alone, so assembly evaluates them once on the
-    fixed nodes and a step needs only the factor e^(rate tau).
+    fixed nodes and a step needs only the factor e^(r tau).
     """
 
-    rate: float
     level: Callable[[np.ndarray], np.ndarray]
     growth: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x, tau: float) -> np.ndarray:
-        return self.level(x) + math.exp(self.rate * tau) * self.growth(x)
 
 
 def european_asymptote(spec: OptionSpec) -> FarField:
@@ -154,7 +148,6 @@ def european_asymptote(spec: OptionSpec) -> FarField:
     else:
         side, sign = np.greater, -1.0
     return FarField(
-        rate=spec.rate,
         level=lambda x: np.where(side(x, 0.0), sign * K, 0.0),
         growth=lambda x: np.where(side(x, 0.0), -sign * K * np.exp(x), 0.0),
     )
@@ -291,7 +284,8 @@ def _kernel_transform(kernel: np.ndarray, n_nodes: int) -> tuple[np.ndarray | No
 
 
 def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOperator:
-    """Build the discrete jump operator for one measure on one grid."""
+    """Build the discrete jump operator for one measure on one grid; a measure
+    that fails the integrability check is refused here, for every solve."""
     dx = grid.dx
     if isinstance(model, NoJumps):
         empty = np.zeros(0)
@@ -309,12 +303,9 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
             ext_nodes=empty,
             n_nodes=grid.n_space + 1,
         )
-    witness = shape_witness(model)
-    if witness.alpha >= 3.0:
-        raise ValueError(
-            f"refusing assembly: singularity order alpha = {witness.alpha:g} >= 3 "
-            "(the measure fails the defining integrability condition)"
-        )
+    report = integrability_check(model)
+    if not report.passed:
+        raise ValueError(f"measure fails the integrability check: {report.detail}")
 
     j0 = max(1, int(round(grid.delta / dx)))
     J = max(j0, int(round(grid.z_max / dx)))
@@ -363,15 +354,14 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
 @dataclass
 class ImexOperators:
     """Assembled pieces shared by the time steps: grid arrays, the jump
-    operator, the far field with its precomputed terms, and the banded
-    implicit matrix with its LU factors."""
+    operator, the far field's precomputed terms, and the banded implicit
+    matrix with its LU factors."""
 
     spec: OptionSpec
     grid: GridSpec
     xs: np.ndarray
     dt: float
     integral: IntegralOperator
-    boundary: FarField
     # integral.far_data of the far field's level and growth beyond the grid
     far_level: np.ndarray = field(repr=False)
     far_growth: np.ndarray = field(repr=False)
@@ -386,12 +376,12 @@ class ImexOperators:
     def jump_term(self, u: np.ndarray, tau: float) -> np.ndarray:
         """The jump operator on u at tau, with the far field supplying u beyond
         the grid: the step's explicit jump term."""
-        far = self.far_level + math.exp(self.boundary.rate * tau) * self.far_growth
+        far = self.far_level + math.exp(self.spec.rate * tau) * self.far_growth
         return self.integral.evaluate(u, far)
 
     def edge_values(self, tau: float) -> tuple[float, float]:
         """The Dirichlet values at xs[0] and xs[-1] at tau."""
-        grow = math.exp(self.boundary.rate * tau)
+        grow = math.exp(self.spec.rate * tau)
         return (
             self.edge_level[0] + grow * self.edge_growth[0],
             self.edge_level[1] + grow * self.edge_growth[1],
@@ -431,7 +421,6 @@ def assemble_operators(
         xs=xs,
         dt=dt,
         integral=integral,
-        boundary=boundary,
         far_level=integral.far_data(boundary.level(integral.ext_nodes)),
         far_growth=integral.far_data(boundary.growth(integral.ext_nodes)),
         edge_level=tuple(boundary.level(edge_xs).tolist()),
@@ -519,7 +508,13 @@ class PriceSurface:
         return price_at(self, t, S)
 
     def to_csv(self, path: str) -> None:
-        surface_to_csv(self, path)
+        """Write the surface as `tau,x,u` rows (tau outer), 9 significant digits."""
+        with open(path, "w", newline="") as fh:
+            fh.write("tau,x,u\n")
+            for k, tau in enumerate(self.taus):
+                row = self.u[k]
+                for i, x in enumerate(self.xs):
+                    fh.write(f"{tau:.9g},{x:.9g},{row[i]:.9g}\n")
 
 
 def _march(ops: ImexOperators, solve: Callable | None = None) -> PriceSurface:
@@ -537,9 +532,6 @@ def _march(ops: ImexOperators, solve: Callable | None = None) -> PriceSurface:
 
 def solve_european(spec: OptionSpec, model: LevyModel, grid: GridSpec) -> PriceSurface:
     """March the transformed equation from the payoff to tau = T."""
-    report = integrability_check(model)
-    if not report.passed:
-        raise ValueError(f"measure fails the integrability check: {report.detail}")
     return _march(assemble_operators(spec, model, grid))
 
 
@@ -567,13 +559,3 @@ def price_at(surface: PriceSurface, t: float, S):
     u_val = np.interp(x, surface.xs, surface.u[k])
     out = math.exp(-spec.rate * surface.taus[k]) * u_val
     return float(out) if np.ndim(S) == 0 else out
-
-
-def surface_to_csv(surface: PriceSurface, path: str) -> None:
-    """Write the surface as `tau,x,u` rows (tau outer), 9 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("tau,x,u\n")
-        for k, tau in enumerate(surface.taus):
-            row = surface.u[k]
-            for i, x in enumerate(surface.xs):
-                fh.write(f"{tau:.9g},{x:.9g},{row[i]:.9g}\n")

@@ -4,6 +4,8 @@ K = 100 put, T = 1, diffusion sigma = 0.23, lognormal jumps (0.1, -0.2, 0.15),
 gamma-subordinated jumps from (theta = -0.43, kappa = 0.27, sigma_vg = 0.23),
 and the eight-spot grid of the reference table the `table1` preset reproduces.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -64,6 +66,11 @@ def merton_surfaces():
     return {
         r: solve_european(bench_spec(rate=r), BENCH_MERTON, grid) for r in RATES
     }
+
+
+def far_values(far, rate: float):
+    """A FarField as the callable (x, tau) -> level(x) + e^(rate tau) growth(x)."""
+    return lambda x, tau: far.level(x) + math.exp(rate * tau) * far.growth(x)
 
 
 def grid_spots(lo: float = 80.0, hi: float = 125.0, n: int = 10) -> np.ndarray:

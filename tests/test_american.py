@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BENCH_KOU, BENCH_MERTON, BENCH_VG, STRIKE, bench_spec
+from conftest import BENCH_KOU, BENCH_MERTON, BENCH_VG, STRIKE, bench_spec, far_values
 from levypide.american import (
     LcpReport,
     PenaltyConfig,
     PicardError,
     exercise_asymptote,
     extract_boundary,
-    boundary_to_csv,
     lcp_residual,
     penalty_term,
     solve_american_penalized,
 )
 from levypide.bs import payoff
-from levypide.levy import Kou, NoJumps
+from levypide.levy import CGMY, Kou, NoJumps
 from levypide.pide import (
     GridSpec,
     PriceSurface,
@@ -146,7 +145,7 @@ class TestPenaltyTerm:
 
 class TestExerciseAsymptote:
     def test_branches(self):
-        fn = exercise_asymptote(bench_spec(rate=0.1))
+        fn = far_values(exercise_asymptote(bench_spec(rate=0.1)), 0.1)
         out = fn(np.array([-2.0, -0.3, 0.0, 1.0]), 0.5)
         grow = math.exp(0.05)
         assert out[0] == pytest.approx(100.0 * grow * (1.0 - math.exp(-2.0)))
@@ -195,6 +194,14 @@ class TestSolveAmerican:
         # zero rate cannot absorb the upward-jump budget of the lognormal bench
         with pytest.warns(RuntimeWarning, match="structural condition"):
             solve_american_penalized(bench_spec(rate=0.0), BENCH_MERTON, GridSpec())
+
+    def test_refuses_a_non_integrable_measure_before_warning(self):
+        # alpha = 3.5 fails both checks; the refusal comes first, with no warning
+        heavy = CGMY(c=0.5, g=6.0, m=8.0, y=2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integrability check: singularity order"):
+                solve_american_penalized(bench_spec(rate=0.1), heavy, GridSpec())
 
     def test_silent_when_structural_condition_holds(self):
         with warnings.catch_warnings():
@@ -271,17 +278,16 @@ class TestExerciseBoundary:
         assert np.all(np.diff(b.s_f) <= 1e-12)  # recedes as maturity grows
         assert b.s_f[-1] < 90.0
 
-    @pytest.mark.parametrize("tol", [None, 0.5])
-    def test_matches_a_per_level_scan(self, eps_sweep, tol):
+    def test_matches_a_per_level_scan(self, eps_sweep):
         am = eps_sweep[1e-3]
         u = am.u.copy()
         u[3] += 50.0  # lifts the level off the payoff: empty exercise region
         u[4] = np.nan
         surface = PriceSurface(spec=am.spec, taus=am.taus, xs=am.xs, u=u)
-        b = extract_boundary(surface, tol)
+        b = extract_boundary(surface)
 
         spec = surface.spec
-        tol_abs = 1e-6 * spec.strike if tol is None else tol
+        tol_abs = 1e-6 * spec.strike
         below = surface.xs <= 0.0
         S = spec.strike * np.exp(surface.xs[below])
         ref = np.full(len(surface.taus), np.nan)
@@ -296,7 +302,7 @@ class TestExerciseBoundary:
     def test_csv_round_trip(self, tmp_path, eps_sweep):
         b = extract_boundary(eps_sweep[1e-3])
         path = tmp_path / "boundary.csv"
-        boundary_to_csv(b, str(path))
+        b.to_csv(str(path))
         rows = path.read_text().strip().split("\n")
         assert rows[0] == "tau,s_f"
         assert len(rows) == len(b.taus) + 1

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import levypide
@@ -263,6 +262,23 @@ class TestRunConfig:
             ({"grid": {"half_width": 4.0, "z_max": math.nan}}, "z_max"),
             ({"closed_form": "no"}, "closed_form must be true or false"),
             ({"closed_form": 1}, "closed_form must be true or false"),
+            # Python reads a JSON boolean as 0 or 1
+            ({"option": {**OPTION, "expiry": True}}, "expiry must be a number, got true"),
+            ({"option": {**OPTION, "rate": False}}, "rate must be a number, got false"),
+            ({"model": {"type": "merton", "lam": True, "m": -0.2, "delta": 0.15}},
+             "merton lam must be a number, got true"),
+            ({"model": {"type": "vg", "theta": -0.43, "kappa": True, "sigma_vg": 0.23}},
+             "vg kappa must be a number, got true"),
+            ({"grid": {"n_space": 100, "n_time": True}}, "n_time must be a number, got true"),
+            ({"grid": {"half_width": True}}, "half_width must be a number, got true"),
+            ({"style": "american", "penalty": {"max_picard": True}},
+             "max_picard must be a number, got true"),
+            ({"style": "american", "penalty": {"picard_tol": False}},
+             "picard_tol must be a number, got false"),
+            ({"scenarios": [{"rate": False, "spots": [100.0]}]},
+             "scenario rate must be a number, got false"),
+            ({"scenarios": [{"rate": 0.1, "spots": [100.0, True]}]},
+             "spot must be a number, got true"),
         ],
     )
     def test_non_finite_and_mistyped_values_are_one_line_errors(
@@ -276,24 +292,15 @@ class TestRunConfig:
 
 
 class TestEmitPlotdata:
-    def test_canonical_column_order(self, tmp_path):
+    def test_columns_keep_the_given_order(self, tmp_path):
         spec = bench_spec(rate=0.0)
         surface = solve_european(spec, BENCH_MERTON, GridSpec(n_space=100, n_time=50))
         path = tmp_path / "plot.csv"
-        # insertion order merton-then-bs; the file must still lead with bs
         emit_plotdata({"merton": surface, "bs": lambda S: bs_price(spec, S)}, str(path))
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "S,V_bs,V_merton"
+        assert lines[0] == "S,V_merton,V_bs"
         assert len(lines) == 92  # header + 91 samples
-        first = lines[1].split(",")
-        assert float(first[0]) == 80.0
-
-    def test_extra_labels_follow_canonical_ones(self, tmp_path):
-        spec = bench_spec(rate=0.0)
-        f = lambda S: bs_price(spec, S)
-        path = tmp_path / "plot.csv"
-        emit_plotdata({"intrinsic": lambda S: np.maximum(100.0 - S, 0.0), "bs": f}, str(path))
-        assert path.read_text().split("\n")[0] == "S,V_bs,V_intrinsic"
+        assert float(lines[1].split(",")[0]) == 80.0
 
     def test_model_ordering_on_the_benchmark(self, tmp_path):
         # at r=0 the subordinated model carries the most time value, the

@@ -13,6 +13,7 @@ from conftest import (
     STRIKE,
     TABLE_SPOTS,
     bench_spec,
+    far_values,
     grid_spots,
 )
 from levypide.american import exercise_asymptote
@@ -29,7 +30,6 @@ from levypide.pide import (
     european_asymptote,
     solve_european,
     step_imex,
-    surface_to_csv,
 )
 
 PAYOFF_TABLE = (14.7856, 11.308, 7.68837, 3.92106, 0.0, 0.0, 0.0, 0.0)
@@ -95,7 +95,7 @@ class TestBuildGrid:
 
 class TestEuropeanAsymptote:
     def test_put_branches(self):
-        fn = european_asymptote(bench_spec(rate=0.1))
+        fn = far_values(european_asymptote(bench_spec(rate=0.1)), 0.1)
         x = np.array([-2.0, -0.5, 0.0, 1.5])
         out = fn(x, 0.3)
         grow = math.exp(0.1 * 0.3)
@@ -104,7 +104,7 @@ class TestEuropeanAsymptote:
         assert out[2] == 0.0 and out[3] == 0.0
 
     def test_call_branches(self):
-        fn = european_asymptote(bench_spec(rate=0.1, kind="call"))
+        fn = far_values(european_asymptote(bench_spec(rate=0.1, kind="call")), 0.1)
         out = fn(np.array([-1.0, 0.0, 0.5]), 0.2)
         assert out[0] == 0.0 and out[1] == 0.0
         assert out[2] == pytest.approx(100.0 * math.exp(0.5 + 0.02) - 100.0)
@@ -142,7 +142,7 @@ class TestIntegralOperator:
         op = assemble_integral_operator(ALL_JUMP_MODELS[name], grid)
         assert op.kernel_rfft is not None
         spec = bench_spec(rate=0.1)
-        extend = european_asymptote(spec)
+        extend = far_values(european_asymptote(spec), spec.rate)
         xs = grid.xs()
         u = extend(xs, 0.3) + np.cos(3.0 * xs)
         out = op.apply(u, xs, 0.3, extend)
@@ -237,7 +237,7 @@ class TestStepImex:
     def test_zero_data_stays_zero(self):
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
-        zero = FarField(0.0, level=np.zeros_like, growth=np.zeros_like)
+        zero = FarField(level=np.zeros_like, growth=np.zeros_like)
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=zero)
         u1 = step_imex(np.zeros(grid.n_space + 1), ops, 0.0)
         assert np.array_equal(u1, np.zeros(grid.n_space + 1))
@@ -247,20 +247,21 @@ class TestStepImex:
         # steps of the scheme follow it to a few parts in 1e7
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
-        fwd = FarField(spec.rate, level=np.zeros_like, growth=lambda xq: STRIKE * np.exp(xq))
+        fwd = FarField(level=np.zeros_like, growth=lambda xq: STRIKE * np.exp(xq))
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=fwd)
         xs = grid.xs()
-        u, tau = fwd(xs, 0.0), 0.0
+        exact = far_values(fwd, spec.rate)
+        u, tau = exact(xs, 0.0), 0.0
         for _ in range(10):
             u = step_imex(u, ops, tau)
             tau += ops.dt
-        ref = fwd(xs, tau)
+        ref = exact(xs, tau)
         assert np.max(np.abs(u - ref)) / np.max(ref) < 1e-5
 
     def test_growth_guard_trips_on_exploding_boundary(self):
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
-        blowup = FarField(0.0, level=lambda xq: np.full(np.shape(xq), 1e9), growth=np.zeros_like)
+        blowup = FarField(level=lambda xq: np.full(np.shape(xq), 1e9), growth=np.zeros_like)
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=blowup)
         _, _, u0 = build_grid(spec, grid)
         with pytest.raises(RuntimeError, match="stability") as info:
@@ -294,8 +295,9 @@ class TestStepImex:
         # the step takes the far field's share of the jump term from the terms
         # precomputed at assembly; here the far field is evaluated afresh
         spec = bench_spec(rate=0.1, kind="call" if far == "call" else "put")
-        boundary = exercise_asymptote(spec) if far == "exercise" else european_asymptote(spec)
-        ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=boundary)
+        far_field = exercise_asymptote(spec) if far == "exercise" else european_asymptote(spec)
+        ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=far_field)
+        boundary = far_values(far_field, spec.rate)
         xs, dx, dt, tau = ops.xs, grid.dx, ops.dt, 0.3
         u = boundary(xs, tau) + 5.0 * np.cos(3.0 * xs)
         got = step_imex(u, ops, tau)
@@ -438,7 +440,7 @@ class TestSurfaceCsv:
     def test_round_trip(self, tmp_path, merton_surfaces):
         surface = merton_surfaces[0.1]
         path = tmp_path / "surface.csv"
-        surface_to_csv(surface, str(path))
+        surface.to_csv(str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "tau,x,u"
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
