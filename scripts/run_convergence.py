@@ -2,9 +2,9 @@
 
 With the jump measure switched off the solver is compared against the
 closed form; with jumps on, against the Poisson mixture series.  Both step
-sizes are halved together.  The scheme is second order in space but first
-order in time, so the error ratios fall toward 2 (order 1) as the grid is
-refined; ratios nearer 4 on coarse grids come from the spatial error.
+sizes are halved together.  The scheme is second order in space and, with
+its SBDF2 time step, second order in time, so the error ratios tend to 4
+(order 2) as the grid is refined.
 
 Usage: python3 scripts/run_convergence.py [--rate R] [--levels 4]
 """

@@ -2,7 +2,8 @@
 jump-diffusion and infinite-activity jump models.
 
 The transformed backward equation is solved on a uniform log-price grid with
-an implicit diffusion step and an explicit treatment of drift and jumps; the
+a second-order IMEX time step (SBDF2): implicit diffusion, explicit drift and
+jumps.  The
 jump integral's discretization is calibrated so the discounted spot stays a
 martingale on the grid.  American puts are handled by a penalty method.
 Analytic and Monte Carlo benchmarks live in `oracle`.

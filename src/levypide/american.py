@@ -6,14 +6,20 @@ equation, where w(tau, x) = e^(r tau) Phi(K e^x) is the transformed payoff;
 as eps decreases the solution converges to the complementarity solution from
 below the obstacle by O(eps).  The time step and the march are pide's
 (`step_imex`, `_march`); this module supplies only the penalty sweep that
-stands in for the step's banded solve.  It runs a fixed-point iteration: the
-penalty's active set lags one iterate while its value is taken implicitly as
-an extra diagonal, which keeps every inner solve tridiagonal and converges in
-a few sweeps even for eps much smaller than dt.  The sweep stops when the
-update falls below picard_tol, or, if another sweep is allowed, when the new
-iterate has the active set the sweep just used: the next sweep would repeat
-that solve bit for bit and stop on a zero update, so the stopping rule saves
-a solve without changing a bit of the result.
+stands in for the step's banded solve.  An SBDF2 step solves
+
+    ((3/2) I - dt D + P) u_(n+1) = rhs + P w,
+
+with P = (dt/eps) e^(x^-) on the active nodes (u < w) and 0 elsewhere; a
+start substep solves the same system with I - (dt/4) D, dt/4 in P and w at the
+substep's tau.  The sweep is a fixed-point iteration: the penalty's active
+set lags one iterate while its value is taken implicitly as an extra
+diagonal, which keeps every inner solve tridiagonal and converges in a few
+sweeps even for eps much smaller than dt.  The sweep stops when the update
+falls below picard_tol, or, if another sweep is allowed, when the new iterate
+has the active set the sweep just used: the next sweep would repeat that
+solve bit for bit and stop on a zero update, so the stopping rule saves a
+solve without changing a bit of the result.
 """
 from __future__ import annotations
 
@@ -28,10 +34,11 @@ from .levy import LevyModel, structural_condition_check
 from .pide import (
     FarField,
     GridSpec,
+    ImexOperators,
     PriceSurface,
     assemble_operators,
-    build_grid,
     european_asymptote,
+    _explicit_term,
     _implicit_solve,
     _march,
 )
@@ -139,20 +146,23 @@ def solve_american_penalized(
             stacklevel=2,
         )
 
-    xs, taus = ops.xs, grid.taus(spec.expiry)
+    xs = ops.xs
     tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike
-    dt = ops.dt
-    w0 = payoff(spec, spec.strike * np.exp(xs))
-    pen_scale = (dt / pcfg.epsilon) * np.exp(np.minimum(xs[1:-1], 0.0))
+    w0_int = payoff(spec, spec.strike * np.exp(xs[1:-1]))
+    weight = np.exp(np.minimum(xs[1:-1], 0.0))
 
-    def sweep(level: int, rhs: np.ndarray, u_next: np.ndarray, u_prev: np.ndarray) -> None:
-        w = math.exp(spec.rate * taus[level]) * w0
-        w_int = w[1:-1]
+    def sweep(
+        step: ImexOperators, tau: float, rhs: np.ndarray, u_next: np.ndarray, u_prev: np.ndarray
+    ) -> None:
+        # step: the operators of the SBDF2 step or start substep this sweep serves
+        dt = step.dt
+        w_int = math.exp(spec.rate * tau) * w0_int
+        pen_scale = (dt / pcfg.epsilon) * weight
         u_iter = u_prev
         active = u_iter[1:-1] < w_int
         for k in range(pcfg.max_picard):
             pen = pen_scale * active
-            u_next[1:-1] = _implicit_solve(ops, rhs + pen * w_int, extra_diag=pen)
+            u_next[1:-1] = _implicit_solve(step, rhs + pen * w_int, extra_diag=pen)
             diff = float(np.max(np.abs(u_next - u_iter)))
             if diff < tol:
                 return
@@ -166,7 +176,7 @@ def solve_american_penalized(
         worst = int(np.argmax(np.abs(u_next - u_prev)))
         raise PicardError(
             f"penalty iteration did not reach {tol:g} within {pcfg.max_picard} sweeps "
-            f"at time level {level} (worst node {worst}, x = {xs[worst]:+.4f}, "
+            f"at tau = {tau:.6g} (worst node {worst}, x = {xs[worst]:+.4f}, "
             f"last update {diff:.3g}; dt = {dt:.4g}, "
             f"dt*W = {dt * ops.integral.total_weight:.4g})",
             node=worst,
@@ -222,7 +232,10 @@ def lcp_residual(
     grid: GridSpec,
     boundary: str = "american",
 ) -> LcpReport:
-    """Recompute the scheme's residuals from a stored surface.
+    """Recompute the scheme's residuals from a stored surface, on the levels
+    the SBDF2 step made (tau >= 2 dt):
+
+        ((3/2) u_n - 2 u_(n-1) + u_(n-2)/2) / dt - D u_n - (2 E(u_(n-1)) - E(u_(n-2))).
 
     For a penalized American surface the PDE residual equals the (nonnegative)
     penalty source, so the first inequality holds by construction and the
@@ -237,23 +250,25 @@ def lcp_residual(
         raise ValueError(f"boundary must be 'american' or 'european', got {boundary!r}")
 
     ops = assemble_operators(spec, model, grid, boundary=bfn)
-    xs, taus, _ = build_grid(spec, grid)
-    dt = ops.dt
-    dx = grid.dx
+    xs, taus = ops.xs, grid.taus(spec.expiry)
+    dt, dx = ops.dt, grid.dx
     w0 = payoff(spec, spec.strike * np.exp(xs))
     sig2h = 0.5 * spec.sigma**2
-    drift_c = spec.rate - sig2h
 
     pde_viol = 0.0
     obstacle_viol = 0.0
     comp = 0.0
     resid_sup = 0.0
+    # levels n >= 2 come from SBDF2 steps, which take E of the two levels before
+    u = surface.u
+    e_before = _explicit_term(u[0], ops, taus[0])
+    e_prev = _explicit_term(u[1], ops, taus[1])
     for n in range(2, len(taus)):
-        u_new, u_old = surface.u[n], surface.u[n - 1]
-        jumps = ops.jump_term(u_old, taus[n - 1])
-        d1 = (u_old[2:] - u_old[:-2]) / (2.0 * dx)
+        u_new = u[n]
         d2 = (u_new[2:] - 2.0 * u_new[1:-1] + u_new[:-2]) / dx**2
-        residual = (u_new[1:-1] - u_old[1:-1]) / dt - sig2h * d2 - drift_c * d1 - jumps[1:-1]
+        bdf = (1.5 * u_new[1:-1] - 2.0 * u[n - 1][1:-1] + 0.5 * u[n - 2][1:-1]) / dt
+        residual = bdf - sig2h * d2 - (2.0 * e_prev - e_before)
+        e_before, e_prev = e_prev, _explicit_term(u_new, ops, taus[n])
         w = math.exp(spec.rate * taus[n]) * w0
         gap = u_new[1:-1] - w[1:-1]
         pde_viol = max(pde_viol, float(np.max(-residual, initial=0.0)))

@@ -160,6 +160,15 @@ def _number(value, name: str, convert: Callable = float):
     return convert(value)
 
 
+def _count(value, name: str) -> int:
+    """_number(value, name, int), refusing a fractional number, which int()
+    would truncate; an integral float such as 400.0 is read as 400."""
+    n = _number(value, name, int)
+    if isinstance(value, float) and n != value:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return n
+
+
 def model_to_dict(model: LevyModel) -> dict:
     """Canonical serialized form; VG always emits density parameters (a, b, c)."""
     for name, cls in _MODELS.items():
@@ -239,8 +248,8 @@ class RunConfig:
         try:
             grid = GridSpec(
                 half_width=_number(g.get("half_width", 4.0), "half_width"),
-                n_space=_number(g.get("n_space", 400), "n_space", int),
-                n_time=_number(g.get("n_time", 200), "n_time", int),
+                n_space=_count(g.get("n_space", 400), "n_space"),
+                n_time=_count(g.get("n_time", 200), "n_time"),
                 z_max=None if g.get("z_max") is None else _number(g["z_max"], "z_max"),
                 delta=None if g.get("delta") is None else _number(g["delta"], "delta"),
             )
@@ -258,7 +267,7 @@ class RunConfig:
             try:
                 penalty = PenaltyConfig(
                     epsilon=_number(p.get("epsilon", 1e-3), "epsilon"),
-                    max_picard=_number(p.get("max_picard", 50), "max_picard", int),
+                    max_picard=_count(p.get("max_picard", 50), "max_picard"),
                     picard_tol=None if tol is None else _number(tol, "picard_tol"),
                 )
             except (TypeError, ValueError, OverflowError) as exc:

@@ -6,21 +6,31 @@ solves
     du/dtau = (sigma^2/2) u_xx + (r - sigma^2/2) u_x
               + integral of [u(x+z) - u(x) - (e^z - 1) u_x(x)] nu(dz),
 
-with u(0, x) equal to the transformed payoff.  The diffusion block is
-implicit (one tridiagonal solve per step), the drift and the jump integral
-are explicit.  The tridiagonal solves call LAPACK directly: assembly factors
-the matrix once (`dgttrf`) and each unhooked step back-substitutes (`dgttrs`);
-a solve with an extra diagonal (the penalty sweep) eliminates afresh
-(`dgtsv`).  Both run the elimination `scipy.linalg.solve_banded` runs for a
-(1, 1) band, so the bits are the banded solver's.  The discrete jump operator
-is calibrated so that it annihilates samples of e^x exactly, the discrete
-counterpart of the identity that makes the discounted stock a martingale.
+with u(0, x) equal to the transformed payoff.  The diffusion block D is
+implicit (one tridiagonal solve per step), the drift and the jump integral,
+together E, are explicit.  The time step is the second-order IMEX-BDF2
+(SBDF2) scheme,
+
+    (3/2) u_(n+1) - dt D u_(n+1) = 2 u_n - u_(n-1)/2 + dt (2 E(u_n) - E(u_(n-1))),
+
+which needs two levels.  The first level after the payoff comes from four
+backward-Euler substeps of dt/4: backward Euler damps the payoff's kink, and
+the four substeps' local error, O(dt^2 / 4), is of the second-order scheme's
+size.  The tridiagonal solves call LAPACK
+directly: assembly factors both matrices, (3/2) I - dt D for the SBDF2 steps
+and I - (dt/4) D for the substeps, once (`dgttrf`) and each unhooked step
+back-substitutes (`dgttrs`); a solve with an extra diagonal (the penalty
+sweep) eliminates afresh (`dgtsv`).  Both run the elimination
+`scipy.linalg.solve_banded` runs for a (1, 1) band, so the bits are the banded
+solver's.  The discrete jump operator is calibrated so that it annihilates
+samples of e^x exactly, the discrete counterpart of the identity that makes
+the discounted stock a martingale.
 
 `step_imex` is the one time step of both the European and the American
 solve.  Its optional `solve` hook replaces the banded solve and fills the
 new level's interior (the American solve passes its penalty sweep); every
-step, hooked or not, ends in the same growth guard, which also refuses a NaN
-or an infinity: the LAPACK kernels do not check their input.
+step and substep, hooked or not, ends in the same growth guard, which also
+refuses a NaN or an infinity: the LAPACK kernels do not check their input.
 
 The far field, which supplies the Dirichlet data at x = +-L and the values
 of u beyond the grid that the jump integral reaches, is a `FarField`:
@@ -42,9 +52,8 @@ operator.  The two paths agree to roundoff (relative difference below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
@@ -63,6 +72,7 @@ __all__ = [
     "PriceSurface",
     "IntegralOperator",
     "ImexOperators",
+    "StepHistory",
     "build_grid",
     "FarField",
     "european_asymptote",
@@ -351,11 +361,20 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
 # ---------------------------------------------------------------------------
 # IMEX stepping
 
+# Level 1 comes from this many backward-Euler substeps of dt / _START_SUBSTEPS.
+_START_SUBSTEPS = 4
+
+
 @dataclass
 class ImexOperators:
     """Assembled pieces shared by the time steps: grid arrays, the jump
-    operator, the far field's precomputed terms, and the banded implicit
-    matrix with its LU factors."""
+    operator, the far field's precomputed terms, and one step's banded
+    implicit matrix with its LU factors.
+
+    assemble_operators returns the SBDF2 step's operators: dt is the time
+    step and band is (3/2) I - dt D.  Their `start` holds the same pieces with
+    the start substep's dt / 4 and band I - (dt / 4) D, and no start of its own.
+    """
 
     spec: OptionSpec
     grid: GridSpec
@@ -372,6 +391,7 @@ class ImexOperators:
     band: np.ndarray = field(repr=False)
     # dgttrf's (dl, d, du, du2, ipiv) of band
     band_lu: tuple = field(repr=False)
+    start: ImexOperators | None = field(default=None, repr=False)
 
     def jump_term(self, u: np.ndarray, tau: float) -> np.ndarray:
         """The jump operator on u at tau, with the far field supplying u beyond
@@ -388,14 +408,20 @@ class ImexOperators:
         )
 
 
-def _diffusion_band(spec: OptionSpec, grid: GridSpec, dt: float) -> np.ndarray:
+def _factored_band(
+    spec: OptionSpec, grid: GridSpec, dt: float, lead: float
+) -> tuple[np.ndarray, tuple]:
+    """lead I - dt D on the interior nodes, D = (sigma^2/2) d_xx, and its
+    dgttrf factors."""
     n_int = grid.n_space - 1
     c = dt * 0.5 * spec.sigma**2 / grid.dx**2
     band = np.zeros((3, n_int))
     band[0, 1:] = -c
-    band[1, :] = 1.0 + 2.0 * c
+    band[1, :] = lead + 2.0 * c
     band[2, :-1] = -c
-    return band
+    *band_lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+    _check_info(info)
+    return band, tuple(band_lu)
 
 
 def assemble_operators(
@@ -412,10 +438,8 @@ def assemble_operators(
     xs = grid.xs()
     integral = assemble_integral_operator(model, grid)
     edge_xs = np.array([xs[0], xs[-1]])
-    band = _diffusion_band(spec, grid, dt)
-    *band_lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
-    _check_info(info)
-    return ImexOperators(
+    band, band_lu = _factored_band(spec, grid, dt, 1.5)
+    ops = ImexOperators(
         spec=spec,
         grid=grid,
         xs=xs,
@@ -426,8 +450,12 @@ def assemble_operators(
         edge_level=tuple(boundary.level(edge_xs).tolist()),
         edge_growth=tuple(boundary.growth(edge_xs).tolist()),
         band=band,
-        band_lu=tuple(band_lu),
+        band_lu=band_lu,
     )
+    sub = dt / _START_SUBSTEPS
+    sub_band, sub_lu = _factored_band(spec, grid, sub, 1.0)
+    ops.start = replace(ops, dt=sub, band=sub_band, band_lu=sub_lu)
+    return ops
 
 
 def _check_info(info: int) -> None:
@@ -450,9 +478,11 @@ def _implicit_solve(
     return x
 
 
-def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators) -> None:
+def _growth_guard(u_next: np.ndarray, prev_peak: float, ops: ImexOperators) -> float:
+    """Refuse u_next if it outgrew the previous level, whose max|u| is
+    prev_peak; return max|u_next|, the next guard's prev_peak."""
     dt = ops.dt
-    scale = max(float(np.max(np.abs(u_prev))), ops.spec.strike)
+    scale = max(prev_peak, ops.spec.strike)
     peak = float(np.max(np.abs(u_next)))
     envelope = (1.0 + 20.0 * dt) * scale
     # a NaN compares False with anything and an inf scale lets an inf peak
@@ -464,32 +494,86 @@ def _growth_guard(u_next: np.ndarray, u_prev: np.ndarray, ops: ImexOperators) ->
             f"(dt = {dt:.4g}, dt*W = {dt * ops.integral.total_weight:.4g}); "
             "refine dt or loosen the jump truncation"
         )
+    return peak
 
 
-def step_imex(
-    u_prev: np.ndarray, ops: ImexOperators, tau_prev: float, solve: Callable | None = None
-) -> np.ndarray:
-    """Advance one time level: implicit diffusion, explicit drift and jumps.
+def _explicit_term(u: np.ndarray, ops: ImexOperators, tau: float) -> np.ndarray:
+    """E(u) at tau on the interior nodes: the drift plus the jump term."""
+    spec = ops.spec
+    d1 = (u[2:] - u[:-2]) / (2.0 * ops.grid.dx)
+    return (spec.rate - 0.5 * spec.sigma**2) * d1 + ops.jump_term(u, tau)[1:-1]
 
-    solve(rhs, u_next, u_prev), when given, replaces the banded solve and
-    fills u_next[1:-1]; rhs has the new Dirichlet values folded into its edge
-    equations, and u_next already holds them at its ends.
-    """
-    spec, dx, dt = ops.spec, ops.grid.dx, ops.dt
-    jumps = ops.jump_term(u_prev, tau_prev)
-    d1 = (u_prev[2:] - u_prev[:-2]) / (2.0 * dx)
-    rhs = u_prev[1:-1] + dt * ((spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1])
+
+def _implicit_step(
+    ops: ImexOperators,
+    rhs: np.ndarray,
+    u_prev: np.ndarray,
+    tau_prev: float,
+    prev_peak: float,
+    solve: Callable | None,
+) -> tuple[np.ndarray, float]:
+    """Fold the new Dirichlet values into rhs, solve with ops' matrix (or the
+    hook) and guard; return the new level and its max|u|."""
+    dt = ops.dt
+    tau = tau_prev + dt
     u_next = np.empty_like(u_prev)
-    u_next[0], u_next[-1] = ops.edge_values(tau_prev + dt)
-    c = dt * 0.5 * spec.sigma**2 / dx**2
+    u_next[0], u_next[-1] = ops.edge_values(tau)
+    c = dt * 0.5 * ops.spec.sigma**2 / ops.grid.dx**2
     rhs[0] += c * u_next[0]
     rhs[-1] += c * u_next[-1]
     if solve is None:
         u_next[1:-1] = _implicit_solve(ops, rhs)
     else:
-        solve(rhs, u_next, u_prev)
-    _growth_guard(u_next, u_prev, ops)
-    return u_next
+        solve(ops, tau, rhs, u_next, u_prev)
+    return u_next, _growth_guard(u_next, prev_peak, ops)
+
+
+class StepHistory(NamedTuple):
+    """What an SBDF2 step from u_n takes besides u_n: u_(n-1), its
+    b_(n-1) = u_(n-1)[1:-1] + dt E(u_(n-1)), and max|u_n|."""
+
+    u_before: np.ndarray
+    b_before: np.ndarray
+    peak: float
+
+
+def step_imex(
+    u_prev: np.ndarray,
+    ops: ImexOperators,
+    tau_prev: float,
+    history: StepHistory | None = None,
+    solve: Callable | None = None,
+) -> tuple[np.ndarray, StepHistory]:
+    """Advance one time level, from tau_prev to tau_prev + ops.dt; return the
+    new level and the history its own step takes.
+
+    With the history of the step that made u_prev, this is the SBDF2 step.
+    Its interior right-hand side is 2 b_n - b_(n-1) + u_(n-1)[1:-1] / 2, where
+    b_n = u_n[1:-1] + dt E(u_n) is backward Euler's.  Without history, it is
+    the start: _START_SUBSTEPS backward-Euler substeps with ops.start.  The
+    first substep's jump apply also gives b_0, at the full dt.
+
+    solve(step_ops, tau, rhs, u_next, u_prev), when given, replaces the banded
+    solve of each step and substep and fills u_next[1:-1]: step_ops are the
+    operators of that (sub)step (ops or ops.start), tau is the time of the
+    level it fills, rhs has the new Dirichlet values folded into its edge
+    equations, and u_next already holds them at its ends.
+    """
+    explicit = _explicit_term(u_prev, ops, tau_prev)
+    b = u_prev[1:-1] + ops.dt * explicit
+    if history is not None:
+        rhs = 2.0 * b - history.b_before + 0.5 * history.u_before[1:-1]
+        u_next, peak = _implicit_step(ops, rhs, u_prev, tau_prev, history.peak, solve)
+        return u_next, StepHistory(u_prev, b, peak)
+    start = ops.start
+    u_next, peak = u_prev, float(np.max(np.abs(u_prev)))
+    for k in range(_START_SUBSTEPS):
+        tau = tau_prev + k * start.dt
+        if k:
+            explicit = _explicit_term(u_next, start, tau)
+        rhs = u_next[1:-1] + start.dt * explicit
+        u_next, peak = _implicit_step(start, rhs, u_next, tau, peak, solve)
+    return u_next, StepHistory(u_prev, b, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +602,14 @@ class PriceSurface:
 
 
 def _march(ops: ImexOperators, solve: Callable | None = None) -> PriceSurface:
-    """Step from the payoff to tau = T.  solve(level, rhs, u_next, u_prev),
-    when given, is each step's hook (see step_imex), level the index of the
-    time level it fills."""
+    """Step from the payoff to tau = T; solve, when given, is each step's hook
+    (see step_imex)."""
     xs, taus, u0 = build_grid(ops.spec, ops.grid)
     u = np.empty((ops.grid.n_time + 1, ops.grid.n_space + 1))
     u[0] = u0
+    history = None
     for n in range(ops.grid.n_time):
-        level_solve = None if solve is None else partial(solve, n + 1)
-        u[n + 1] = step_imex(u[n], ops, taus[n], level_solve)
+        u[n + 1], history = step_imex(u[n], ops, taus[n], history, solve)
     return PriceSurface(spec=ops.spec, taus=taus, xs=xs, u=u)
 
 

@@ -163,6 +163,19 @@ class TestRunConfig:
         assert cfg.closed_form is False
         assert cfg.grid.n_space == 100
 
+    def test_integral_floats_are_counts(self, tmp_path):
+        path = write_cfg(
+            tmp_path,
+            grid={"n_space": 100.0, "n_time": 50.0},
+            style="american",
+            penalty={"max_picard": 7.0},
+        )
+        cfg = RunConfig.from_dict(json.loads(Path(path).read_text()))
+        assert (cfg.grid.n_space, cfg.grid.n_time, cfg.penalty.max_picard) == (100, 50, 7)
+        assert all(
+            type(n) is int for n in (cfg.grid.n_space, cfg.grid.n_time, cfg.penalty.max_picard)
+        )
+
     @pytest.mark.parametrize(
         "mutation, message",
         [
@@ -279,6 +292,12 @@ class TestRunConfig:
              "scenario rate must be a number, got false"),
             ({"scenarios": [{"rate": 0.1, "spots": [100.0, True]}]},
              "spot must be a number, got true"),
+            # int() would truncate a fractional count
+            ({"grid": {"n_space": 100.5, "n_time": 50}},
+             "n_space must be a whole number, got 100.5"),
+            ({"grid": {"n_space": 100, "n_time": 50.9}}, "n_time must be a whole number, got 50.9"),
+            ({"style": "american", "penalty": {"max_picard": 2.5}},
+             "max_picard must be a whole number, got 2.5"),
         ],
     )
     def test_non_finite_and_mistyped_values_are_one_line_errors(

@@ -23,6 +23,7 @@ from levypide.oracle import merton_series_price
 from levypide.pide import (
     FarField,
     GridSpec,
+    StepHistory,
     _implicit_solve,
     assemble_integral_operator,
     assemble_operators,
@@ -222,13 +223,36 @@ class TestIntegralOperator:
         assert op.delta_eff > 0.0
 
 
+def explicit_from_apply(ops, u, tau, boundary):
+    """E(u) on the interior: the drift plus the jump term, with the far field
+    evaluated afresh rather than taken from the terms assembly precomputed."""
+    spec, dx = ops.spec, ops.grid.dx
+    jumps = ops.integral.apply(u, ops.xs, tau, boundary)
+    d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+    return (spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1]
+
+
+def implicit_from_scratch(spec, grid, dt, lead, rhs, lo, hi):
+    """Solve (lead I - dt D) u = rhs on the interior with Dirichlet values lo and
+    hi, the band built afresh and solved by scipy's banded solver."""
+    c = dt * 0.5 * spec.sigma**2 / grid.dx**2
+    band = np.zeros((3, grid.n_space - 1))
+    band[0, 1:] = -c
+    band[1, :] = lead + 2.0 * c
+    band[2, :-1] = -c
+    rhs = rhs.copy()
+    rhs[0] += c * lo
+    rhs[-1] += c * hi
+    return np.concatenate([[lo], solve_banded((1, 1), band, rhs), [hi]])
+
+
 class TestStepImex:
     def test_single_step_tracks_closed_form(self):
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
         ops = assemble_operators(spec, NoJumps(), grid)
         xs, _, u0 = build_grid(spec, grid)
-        u1 = step_imex(u0, ops, 0.0)
+        u1, _ = step_imex(u0, ops, 0.0)
         ref = u_bs(spec, ops.dt, xs)
         err = np.abs(u1 - ref)
         assert err.max() < 0.5  # first step smooths the payoff kink
@@ -239,21 +263,23 @@ class TestStepImex:
         grid = GridSpec()
         zero = FarField(level=np.zeros_like, growth=np.zeros_like)
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=zero)
-        u1 = step_imex(np.zeros(grid.n_space + 1), ops, 0.0)
-        assert np.array_equal(u1, np.zeros(grid.n_space + 1))
+        u, history = np.zeros(grid.n_space + 1), None
+        for n in range(3):  # the start, then two SBDF2 steps
+            u, history = step_imex(u, ops, n * ops.dt, history)
+            assert np.array_equal(u, np.zeros(grid.n_space + 1))
 
     def test_preserves_discounted_forward(self):
-        # u = K e^{r tau + x} solves the transformed equation exactly; ten
-        # steps of the scheme follow it to a few parts in 1e7
+        # u = K e^{r tau + x} solves the transformed equation exactly; the start
+        # and nine SBDF2 steps follow it to a few parts in 1e7
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
         fwd = FarField(level=np.zeros_like, growth=lambda xq: STRIKE * np.exp(xq))
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=fwd)
         xs = grid.xs()
         exact = far_values(fwd, spec.rate)
-        u, tau = exact(xs, 0.0), 0.0
+        u, tau, history = exact(xs, 0.0), 0.0, None
         for _ in range(10):
-            u = step_imex(u, ops, tau)
+            u, history = step_imex(u, ops, tau, history)
             tau += ops.dt
         ref = exact(xs, tau)
         assert np.max(np.abs(u - ref)) / np.max(ref) < 1e-5
@@ -266,9 +292,24 @@ class TestStepImex:
         _, _, u0 = build_grid(spec, grid)
         with pytest.raises(RuntimeError, match="stability") as info:
             step_imex(u0, ops, 0.0)
-        # the message quotes the large-jump stiffness number dt*W
-        stiffness = ops.dt * ops.integral.total_weight
-        assert f"dt*W = {stiffness:.4g})" in str(info.value)
+        # the first start substep trips; the message quotes its step size and
+        # large-jump stiffness number dt*W
+        dt = ops.start.dt
+        assert f"(dt = {dt:.4g}, dt*W = {dt * ops.integral.total_weight:.4g})" in str(info.value)
+
+    def test_growth_guard_trips_in_an_sbdf2_step(self):
+        spec = bench_spec(rate=0.1)
+        grid = GridSpec()
+        zero = FarField(level=np.zeros_like, growth=np.zeros_like)
+        calm = assemble_operators(spec, BENCH_MERTON, grid, boundary=zero)
+        u1, history = step_imex(np.zeros(grid.n_space + 1), calm, 0.0)
+        blowup = FarField(level=lambda xq: np.full(np.shape(xq), 1e9), growth=np.zeros_like)
+        ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=blowup)
+        with pytest.raises(RuntimeError, match="stability") as info:
+            step_imex(u1, ops, calm.dt, history)
+        assert f"(dt = {ops.dt:.4g}, dt*W = {ops.dt * ops.integral.total_weight:.4g})" in str(
+            info.value
+        )
 
     @pytest.mark.parametrize("hooked", [False, True], ids=["banded", "penalty-sweep"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -281,45 +322,61 @@ class TestStepImex:
         u0[grid.n_space // 2] = bad
         pen = np.full(grid.n_space - 1, 10.0)
 
-        def sweep(rhs, u_next, u_prev):
-            u_next[1:-1] = _implicit_solve(ops, rhs + pen * u_prev[1:-1], extra_diag=pen)
+        def sweep(step, tau, rhs, u_next, u_prev):
+            u_next[1:-1] = _implicit_solve(step, rhs + pen * u_prev[1:-1], extra_diag=pen)
 
         with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match="stability envelope: max.u_next. = nan"
         ):
-            step_imex(u0, ops, 0.0, sweep if hooked else None)
+            step_imex(u0, ops, 0.0, None, sweep if hooked else None)
 
     @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
     @pytest.mark.parametrize("far", ["put", "call", "exercise"])
     def test_matches_a_step_built_from_apply(self, far, grid):
         # the step takes the far field's share of the jump term from the terms
-        # precomputed at assembly; here the far field is evaluated afresh
+        # precomputed at assembly and its matrices from the factors made
+        # there; here both are built afresh, and the SBDF2 step is written as
+        # (3/2) u+ - dt D u+ = 2 u - u-/2 + dt (2 E(u) - E(u-))
         spec = bench_spec(rate=0.1, kind="call" if far == "call" else "put")
         far_field = exercise_asymptote(spec) if far == "exercise" else european_asymptote(spec)
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=far_field)
         boundary = far_values(far_field, spec.rate)
-        xs, dx, dt, tau = ops.xs, grid.dx, ops.dt, 0.3
+        xs, dt, tau = ops.xs, ops.dt, 0.3
+        u_before = boundary(xs, tau - dt) + 4.0 * np.sin(2.0 * xs)
         u = boundary(xs, tau) + 5.0 * np.cos(3.0 * xs)
-        got = step_imex(u, ops, tau)
-
-        jumps = ops.integral.apply(u, xs, tau, boundary)
-        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
-        rhs = u[1:-1] + dt * ((spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1])
+        e_before = explicit_from_apply(ops, u_before, tau - dt, boundary)
+        e_now = explicit_from_apply(ops, u, tau, boundary)
         lo, hi = boundary(np.array([xs[0], xs[-1]]), tau + dt)
-        c = dt * 0.5 * spec.sigma**2 / dx**2
-        rhs[0] += c * lo
-        rhs[-1] += c * hi
-        ref = np.concatenate([[lo], solve_banded((1, 1), ops.band, rhs), [hi]])
+
+        history = StepHistory(u_before, u_before[1:-1] + dt * e_before, np.max(np.abs(u)))
+        got, after = step_imex(u, ops, tau, history)
+        rhs = 2.0 * u[1:-1] - 0.5 * u_before[1:-1] + dt * (2.0 * e_now - e_before)
+        ref = implicit_from_scratch(spec, grid, dt, 1.5, rhs, lo, hi)
         assert got[0] == lo and got[-1] == hi
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert after.u_before is u
+        assert np.max(np.abs(after.b_before - (u[1:-1] + dt * e_now))) <= 1e-12 * np.max(np.abs(u))
+        assert after.peak == np.max(np.abs(got))
+
+        # without history: four backward-Euler substeps of dt / 4
+        got, after = step_imex(u, ops, tau)
+        v, sub = u, dt / 4
+        for k in range(4):
+            t = tau + k * sub
+            rhs = v[1:-1] + sub * explicit_from_apply(ops, v, t, boundary)
+            v = implicit_from_scratch(spec, grid, sub, 1.0, rhs, *boundary(xs[[0, -1]], t + sub))
+        assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
+        assert np.max(np.abs(after.b_before - (u[1:-1] + dt * e_now))) <= 1e-12 * np.max(np.abs(u))
 
     def test_factored_solve_matches_fresh_elimination(self):
-        # dgttrs on the assembly's factors runs dgtsv's arithmetic
-        ops = assemble_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
-        rhs = np.cos(np.arange(ops.grid.n_space - 1.0))
-        factored = _implicit_solve(ops, rhs)
-        fresh = _implicit_solve(ops, rhs, extra_diag=np.zeros_like(rhs))
-        assert factored.tobytes() == fresh.tobytes()
+        # dgttrs on the assembly's factors runs dgtsv's arithmetic, for the
+        # SBDF2 step's matrix and the start substep's
+        sbdf2 = assemble_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
+        rhs = np.cos(np.arange(sbdf2.grid.n_space - 1.0))
+        for ops in (sbdf2, sbdf2.start):
+            factored = _implicit_solve(ops, rhs)
+            fresh = _implicit_solve(ops, rhs, extra_diag=np.zeros_like(rhs))
+            assert factored.tobytes() == fresh.tobytes()
 
     def test_singular_band_raises_linalg_error(self):
         # zero diagonal, off-diagonals -c: singular for the odd interior count 399
@@ -371,6 +428,33 @@ class TestSolveEuropean:
         for s in TABLE_SPOTS:
             assert merton_surfaces[0.1].price_at(0.0, s) >= bs_price(spec, s) - 1e-3
 
+    @pytest.mark.parametrize(
+        "model", [NoJumps(), BENCH_MERTON, BENCH_VG], ids=["none", "merton", "vg"]
+    )
+    def test_second_order_in_time(self, model):
+        # at N = 400, halving dt cuts the change in price about fourfold
+        spec = bench_spec(rate=0.1)
+        S = grid_spots()
+        prices = [
+            solve_european(spec, model, GridSpec(n_time=m)).price_at(0.0, S)
+            for m in (25, 50, 100, 200)
+        ]
+        diffs = [np.max(np.abs(b - a)) for a, b in zip(prices, prices[1:])]
+        assert diffs[0] / diffs[1] >= 3.6
+        assert diffs[1] / diffs[2] >= 3.6
+
+    @pytest.mark.parametrize("model", [NoJumps(), BENCH_MERTON], ids=["none", "merton"])
+    def test_within_1e_3_of_the_oracle_at_1600x800(self, model):
+        # the refinement ladder's 1e-3 tolerance is met one rung below 3200x1600
+        spec = bench_spec(rate=0.1)
+        S = grid_spots()
+        if model == NoJumps():
+            ref = bs_price(spec, S)
+        else:
+            ref = np.array([merton_series_price(spec, model, s) for s in S])
+        surface = solve_european(spec, model, GridSpec(n_space=1600, n_time=800))
+        assert np.max(np.abs(surface.price_at(0.0, S) - ref)) <= 1e-3
+
     def test_gates_on_integrability(self):
         with pytest.raises(ValueError, match="integrability"):
             solve_european(bench_spec(), CGMY(c=0.5, g=6.0, m=8.0, y=2.5), GridSpec())
@@ -380,14 +464,14 @@ class TestSolveEuropean:
     @pytest.mark.parametrize(
         "model, grid, spot, price",
         [
-            (NoJumps(), GridSpec(), 85.2144, 10.93861346161683),
-            (NoJumps(), GridSpec(), 100.0, 4.7548232799398615),
-            (BENCH_MERTON, GridSpec(), 85.2144, 11.235290423197835),
-            (BENCH_MERTON, GridSpec(), 100.0, 5.151255041398718),
-            (BENCH_VG, GridSpec(), 85.2144, 15.632343627449808),
-            (BENCH_VG, GridSpec(), 100.0, 10.061854566526046),
-            (BENCH_MERTON, FFT_GRID, 85.2144, 11.239702263409555),
-            (BENCH_MERTON, FFT_GRID, 100.0, 5.1581778093382615),
+            (NoJumps(), GridSpec(), 85.2144, 10.9435116687346),
+            (NoJumps(), GridSpec(), 100.0, 4.761060790188232),
+            (BENCH_MERTON, GridSpec(), 85.2144, 11.240491523807014),
+            (BENCH_MERTON, GridSpec(), 100.0, 5.156907010776201),
+            (BENCH_VG, GridSpec(), 85.2144, 15.63302424633228),
+            (BENCH_VG, GridSpec(), 100.0, 10.060021997831404),
+            (BENCH_MERTON, FFT_GRID, 85.2144, 11.24490897699106),
+            (BENCH_MERTON, FFT_GRID, 100.0, 5.1638159010918905),
         ],
         ids=[
             "none-85.2144", "none-100", "merton-85.2144", "merton-100",
