@@ -62,6 +62,9 @@ class ShapeParams:
     c0: float
 
     def __post_init__(self) -> None:
+        fields = (self.alpha, self.d_minus, self.d_plus, self.mu, self.c0)
+        if not all(math.isfinite(v) for v in fields):
+            raise ValueError(f"envelope parameters must be finite, got {fields}")
         if self.alpha < 0 or self.mu < 0 or self.c0 <= 0:
             raise ValueError("need alpha >= 0, mu >= 0, c0 > 0")
 
@@ -307,8 +310,11 @@ class NIG:
     def _witness(self) -> ShapeParams:
         # K1(t) ~ 1/t at the origin; the large-t tail carries a sqrt(t) excess
         # over e^{-t}, absorbed into the constant on the certified range.
-        t = np.geomspace(1e-12, self.b * _NIG_ENVELOPE_RANGE, 4096)
-        factor = float(np.max(t * np.exp(t) * special.k1(t))) * 1.001
+        # d/dt [t e^t K1(t)] = t e^t (K1(t) - K0(t)) > 0, so the constant is
+        # the range's end value, taken through the scaled k1e = e^t K1(t),
+        # which does not overflow for large t.
+        end = self.b * _NIG_ENVELOPE_RANGE
+        factor = end * float(special.k1e(end)) * 1.001
         return ShapeParams(
             alpha=2.0,
             d_minus=self.a - self.b,
@@ -436,20 +442,25 @@ class CheckReport:
     detail: str = ""
 
 
-def _simpson(f: Callable, a: float, b: float, n: int):
-    x = np.linspace(a, b, n + 1)
-    fx = np.asarray(f(x))
-    h = (b - a) / n
+def _simpson_sum(fx: np.ndarray, h: float):
     return h / 3.0 * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
 
 
+def _simpson(f: Callable, a: float, b: float, n: int) -> np.ndarray:
+    """The composite Simpson rules of f over [a, b] with n / 2 and n panels,
+    both from f's n + 1 samples: the even nodes of linspace(a, b, n + 1) are
+    linspace(a, b, n / 2 + 1) bit for bit."""
+    fx = np.asarray(f(np.linspace(a, b, n + 1)))
+    return np.array([_simpson_sum(fx[::2], (b - a) / (n // 2)), _simpson_sum(fx, (b - a) / n)])
+
+
 def _wings(model: LevyModel, inner: Callable, outer: Callable, total=0.0,
-           sides=(1.0, -1.0), upper: float = _Z_MAX, n: int = _N_PANELS):
+           sides=(1.0, -1.0), upper: float = _Z_MAX, n: int = _N_PANELS) -> np.ndarray:
     """total plus, side by side, the integral of inner(z) h(z) over
     _DELTA <= |z| <= 1 and of outer(z) h(z) over 1 <= |z| <= upper, each by
-    an n-panel Simpson rule: in s = ln|z| next to the origin, where the
+    the Simpson rules of _simpson: in s = ln|z| next to the origin, where the
     integrands behave like powers of |z|, and linear beyond.  Side -1.0 is
-    z < 0."""
+    z < 0.  Returns the (n / 2)-panel value, then the n-panel one."""
     for side in sides:
         f = lambda t: inner(side * t) * density(model, side * t)
         total = total + _simpson(lambda s: f(np.exp(s)) * np.exp(s), math.log(_DELTA), 0.0, n)
@@ -459,11 +470,11 @@ def _wings(model: LevyModel, inner: Callable, outer: Callable, total=0.0,
     return total
 
 
-def _refined(value_at: Callable[[int], float]) -> tuple[float, str | None]:
-    """value_at(n) at _N_PANELS and at twice that: the finer value, and the
-    failure detail when the two differ by more than _REL_TOL relatively."""
-    v1 = value_at(_N_PANELS)
-    v2 = value_at(2 * _N_PANELS)
+def _refined(values: np.ndarray) -> tuple[float, str | None]:
+    """The values with _N_PANELS and 2 _N_PANELS panels, as _wings returns
+    them: the finer value, and the failure detail when the two differ by more
+    than _REL_TOL relatively."""
+    v1, v2 = (float(v) for v in values)
     if math.isfinite(v2) and abs(v2 - v1) <= _REL_TOL * max(abs(v2), 1e-12):
         return v2, None
     return v2, f"quadrature not converged: {v1:.6g} -> {v2:.6g} under refinement"
@@ -490,7 +501,7 @@ def integrability_check(model: LevyModel) -> CheckReport:
 
     core = truncated_second_moment(model, _DELTA)
     value, failure = _refined(
-        lambda n: float(_wings(model, lambda z: z * z, lambda z: 1.0, total=core, n=n))
+        _wings(model, lambda z: z * z, lambda z: 1.0, total=core, n=2 * _N_PANELS)
     )
     detail = failure or f"integral of min(z^2,1) nu(dz) = {value:.6g}"
     return CheckReport(value, failure is None, detail)
@@ -540,8 +551,7 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
         upper = max(_Z_MAX, min(400.0, 40.0 / rate))
 
     value, failure = _refined(
-        lambda n: core
-        + float(_wings(model, np.expm1, np.expm1, sides=(1.0,), upper=upper, n=n))
+        core + _wings(model, np.expm1, np.expm1, sides=(1.0,), upper=upper, n=2 * _N_PANELS)
     )
     passed = failure is None and value <= r + 1e-12
     detail = failure or f"upward-jump budget {value:.6g} vs rate {r:g}"
@@ -576,5 +586,5 @@ def characteristic_exponent(
             lambda z: np.exp(1j * y * z) - 1.0 - 1j * y * z,
             lambda z: np.exp(1j * y * z) - 1.0,
             total=base - 0.5 * y * y * truncated_second_moment(model, _DELTA),
-        )
+        )[1]
     )

@@ -40,14 +40,20 @@ two edges, so a step evaluates no far field: it scales the precomputed growth
 terms by e^(r tau) at its two time levels.
 
 The large-jump part of the operator is a correlation of the node vector
-with a kernel of 2J+1 lattice weights.  Kernels with J below _FFT_MIN_OFFSET
+with a kernel of 2J+1 lattice weights.  Every other part of E is a
+three-point stencil on the interior rows (-W u, the small-jump corrections
+and the market drift), so assembly folds them into the kernel's taps -1, 0
+and +1 and a step evaluates E with that one precomputed kernel: one
+correlation and no stencil arithmetic.  Kernels with J below _FFT_MIN_OFFSET
 use the direct O(N J) `np.correlate` on the node vector padded with the 2J
-far-field values, one dot product per row.  Longer ones correlate the N+1 grid nodes alone through a
-real FFT of length N+1+J (rounded up to a 2^a 3^b 5^c length), with the
-kernel's transform computed once at assembly, and add the far-field values'
-share of every row, which is linear in them and is also precomputed per
-operator.  The two paths agree to roundoff (relative difference below
-1e-15); the cut-over is where their per-apply timings cross.
+far-field values, one dot product per row.  Longer ones correlate the N+1
+grid nodes alone through a real FFT of length N+1+J (rounded up to a
+2^a 3^b 5^c length), with the kernel's transform computed once at assembly,
+and add the far-field values' share of every row, which is linear in them
+and is also precomputed per operator.  The two paths agree to roundoff
+(relative difference below 1e-15); the cut-over is where their per-apply
+timings cross.  `IntegralOperator.apply` evaluates the jump operator alone,
+through the same correlation, with its stencils applied separately.
 """
 from __future__ import annotations
 
@@ -70,6 +76,7 @@ from .levy import (
 __all__ = [
     "GridSpec",
     "PriceSurface",
+    "Correlation",
     "IntegralOperator",
     "ImexOperators",
     "StepHistory",
@@ -175,6 +182,64 @@ _FFT_MIN_OFFSET = 300
 
 
 @dataclass(frozen=True)
+class Correlation:
+    """Correlation of a node vector with a Toeplitz kernel of 2J+1 taps.
+
+    Row i of the result, i = 0..n_nodes-1, is the sum over k of
+    kernel[k] u[i + k - J], where u beyond the grid takes far-field values.
+    Kernels with J below _FFT_MIN_OFFSET take the direct path, one
+    `np.correlate` of the node vector padded with the J far-field values on
+    each side.  Longer ones correlate the grid nodes alone through a real FFT
+    of length fft_len and add the far-field values' share of every row.
+    """
+
+    kernel: np.ndarray = field(repr=False)
+    # rfft of the reversed kernel at length fft_len; None on the direct path
+    kernel_rfft: np.ndarray | None = field(repr=False)
+    fft_len: int
+    n_nodes: int
+
+    @classmethod
+    def of(cls, kernel: np.ndarray, n_nodes: int) -> Correlation:
+        """The correlation with kernel over n_nodes grid nodes.  On the FFT
+        path the full linear convolution of the grid nodes has n_nodes + 2J
+        terms and the correlation keeps those from J to J + n_nodes - 1; a
+        transform length of n_nodes + J keeps the wrap-around of the circular
+        convolution out of that window."""
+        J = kernel.size // 2
+        if J < _FFT_MIN_OFFSET:
+            return cls(kernel, None, 0, n_nodes)
+        n = _smooth_length(n_nodes + J)
+        return cls(kernel, np.fft.rfft(kernel[::-1], n), n, n_nodes)
+
+    def far_data(self, ext: np.ndarray) -> np.ndarray:
+        """What the correlation takes from u's values at the J lattice points
+        left of the grid, then the J right of it; linear in them.
+
+        The direct path correlates the padded node vector, so it takes the
+        values themselves.  The FFT path correlates the grid nodes alone and
+        takes the values' share of every row: row i reaches the J points left
+        of the grid through the offsets below -i, and the J points right of it
+        through those above N - i.
+        """
+        if self.kernel_rfft is None:
+            return ext
+        J = self.kernel.size // 2
+        out = np.zeros(self.n_nodes)
+        out[:J] += np.correlate(ext[:J], self.kernel[:J], mode="full")[J - 1 :]
+        out[-J:] += np.correlate(ext[J:], self.kernel[J + 1 :], mode="full")[:J]
+        return out
+
+    def __call__(self, u: np.ndarray, far: np.ndarray) -> np.ndarray:
+        """The correlation of u, with far = far_data(u's values beyond the grid)."""
+        J = self.kernel.size // 2
+        if self.kernel_rfft is None:
+            return np.correlate(np.concatenate([far[:J], u, far[J:]]), self.kernel, mode="valid")
+        spectrum = np.fft.rfft(u, self.fft_len) * self.kernel_rfft
+        return np.fft.irfft(spectrum, self.fft_len)[J : J + u.size] + far
+
+
+@dataclass(frozen=True)
 class IntegralOperator:
     """Row-compressed (Toeplitz) discretization of the jump integral.
 
@@ -194,14 +259,11 @@ class IntegralOperator:
     drift_correction: float
     dx: float
     delta_eff: float
-    # weights laid out densely by offset, index j + J for j = -J..J
-    kernel: np.ndarray = field(repr=False)
-    # rfft of the reversed kernel at length fft_len; None on the direct path
-    kernel_rfft: np.ndarray | None = field(repr=False)
-    fft_len: int
+    # correlation with the weights laid out densely by offset, index j + J
+    # for j = -J..J
+    correlation: Correlation
     # the J lattice points left of the grid, then the J right of it
     ext_nodes: np.ndarray = field(repr=False)
-    n_nodes: int
 
     def apply(
         self,
@@ -217,43 +279,18 @@ class IntegralOperator:
         lattice points beyond them, where extend supplies u, are precomputed,
         so a vector of any other length is refused.
         """
-        if u.size != self.n_nodes:
-            raise ValueError(
-                f"apply got {u.size} nodes; the operator was assembled for {self.n_nodes}"
-            )
-        return self.evaluate(u, self.far_data(extend(self.ext_nodes, tau)))
-
-    def far_data(self, ext: np.ndarray) -> np.ndarray:
-        """What evaluate takes from u's values at ext_nodes; linear in them.
-
-        The direct path correlates the padded node vector, so it takes the
-        values themselves.  The FFT path correlates the grid nodes alone and
-        takes the values' share of every row: row i reaches the J points left
-        of the grid through the offsets below -i, and the J points right of it
-        through those above N - i.
-        """
-        if self.kernel_rfft is None:
-            return ext
-        J = self.kernel.size // 2
-        out = np.zeros(self.n_nodes)
-        out[:J] += np.correlate(ext[:J], self.kernel[:J], mode="full")[J - 1 :]
-        out[-J:] += np.correlate(ext[J:], self.kernel[J + 1 :], mode="full")[:J]
-        return out
+        n_nodes = self.correlation.n_nodes
+        if u.size != n_nodes:
+            raise ValueError(f"apply got {u.size} nodes; the operator was assembled for {n_nodes}")
+        return self.evaluate(u, self.correlation.far_data(extend(self.ext_nodes, tau)))
 
     def evaluate(self, u: np.ndarray, far: np.ndarray) -> np.ndarray:
-        """The operator on u, with far = far_data(u's values at ext_nodes);
-        boundary rows zero."""
+        """The operator on u, with far = correlation.far_data(u's values at
+        ext_nodes); boundary rows zero."""
         out = np.zeros_like(u)
         dx = self.dx
         if self.offsets.size:
-            J = self.kernel.size // 2
-            if self.kernel_rfft is None:
-                upad = np.concatenate([far[:J], u, far[J:]])
-                conv = np.correlate(upad, self.kernel, mode="valid")
-            else:
-                spectrum = np.fft.rfft(u, self.fft_len) * self.kernel_rfft
-                conv = np.fft.irfft(spectrum, self.fft_len)[J : J + u.size] + far
-            out += conv - self.total_weight * u
+            out += self.correlation(u, far) - self.total_weight * u
         if self.local_correction != 0.0 or self.drift_correction != 0.0:
             d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
             d1 = (u[2:] - u[:-2]) / (2.0 * dx)
@@ -279,20 +316,6 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _kernel_transform(kernel: np.ndarray, n_nodes: int) -> tuple[np.ndarray | None, int]:
-    """(rfft of the reversed kernel, its length) for a kernel long enough to
-    take the FFT path, else (None, 0).  The correlation runs over the grid
-    nodes alone, so the full linear convolution has n_nodes + 2J terms and
-    the grid term keeps those from J to J + n_nodes - 1; a length of
-    n_nodes + J keeps the wrap-around of the circular convolution out of
-    that window."""
-    J = kernel.size // 2
-    if J < _FFT_MIN_OFFSET:
-        return None, 0
-    n = _smooth_length(n_nodes + J)
-    return np.fft.rfft(kernel[::-1], n), n
-
-
 def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOperator:
     """Build the discrete jump operator for one measure on one grid; a measure
     that fails the integrability check is refused here, for every solve."""
@@ -307,11 +330,8 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
             drift_correction=0.0,
             dx=dx,
             delta_eff=0.0,
-            kernel=empty,
-            kernel_rfft=None,
-            fft_len=0,
+            correlation=Correlation.of(empty, grid.n_space + 1),
             ext_nodes=empty,
-            n_nodes=grid.n_space + 1,
         )
     report = integrability_check(model)
     if not report.passed:
@@ -337,11 +357,6 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
     drift = (float(np.dot(weights, np.expm1(zs))) + local * k2) / k1
     kernel = np.zeros(2 * J + 1)
     kernel[offsets + J] = weights
-    kernel_rfft, fft_len = _kernel_transform(kernel, grid.n_space + 1)
-    xs = grid.xs()
-    ext_nodes = np.concatenate(
-        [xs[0] + dx * np.arange(-J, 0), xs[-1] + dx * np.arange(1, J + 1)]
-    )
     return IntegralOperator(
         offsets=offsets,
         weights=weights,
@@ -350,12 +365,33 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
         drift_correction=drift,
         dx=dx,
         delta_eff=delta_eff,
-        kernel=kernel,
-        kernel_rfft=kernel_rfft,
-        fft_len=fft_len,
-        ext_nodes=ext_nodes,
-        n_nodes=grid.n_space + 1,
+        correlation=Correlation.of(kernel, grid.n_space + 1),
+        ext_nodes=_ext_nodes(grid, J),
     )
+
+
+def _ext_nodes(grid: GridSpec, J: int) -> np.ndarray:
+    """The J lattice points left of the grid, then the J right of it."""
+    xs, dx = grid.xs(), grid.dx
+    return np.concatenate([xs[0] + dx * np.arange(-J, 0), xs[-1] + dx * np.arange(1, J + 1)])
+
+
+def _explicit_kernel(spec: OptionSpec, integral: IntegralOperator) -> np.ndarray:
+    """The taps of the explicit operator E, the drift plus the jump term, on
+    the interior rows: the jump weights, with E's three-point terms folded
+    into offsets -1, 0 and +1.  Those terms are -W u, local_correction times
+    the second difference, and (r - sigma^2/2 - drift_correction) times the
+    centered first difference.  The half-width is max(J, 1)."""
+    J = max(integral.correlation.kernel.size // 2, 1)
+    dx = integral.dx
+    local = integral.local_correction / dx**2
+    slope = (spec.rate - 0.5 * spec.sigma**2 - integral.drift_correction) / (2.0 * dx)
+    kernel = np.zeros(2 * J + 1)
+    kernel[integral.offsets + J] = integral.weights
+    kernel[J] -= integral.total_weight + 2.0 * local
+    kernel[J - 1] += local - slope
+    kernel[J + 1] += local + slope
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +404,9 @@ _START_SUBSTEPS = 4
 @dataclass
 class ImexOperators:
     """Assembled pieces shared by the time steps: grid arrays, the jump
-    operator, the far field's precomputed terms, and one step's banded
-    implicit matrix with its LU factors.
+    operator, the explicit operator E as one correlation with the far field's
+    precomputed shares, and one step's banded implicit matrix with its LU
+    factors.
 
     assemble_operators returns the SBDF2 step's operators: dt is the time
     step and band is (3/2) I - dt D.  Their `start` holds the same pieces with
@@ -381,7 +418,9 @@ class ImexOperators:
     xs: np.ndarray
     dt: float
     integral: IntegralOperator
-    # integral.far_data of the far field's level and growth beyond the grid
+    # E on every node (its boundary rows unused)
+    explicit: Correlation
+    # explicit.far_data of the far field's level and growth beyond the grid
     far_level: np.ndarray = field(repr=False)
     far_growth: np.ndarray = field(repr=False)
     # level and growth at the two Dirichlet nodes xs[0], xs[-1]
@@ -392,12 +431,6 @@ class ImexOperators:
     # dgttrf's (dl, d, du, du2, ipiv) of band
     band_lu: tuple = field(repr=False)
     start: ImexOperators | None = field(default=None, repr=False)
-
-    def jump_term(self, u: np.ndarray, tau: float) -> np.ndarray:
-        """The jump operator on u at tau, with the far field supplying u beyond
-        the grid: the step's explicit jump term."""
-        far = self.far_level + math.exp(self.spec.rate * tau) * self.far_growth
-        return self.integral.evaluate(u, far)
 
     def edge_values(self, tau: float) -> tuple[float, float]:
         """The Dirichlet values at xs[0] and xs[-1] at tau."""
@@ -437,6 +470,9 @@ def assemble_operators(
     dt = spec.expiry / grid.n_time
     xs = grid.xs()
     integral = assemble_integral_operator(model, grid)
+    kernel = _explicit_kernel(spec, integral)
+    explicit = Correlation.of(kernel, grid.n_space + 1)
+    ext_nodes = _ext_nodes(grid, kernel.size // 2)
     edge_xs = np.array([xs[0], xs[-1]])
     band, band_lu = _factored_band(spec, grid, dt, 1.5)
     ops = ImexOperators(
@@ -445,8 +481,9 @@ def assemble_operators(
         xs=xs,
         dt=dt,
         integral=integral,
-        far_level=integral.far_data(boundary.level(integral.ext_nodes)),
-        far_growth=integral.far_data(boundary.growth(integral.ext_nodes)),
+        explicit=explicit,
+        far_level=explicit.far_data(boundary.level(ext_nodes)),
+        far_growth=explicit.far_data(boundary.growth(ext_nodes)),
         edge_level=tuple(boundary.level(edge_xs).tolist()),
         edge_growth=tuple(boundary.growth(edge_xs).tolist()),
         band=band,
@@ -498,10 +535,10 @@ def _growth_guard(u_next: np.ndarray, prev_peak: float, ops: ImexOperators) -> f
 
 
 def _explicit_term(u: np.ndarray, ops: ImexOperators, tau: float) -> np.ndarray:
-    """E(u) at tau on the interior nodes: the drift plus the jump term."""
-    spec = ops.spec
-    d1 = (u[2:] - u[:-2]) / (2.0 * ops.grid.dx)
-    return (spec.rate - 0.5 * spec.sigma**2) * d1 + ops.jump_term(u, tau)[1:-1]
+    """E(u) at tau on the interior nodes, the drift plus the jump term: one
+    correlation, with the far field supplying u beyond the grid."""
+    far = ops.far_level + math.exp(ops.spec.rate * tau) * ops.far_growth
+    return ops.explicit(u, far)[1:-1]
 
 
 def _implicit_step(

@@ -1,5 +1,6 @@
 """Measure families: densities, envelope witnesses, and the integral checks."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -213,6 +214,24 @@ class TestShapeWitness:
             ShapeParams(alpha=-1.0, d_minus=0.0, d_plus=0.0, mu=0.0, c0=1.0)
         with pytest.raises(ValueError):
             ShapeParams(alpha=0.0, d_minus=0.0, d_plus=0.0, mu=0.0, c0=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "d_minus", "d_plus", "mu", "c0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_witness_refuses_non_finite_fields(self, field, bad):
+        fields = {"alpha": 1.0, "d_minus": -3.0, "d_plus": 2.0, "mu": 0.0, "c0": 1.0}
+        with pytest.raises(ValueError, match="must be finite"):
+            ShapeParams(**{**fields, field: bad})
+
+    def test_steep_nig_witness_is_finite_and_dominates(self):
+        # b * 32 > 709.78: e^t alone overflows at the end of the certified range
+        model = NIG(a=0.0, b=30.0, c=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = shape_witness(model)
+            h = density(model, Z_GRID)
+            env = w.envelope(Z_GRID)
+        assert math.isfinite(w.c0) and w.c0 > 0.0
+        assert np.all(h <= env * (1.0 + 1e-9) + 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from levypide.pide import (
     FarField,
     GridSpec,
     StepHistory,
+    _explicit_term,
     _implicit_solve,
     assemble_integral_operator,
     assemble_operators,
@@ -141,7 +142,7 @@ class TestIntegralOperator:
     )
     def test_fft_apply_matches_direct_correlation(self, name, grid):
         op = assemble_integral_operator(ALL_JUMP_MODELS[name], grid)
-        assert op.kernel_rfft is not None
+        assert op.correlation.kernel_rfft is not None
         spec = bench_spec(rate=0.1)
         extend = far_values(european_asymptote(spec), spec.rate)
         xs = grid.xs()
@@ -170,7 +171,7 @@ class TestIntegralOperator:
 
     def test_direct_apply_refuses_a_foreign_node_vector(self):
         op = assemble_integral_operator(BENCH_MERTON, GridSpec())
-        assert op.kernel_rfft is None
+        assert op.correlation.kernel_rfft is None
         xs = GridSpec(half_width=8.0, n_space=800).xs()
         with pytest.raises(ValueError, match="assembled for 401"):
             op.apply(np.ones_like(xs), xs, 0.0, lambda xq, tau: np.ones(np.shape(xq)))
@@ -332,20 +333,26 @@ class TestStepImex:
 
     @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
     @pytest.mark.parametrize("far", ["put", "call", "exercise"])
-    def test_matches_a_step_built_from_apply(self, far, grid):
-        # the step takes the far field's share of the jump term from the terms
-        # precomputed at assembly and its matrices from the factors made
-        # there; here both are built afresh, and the SBDF2 step is written as
+    @pytest.mark.parametrize("name", sorted(ALL_JUMP_MODELS) + ["nojumps"])
+    def test_matches_a_step_built_from_apply(self, name, far, grid):
+        # the step takes E from the one kernel assembly folded the drift, the
+        # jump weights and the small-jump stencils into, with the far field's
+        # share precomputed, and its matrices from the factors made there;
+        # here E comes from IntegralOperator.apply plus the drift stencil, the
+        # matrices are built afresh, and the SBDF2 step is written as
         # (3/2) u+ - dt D u+ = 2 u - u-/2 + dt (2 E(u) - E(u-))
+        model = ALL_JUMP_MODELS.get(name, NoJumps())
         spec = bench_spec(rate=0.1, kind="call" if far == "call" else "put")
         far_field = exercise_asymptote(spec) if far == "exercise" else european_asymptote(spec)
-        ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=far_field)
+        ops = assemble_operators(spec, model, grid, boundary=far_field)
         boundary = far_values(far_field, spec.rate)
         xs, dt, tau = ops.xs, ops.dt, 0.3
         u_before = boundary(xs, tau - dt) + 4.0 * np.sin(2.0 * xs)
         u = boundary(xs, tau) + 5.0 * np.cos(3.0 * xs)
         e_before = explicit_from_apply(ops, u_before, tau - dt, boundary)
         e_now = explicit_from_apply(ops, u, tau, boundary)
+        for v, t, ref in ((u_before, tau - dt, e_before), (u, tau, e_now)):
+            assert np.max(np.abs(_explicit_term(v, ops, t) - ref)) <= 1e-11 * np.max(np.abs(ref))
         lo, hi = boundary(np.array([xs[0], xs[-1]]), tau + dt)
 
         history = StepHistory(u_before, u_before[1:-1] + dt * e_before, np.max(np.abs(u)))
