@@ -37,7 +37,6 @@ from .levy import (
 from .oracle import McConfig, McResult, mc_price, merton_series_price
 from .pide import (
     GridSpec,
-    IntegralOperator,
     PriceSurface,
     build_grid,
     price_at,
@@ -52,7 +51,6 @@ __all__ = [
     "CheckReport",
     "ExerciseBoundary",
     "GridSpec",
-    "IntegralOperator",
     "Kou",
     "LcpReport",
     "LevyModel",

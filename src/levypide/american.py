@@ -49,7 +49,6 @@ __all__ = [
     "LcpReport",
     "PicardError",
     "exercise_asymptote",
-    "penalty_term",
     "solve_american_penalized",
     "extract_boundary",
     "lcp_residual",
@@ -111,17 +110,6 @@ def exercise_asymptote(spec: OptionSpec) -> FarField:
         level=lambda x: np.zeros(np.shape(x)),
         growth=lambda x: np.where(np.less(x, 0.0), K * (1.0 - np.exp(x)), 0.0),
     )
-
-
-def penalty_term(
-    u_vec: np.ndarray, tau: float, xs: np.ndarray, spec: OptionSpec, eps: float
-) -> np.ndarray:
-    """The penalty source eps^-1 e^(x^-) (e^(r tau) Phi(K e^x) - u)^+, elementwise."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    w = math.exp(spec.rate * tau) * payoff(spec, spec.strike * np.exp(xs))
-    weight = np.exp(np.minimum(xs, 0.0))
-    return weight * np.maximum(w - u_vec, 0.0) / eps
 
 
 def solve_american_penalized(

@@ -83,6 +83,8 @@ _MODEL_ALIASES = {"nojumps": "none", "bs": "none", "variance_gamma": "vg"}
 # VG's alternative parameter set, the subordinated Brownian motion's.
 _VG_BM_PARAMS = ("theta", "kappa", "sigma_vg")
 _TABLE1_SPOTS = (85.2144, 88.692, 92.3116, 96.0789, 100.0, 104.081, 108.329, 112.75)
+# The spots of every plotdata file.
+_PLOT_SPOTS = np.linspace(80.0, 125.0, 91)
 
 
 class ConfigError(ValueError):
@@ -345,6 +347,13 @@ class RunConfig:
                 raise ConfigError(
                     f"{o.kind} output needs the grid solve; drop closed_form"
                 )
+            if o.kind == "plotdata" and not substitute and not (
+                lo <= _PLOT_SPOTS[0] and _PLOT_SPOTS[-1] <= hi
+            ):
+                raise ConfigError(
+                    f"plotdata spots [{_PLOT_SPOTS[0]:g}, {_PLOT_SPOTS[-1]:g}] lie outside "
+                    f"the grid range [{lo:.4g}, {hi:.4g}]"
+                )
             _check_writable(o.path)
 
 
@@ -376,7 +385,7 @@ def emit_plotdata(surfaces: Mapping[str, object], path: str) -> None:
     """
     if not surfaces:
         raise ValueError("need at least one surface")
-    S = np.linspace(80.0, 125.0, 91)
+    S = _PLOT_SPOTS
     columns = []
     for surf in surfaces.values():
         if isinstance(surf, PriceSurface):
@@ -626,8 +635,8 @@ def _run_table1(args: argparse.Namespace) -> int:
     volatility conventions, and the two jump models, at r in {0, 0.1}."""
     try:
         grid = GridSpec(
-            n_space=args.grid_n if args.grid_n else 400,
-            n_time=args.grid_m if args.grid_m else 200,
+            n_space=400 if args.grid_n is None else args.grid_n,
+            n_time=200 if args.grid_m is None else args.grid_m,
         )
         if args.output:
             _check_writable(args.output)

@@ -52,8 +52,7 @@ grid nodes alone through a real FFT of length N+1+J (rounded up to a
 and add the far-field values' share of every row, which is linear in them
 and is also precomputed per operator.  The two paths agree to roundoff
 (relative difference below 1e-15); the cut-over is where their per-apply
-timings cross.  `IntegralOperator.apply` evaluates the jump operator alone,
-through the same correlation, with its stencils applied separately.
+timings cross.
 """
 from __future__ import annotations
 
@@ -244,12 +243,14 @@ class IntegralOperator:
     """Row-compressed (Toeplitz) discretization of the jump integral.
 
     Jump sizes are snapped to the x lattice: offsets j with delta_eff <=
-    |j| dx <= z_max carry trapezoid weights w_j = c_j dx h(j dx).  Small
-    jumps |z| < delta_eff contribute local_correction * (second difference)
-    minus the same coefficient times the first difference; drift_correction
+    |j| dx <= z_max carry trapezoid weights w_j = c_j dx h(j dx), delta_eff
+    being grid.delta snapped to a positive multiple of dx.  Small jumps
+    |z| < delta_eff contribute local_correction * (second difference) minus
+    the same coefficient times the first difference; drift_correction
     multiplies the centered first difference and is calibrated from the same
     discrete weights so that applying the operator to samples of e^x gives
-    exactly zero up to roundoff.
+    exactly zero up to roundoff.  A step evaluates the operator only through
+    the explicit kernel (`_explicit_kernel`) these fields fold into.
     """
 
     offsets: np.ndarray
@@ -258,46 +259,6 @@ class IntegralOperator:
     local_correction: float
     drift_correction: float
     dx: float
-    delta_eff: float
-    # correlation with the weights laid out densely by offset, index j + J
-    # for j = -J..J
-    correlation: Correlation
-    # the J lattice points left of the grid, then the J right of it
-    ext_nodes: np.ndarray = field(repr=False)
-
-    def apply(
-        self,
-        u: np.ndarray,
-        xs: np.ndarray,
-        tau: float,
-        extend: Callable[[np.ndarray, float], np.ndarray],
-    ) -> np.ndarray:
-        """Evaluate the operator on a node vector; boundary rows are zero
-        (those nodes are governed by Dirichlet data, not the equation).
-
-        xs are the nodes of the grid the operator was assembled on; the
-        lattice points beyond them, where extend supplies u, are precomputed,
-        so a vector of any other length is refused.
-        """
-        n_nodes = self.correlation.n_nodes
-        if u.size != n_nodes:
-            raise ValueError(f"apply got {u.size} nodes; the operator was assembled for {n_nodes}")
-        return self.evaluate(u, self.correlation.far_data(extend(self.ext_nodes, tau)))
-
-    def evaluate(self, u: np.ndarray, far: np.ndarray) -> np.ndarray:
-        """The operator on u, with far = correlation.far_data(u's values at
-        ext_nodes); boundary rows zero."""
-        out = np.zeros_like(u)
-        dx = self.dx
-        if self.offsets.size:
-            out += self.correlation(u, far) - self.total_weight * u
-        if self.local_correction != 0.0 or self.drift_correction != 0.0:
-            d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-            d1 = (u[2:] - u[:-2]) / (2.0 * dx)
-            out[1:-1] += self.local_correction * d2 - self.drift_correction * d1
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
 
 
 def _smooth_length(n: int) -> int:
@@ -321,17 +282,13 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
     that fails the integrability check is refused here, for every solve."""
     dx = grid.dx
     if isinstance(model, NoJumps):
-        empty = np.zeros(0)
         return IntegralOperator(
             offsets=np.zeros(0, dtype=int),
-            weights=empty,
+            weights=np.zeros(0),
             total_weight=0.0,
             local_correction=0.0,
             drift_correction=0.0,
             dx=dx,
-            delta_eff=0.0,
-            correlation=Correlation.of(empty, grid.n_space + 1),
-            ext_nodes=empty,
         )
     report = integrability_check(model)
     if not report.passed:
@@ -355,8 +312,6 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
     k1 = math.sinh(dx) / dx
     k2 = 2.0 * (math.cosh(dx) - 1.0) / dx**2
     drift = (float(np.dot(weights, np.expm1(zs))) + local * k2) / k1
-    kernel = np.zeros(2 * J + 1)
-    kernel[offsets + J] = weights
     return IntegralOperator(
         offsets=offsets,
         weights=weights,
@@ -364,9 +319,6 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
         local_correction=local,
         drift_correction=drift,
         dx=dx,
-        delta_eff=delta_eff,
-        correlation=Correlation.of(kernel, grid.n_space + 1),
-        ext_nodes=_ext_nodes(grid, J),
     )
 
 
@@ -382,7 +334,7 @@ def _explicit_kernel(spec: OptionSpec, integral: IntegralOperator) -> np.ndarray
     into offsets -1, 0 and +1.  Those terms are -W u, local_correction times
     the second difference, and (r - sigma^2/2 - drift_correction) times the
     centered first difference.  The half-width is max(J, 1)."""
-    J = max(integral.correlation.kernel.size // 2, 1)
+    J = max(int(integral.offsets.max(initial=0)), 1)
     dx = integral.dx
     local = integral.local_correction / dx**2
     slope = (spec.rate - 0.5 * spec.sigma**2 - integral.drift_correction) / (2.0 * dx)

@@ -19,6 +19,7 @@ from levypide import (
     OptionSpec,
     VarianceGamma,
 )
+from levypide.pide import FarField, _explicit_term, assemble_operators
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -75,3 +76,35 @@ def far_values(far, rate: float):
 
 def grid_spots(lo: float = 80.0, hi: float = 125.0, n: int = 10) -> np.ndarray:
     return np.linspace(lo, hi, n)
+
+
+def jump_reference(op, xs, u, far, tau):
+    """The jump operator on u written out from op's offsets and weights: the
+    correlation of u padded with far(x, tau) on the J lattice points beyond
+    each edge, minus W u, plus the two small-jump stencils; boundary rows zero."""
+    out = np.zeros_like(u)
+    dx = op.dx
+    if op.offsets.size:
+        J = int(op.offsets.max())
+        left = far(xs[0] + dx * np.arange(-J, 0), tau)
+        right = far(xs[-1] + dx * np.arange(1, J + 1), tau)
+        upad = np.concatenate([left, u, right])
+        kernel = np.zeros(2 * J + 1)
+        kernel[op.offsets + J] = op.weights
+        out += np.correlate(upad, kernel, mode="valid") - op.total_weight * u
+    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+    d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+    out[1:-1] += op.local_correction * d2 - op.drift_correction * d1
+    out[0] = out[-1] = 0.0
+    return out
+
+
+def stepped_jump_term(model, grid, values):
+    """The jump operator on the interior as the step evaluates it, on u =
+    values(x) at tau = 0 with values(x) as the far field too: _explicit_term
+    less the drift stencil (r - sigma^2/2) d1 u."""
+    spec = bench_spec(rate=0.1)
+    ops = assemble_operators(spec, model, grid, FarField(level=np.zeros_like, growth=values))
+    u = values(grid.xs())
+    d1 = (u[2:] - u[:-2]) / (2.0 * grid.dx)
+    return _explicit_term(u, ops, 0.0) - (spec.rate - 0.5 * spec.sigma**2) * d1

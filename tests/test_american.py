@@ -4,9 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from conftest import BENCH_KOU, BENCH_MERTON, BENCH_VG, STRIKE, bench_spec, far_values
+from conftest import BENCH_MERTON, BENCH_VG, STRIKE, bench_spec, far_values
 from levypide.american import (
     LcpReport,
     PenaltyConfig,
@@ -14,7 +13,6 @@ from levypide.american import (
     exercise_asymptote,
     extract_boundary,
     lcp_residual,
-    penalty_term,
     solve_american_penalized,
 )
 from levypide.bs import payoff
@@ -95,53 +93,6 @@ class TestPenaltyConfig:
     def test_rejects_invalid(self, kw):
         with pytest.raises(ValueError):
             PenaltyConfig(**kw)
-
-
-class TestPenaltyTerm:
-    def test_zero_on_the_obstacle(self):
-        spec = bench_spec(rate=0.1)
-        xs = np.linspace(-1.0, 1.0, 41)
-        w = math.exp(spec.rate * 0.3) * payoff(spec, STRIKE * np.exp(xs))
-        assert np.array_equal(penalty_term(w, 0.3, xs, spec, 1e-3), np.zeros_like(xs))
-
-    def test_weighted_shortfall_below_strike(self):
-        # a shortfall of eps * c under the obstacle is billed e^x * c, not c:
-        # the in-the-money weight is S/K
-        spec = bench_spec(rate=0.0)
-        xs = np.array([-0.5, -0.1, 0.2])
-        w = payoff(spec, STRIKE * np.exp(xs))
-        eps, c = 1e-3, 2.7
-        out = penalty_term(w - eps * c, 0.0, xs, spec, eps)
-        # subtracting the shortfall from w costs ~w * ulp of cancellation
-        assert out[0] == pytest.approx(math.exp(-0.5) * c, rel=1e-11)
-        assert out[1] == pytest.approx(math.exp(-0.1) * c, rel=1e-11)
-        assert out[2] == pytest.approx(c, rel=1e-11)  # weight capped at 1
-
-    def test_excess_above_obstacle_is_free(self):
-        spec = bench_spec(rate=0.0)
-        xs = np.array([-0.5, 0.0, 0.5])
-        w = payoff(spec, STRIKE * np.exp(xs))
-        assert np.array_equal(
-            penalty_term(w + 5.0, 0.0, xs, spec, 1e-3), np.zeros(3)
-        )
-
-    @given(
-        st.floats(min_value=-50.0, max_value=150.0),
-        st.floats(min_value=-50.0, max_value=150.0),
-        st.floats(min_value=-3.0, max_value=3.0),
-    )
-    def test_lipschitz_bound(self, u1, u2, x):
-        spec = bench_spec(rate=0.1)
-        xs = np.array([x])
-        eps = 1e-2
-        g1 = penalty_term(np.array([u1]), 0.4, xs, spec, eps)[0]
-        g2 = penalty_term(np.array([u2]), 0.4, xs, spec, eps)[0]
-        assert abs(g1 - g2) <= abs(u1 - u2) / eps + 1e-9
-
-    def test_rejects_nonpositive_eps(self):
-        spec = bench_spec()
-        with pytest.raises(ValueError):
-            penalty_term(np.zeros(3), 0.0, np.zeros(3), spec, 0.0)
 
 
 class TestExerciseAsymptote:

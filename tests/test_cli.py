@@ -28,7 +28,7 @@ from levypide.cli import (
     model_from_dict,
     model_to_dict,
 )
-from levypide.levy import Merton, NoJumps, VarianceGamma
+from levypide.levy import NoJumps, VarianceGamma
 from levypide.pide import GridSpec, solve_european
 
 
@@ -421,6 +421,47 @@ class TestPriceCommand:
         assert main(["price", "--config", path]) == 0
         assert ppath.read_text().split("\n")[0] == "S,V_bs,V_merton"
 
+    @pytest.mark.parametrize(
+        "option, grid",
+        [
+            (OPTION, {"half_width": 0.15, "n_space": 100, "n_time": 50}),
+            ({**OPTION, "strike": 2.0}, {"n_space": 100, "n_time": 50}),
+        ],
+        ids=["narrow-grid", "low-strike"],
+    )
+    def test_plotdata_off_the_grid_is_refused_before_any_write(
+        self, tmp_path, capsys, option, grid
+    ):
+        # the plot spots run over [80, 125]; the grid must cover them
+        table, plot = tmp_path / "t.csv", tmp_path / "p.csv"
+        path = write_cfg(
+            tmp_path,
+            option=option,
+            grid=grid,
+            model={"type": "merton", "lam": 0.1, "m": -0.2, "delta": 0.15},
+            scenarios=[{"rate": 0.1, "spots": [option["strike"]]}],
+            outputs=[
+                {"kind": "table", "path": str(table)},
+                {"kind": "plotdata", "path": str(plot)},
+            ],
+        )
+        assert main(["price", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: plotdata spots [80, 125] lie outside the grid range")
+        assert err.count("\n") == 1
+        assert not table.exists() and not plot.exists()
+
+    def test_readme_config_runs(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A config is JSON:", 1)[1].split("```json\n", 1)[1]
+        (tmp_path / "readme.json").write_text(block.split("```", 1)[0])
+        monkeypatch.chdir(tmp_path)
+        argv = ["price", "--config", "readme.json", "--grid-n", "100", "--grid-m", "50"]
+        assert main(argv) == 0
+        # one table for both scenarios, one plotdata file per scenario
+        for name in ("prices.csv", "curves_r0.csv", "curves_r0.1.csv"):
+            assert (tmp_path / name).exists()
+
     def test_rate_override_merges_identical_scenarios(self, tmp_path, capsys):
         path = write_cfg(
             tmp_path,
@@ -603,6 +644,20 @@ class TestTable1:
             f"error: output path not writable: {dest} "
             f"(directory {dest.parent} missing or read-only)\n"
         )
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--grid-n", "n_space must be an even count >= 4, got 0"),
+            ("--grid-m", "n_time must be a finite count >= 1, got 0"),
+        ],
+        ids=["grid-n", "grid-m"],
+    )
+    def test_zero_grid_count_is_refused(self, tmp_path, capsys, flag, message):
+        dest = tmp_path / "t.csv"
+        assert main(["table1", flag, "0", "--output", str(dest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not dest.exists()
 
     def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch, capsys):
         runs = []

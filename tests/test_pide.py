@@ -15,12 +15,15 @@ from conftest import (
     bench_spec,
     far_values,
     grid_spots,
+    jump_reference,
+    stepped_jump_term,
 )
 from levypide.american import exercise_asymptote
 from levypide.bs import bs_price, payoff, u_bs
-from levypide.levy import CGMY, NoJumps
+from levypide.levy import CGMY, NoJumps, truncated_second_moment
 from levypide.oracle import merton_series_price
 from levypide.pide import (
+    Correlation,
     FarField,
     GridSpec,
     StepHistory,
@@ -36,7 +39,7 @@ from levypide.pide import (
 
 PAYOFF_TABLE = (14.7856, 11.308, 7.68837, 3.92106, 0.0, 0.0, 0.0, 0.0)
 
-# J = 800 lattice offsets: above the cut-over, so the jump apply uses the FFT
+# J = 800 lattice offsets: above the cut-over, so the step's correlation uses the FFT
 FFT_GRID = GridSpec(n_space=1600)
 
 
@@ -112,25 +115,7 @@ class TestEuropeanAsymptote:
         assert out[2] == pytest.approx(100.0 * math.exp(0.5 + 0.02) - 100.0)
 
 
-class TestIntegralOperator:
-    def test_empty_measure_is_zero_operator(self):
-        grid = GridSpec()
-        op = assemble_integral_operator(NoJumps(), grid)
-        assert op.offsets.size == 0
-        xs = grid.xs()
-        out = op.apply(np.exp(xs), xs, 0.0, lambda xq, tau: np.exp(xq))
-        assert np.array_equal(out, np.zeros_like(xs))
-
-    @pytest.mark.parametrize("name", sorted(ALL_JUMP_MODELS))
-    def test_annihilates_exponential_samples(self, name):
-        # discrete martingale identity: F applied to e^x vanishes to roundoff,
-        # on the direct path (default grid) and on the FFT path (fine grid)
-        for grid in (GridSpec(), FFT_GRID):
-            xs = grid.xs()
-            op = assemble_integral_operator(ALL_JUMP_MODELS[name], grid)
-            out = op.apply(np.exp(xs), xs, 0.0, lambda xq, tau: np.exp(xq))
-            assert np.max(np.abs(out[1:-1])) <= 1e-6 * STRIKE / 100.0
-
+class TestCorrelation:
     @pytest.mark.parametrize(
         "name, grid",
         [(name, FFT_GRID) for name in sorted(ALL_JUMP_MODELS)]
@@ -140,48 +125,62 @@ class TestIntegralOperator:
         ],
         ids=lambda v: v if isinstance(v, str) else f"z{v.z_max:g}-d{v.delta / v.dx:g}",
     )
-    def test_fft_apply_matches_direct_correlation(self, name, grid):
-        op = assemble_integral_operator(ALL_JUMP_MODELS[name], grid)
-        assert op.correlation.kernel_rfft is not None
+    def test_fft_path_matches_direct_correlation(self, name, grid):
+        # the step's kernel on the FFT path against np.correlate of the node
+        # vector padded with the far-field values beyond each edge
         spec = bench_spec(rate=0.1)
+        corr = assemble_operators(spec, ALL_JUMP_MODELS[name], grid).explicit
+        assert corr.kernel_rfft is not None
         extend = far_values(european_asymptote(spec), spec.rate)
-        xs = grid.xs()
+        xs, dx, J = grid.xs(), grid.dx, corr.kernel.size // 2
+        beyond = np.concatenate([xs[0] + dx * np.arange(-J, 0), xs[-1] + dx * np.arange(1, J + 1)])
+        ext = extend(beyond, 0.3)
         u = extend(xs, 0.3) + np.cos(3.0 * xs)
-        out = op.apply(u, xs, 0.3, extend)
-
-        J = int(op.offsets.max())
-        upad = np.concatenate(
-            [extend(xs[0] + op.dx * np.arange(-J, 0), 0.3), u,
-             extend(xs[-1] + op.dx * np.arange(1, J + 1), 0.3)]
-        )
-        wfull = np.zeros(2 * J + 1)
-        wfull[op.offsets + J] = op.weights
-        ref = np.correlate(upad, wfull, mode="valid") - op.total_weight * u
-        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / op.dx**2
-        d1 = (u[2:] - u[:-2]) / (2.0 * op.dx)
-        ref[1:-1] += op.local_correction * d2 - op.drift_correction * d1
-        ref[0] = ref[-1] = 0.0
+        out = corr(u, corr.far_data(ext))
+        ref = np.correlate(np.concatenate([ext[:J], u, ext[J:]]), corr.kernel, mode="valid")
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(out))
 
-    def test_fft_apply_refuses_a_longer_node_vector(self):
-        op = assemble_integral_operator(BENCH_MERTON, FFT_GRID)
-        xs = GridSpec(half_width=8.0, n_space=3200).xs()
-        with pytest.raises(ValueError, match="assembled for"):
-            op.apply(np.ones_like(xs), xs, 0.0, lambda xq, tau: np.ones(np.shape(xq)))
+    @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
+    def test_built_once_per_assembly(self, grid, monkeypatch):
+        # the explicit kernel is the only correlation an assembly builds, and
+        # the start substep shares it with the SBDF2 step
+        of = Correlation.of.__func__
+        sizes = []
 
-    def test_direct_apply_refuses_a_foreign_node_vector(self):
-        op = assemble_integral_operator(BENCH_MERTON, GridSpec())
-        assert op.correlation.kernel_rfft is None
-        xs = GridSpec(half_width=8.0, n_space=800).xs()
-        with pytest.raises(ValueError, match="assembled for 401"):
-            op.apply(np.ones_like(xs), xs, 0.0, lambda xq, tau: np.ones(np.shape(xq)))
+        def counted(cls, kernel, n_nodes):
+            sizes.append(n_nodes)
+            return of(cls, kernel, n_nodes)
 
-    def test_annihilates_constants_exactly(self):
-        grid = GridSpec()
-        xs = grid.xs()
-        op = assemble_integral_operator(BENCH_MERTON, grid)
-        out = op.apply(np.full_like(xs, 7.0), xs, 0.0, lambda xq, tau: np.full(xq.shape, 7.0))
-        assert np.max(np.abs(out[1:-1])) == 0.0
+        monkeypatch.setattr(Correlation, "of", classmethod(counted))
+        ops = assemble_operators(bench_spec(), BENCH_MERTON, grid)
+        assert sizes == [grid.n_space + 1]
+        assert ops.start.explicit is ops.explicit
+        assert (ops.explicit.kernel_rfft is None) == (grid is not FFT_GRID)
+
+
+class TestIntegralOperator:
+    # the annihilation tests evaluate the operator as the step does, through
+    # the explicit kernel, on the direct path (default grid) and the FFT path
+
+    def test_empty_measure_is_zero_operator(self):
+        op = assemble_integral_operator(NoJumps(), GridSpec())
+        assert op.offsets.size == 0 and op.weights.size == 0
+        assert op.total_weight == op.local_correction == op.drift_correction == 0.0
+        for grid in (GridSpec(), FFT_GRID):
+            out = stepped_jump_term(NoJumps(), grid, np.exp)
+            assert np.max(np.abs(out)) <= 1e-12 * math.exp(grid.half_width)
+
+    @pytest.mark.parametrize("name", sorted(ALL_JUMP_MODELS))
+    def test_annihilates_exponential_samples(self, name):
+        # discrete martingale identity: F applied to e^x vanishes to roundoff
+        for grid in (GridSpec(), FFT_GRID):
+            out = stepped_jump_term(ALL_JUMP_MODELS[name], grid, np.exp)
+            assert np.max(np.abs(out)) <= 1e-6 * STRIKE / 100.0
+
+    def test_annihilates_constants(self):
+        for grid in (GridSpec(), FFT_GRID):
+            out = stepped_jump_term(BENCH_MERTON, grid, lambda x: np.full(np.shape(x), 7.0))
+            assert np.max(np.abs(out)) <= 1e-13 * 7.0
 
     def test_second_exponential_moment(self):
         # F[e^{2x}] / e^{2x} = lambda (e^{2m+2 delta^2} - 1 - 2(e^{m+delta^2/2} - 1))
@@ -196,7 +195,7 @@ class TestIntegralOperator:
         def ratio_at_origin(grid):
             xs = grid.xs()
             op = assemble_integral_operator(BENCH_MERTON, grid)
-            out = op.apply(np.exp(2.0 * xs), xs, 0.0, lambda xq, tau: np.exp(2.0 * xq))
+            out = jump_reference(op, xs, np.exp(2.0 * xs), lambda xq, tau: np.exp(2.0 * xq), 0.0)
             mid = int(np.argmin(np.abs(xs)))
             return out[mid] / math.exp(2.0 * xs[mid])
 
@@ -216,19 +215,38 @@ class TestIntegralOperator:
         assert op.total_weight > 0.0
         assert op.local_correction >= 0.0
 
+    def test_explicit_kernel_spans_the_largest_offset(self):
+        # E's half-width is the largest jump offset; without jumps it is 1,
+        # where only the drift's centered difference remains
+        grid = GridSpec()
+        spec = bench_spec(rate=0.1)
+        for model in ALL_JUMP_MODELS.values():
+            ops = assemble_operators(spec, model, grid)
+            op, kernel = ops.integral, ops.explicit.kernel
+            J = int(op.offsets.max())
+            assert kernel.size == 2 * J + 1
+            far = np.abs(op.offsets) > 1
+            assert np.array_equal(kernel[op.offsets[far] + J], op.weights[far])
+        kernel = assemble_operators(spec, NoJumps(), grid).explicit.kernel
+        slope = (spec.rate - 0.5 * spec.sigma**2) / (2.0 * grid.dx)
+        assert np.array_equal(kernel, np.array([-slope, 0.0, slope]))
+
     def test_split_radius_snaps_to_lattice(self):
+        # delta = 2.5 dx rounds to 2 dx: the smallest offset, and the radius of
+        # the small-jump correction
         grid = GridSpec(delta=0.05)
         op = assemble_integral_operator(BENCH_MERTON, grid)
-        steps = op.delta_eff / grid.dx
-        assert steps == pytest.approx(round(steps), abs=1e-12)
-        assert op.delta_eff > 0.0
+        j0 = int(np.min(np.abs(op.offsets)))
+        assert j0 == 2
+        assert op.local_correction == 0.5 * truncated_second_moment(BENCH_MERTON, j0 * grid.dx)
 
 
-def explicit_from_apply(ops, u, tau, boundary):
-    """E(u) on the interior: the drift plus the jump term, with the far field
-    evaluated afresh rather than taken from the terms assembly precomputed."""
+def explicit_from_reference(ops, u, tau, boundary):
+    """E(u) on the interior: the drift plus the jump term written out by
+    jump_reference, with the far field evaluated afresh rather than taken from
+    the terms assembly precomputed."""
     spec, dx = ops.spec, ops.grid.dx
-    jumps = ops.integral.apply(u, ops.xs, tau, boundary)
+    jumps = jump_reference(ops.integral, ops.xs, u, boundary, tau)
     d1 = (u[2:] - u[:-2]) / (2.0 * dx)
     return (spec.rate - 0.5 * spec.sigma**2) * d1 + jumps[1:-1]
 
@@ -338,7 +356,7 @@ class TestStepImex:
         # the step takes E from the one kernel assembly folded the drift, the
         # jump weights and the small-jump stencils into, with the far field's
         # share precomputed, and its matrices from the factors made there;
-        # here E comes from IntegralOperator.apply plus the drift stencil, the
+        # here E comes from jump_reference plus the drift stencil, the
         # matrices are built afresh, and the SBDF2 step is written as
         # (3/2) u+ - dt D u+ = 2 u - u-/2 + dt (2 E(u) - E(u-))
         model = ALL_JUMP_MODELS.get(name, NoJumps())
@@ -349,8 +367,8 @@ class TestStepImex:
         xs, dt, tau = ops.xs, ops.dt, 0.3
         u_before = boundary(xs, tau - dt) + 4.0 * np.sin(2.0 * xs)
         u = boundary(xs, tau) + 5.0 * np.cos(3.0 * xs)
-        e_before = explicit_from_apply(ops, u_before, tau - dt, boundary)
-        e_now = explicit_from_apply(ops, u, tau, boundary)
+        e_before = explicit_from_reference(ops, u_before, tau - dt, boundary)
+        e_now = explicit_from_reference(ops, u, tau, boundary)
         for v, t, ref in ((u_before, tau - dt, e_before), (u, tau, e_now)):
             assert np.max(np.abs(_explicit_term(v, ops, t) - ref)) <= 1e-11 * np.max(np.abs(ref))
         lo, hi = boundary(np.array([xs[0], xs[-1]]), tau + dt)
@@ -370,7 +388,7 @@ class TestStepImex:
         v, sub = u, dt / 4
         for k in range(4):
             t = tau + k * sub
-            rhs = v[1:-1] + sub * explicit_from_apply(ops, v, t, boundary)
+            rhs = v[1:-1] + sub * explicit_from_reference(ops, v, t, boundary)
             v = implicit_from_scratch(spec, grid, sub, 1.0, rhs, *boundary(xs[[0, -1]], t + sub))
         assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
         assert np.max(np.abs(after.b_before - (u[1:-1] + dt * e_now))) <= 1e-12 * np.max(np.abs(u))
