@@ -26,7 +26,7 @@ def sweep(spec, model, reference, levels: int) -> None:
     print(f"{'N':>6} {'M':>6} {'dx':>9} {'dt':>9} {'max err':>11} {'ratio':>7} {'order':>7}")
     for k in range(levels):
         n, m = 100 * 2**k, 50 * 2**k
-        surf = solve_european(spec, model, GridSpec(n_space=n, n_time=m))
+        surf = solve_european(spec, model, GridSpec(n_space=n, n_time=m), keep_levels=False)
         err = float(np.max(np.abs(surf.price_at(0.0, S) - ref)))
         if prev is None:
             print(f"{n:>6} {m:>6} {8.0 / n:>9.4f} {1.0 / m:>9.4f} {err:>11.3e} {'':>7} {'':>7}")

@@ -117,8 +117,12 @@ def solve_american_penalized(
     model: LevyModel,
     grid: GridSpec,
     pcfg: PenaltyConfig = PenaltyConfig(),
+    *,
+    keep_levels: bool = True,
 ) -> PriceSurface:
-    """March the penalized equation; per step, iterate the penalty to a fixed point."""
+    """March the penalized equation; per step, iterate the penalty to a fixed
+    point.  With keep_levels=False the surface holds only tau = 0 and tau = T
+    (see pide._march); extract_boundary and lcp_residual need every level."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
     # assembly refuses a measure that fails the integrability check, so such a
@@ -173,7 +177,7 @@ def solve_american_penalized(
             iterations=pcfg.max_picard,
         )
 
-    return _march(ops, sweep)
+    return _march(ops, sweep, keep_levels)
 
 
 def extract_boundary(surface: PriceSurface) -> ExerciseBoundary:

@@ -12,7 +12,10 @@ Config files are JSON.  Top-level keys:
   grid      {"half_width", "n_space", "n_time", ["z_max"], ["delta"]}.
   style     "european" (default) or "american".
   penalty   {"epsilon", "max_picard", "picard_tol"}; american style only.
-  outputs   [{"kind": "table"|"surface"|"boundary"|"plotdata", "path": ...}].
+  outputs   [{"kind": "table"|"surface"|"boundary"|"plotdata", "path": ...}];
+            with several scenarios, every kind but table writes one file per
+            scenario, its path suffixed _r<rate>.  No two outputs may write
+            the same file.
   scenarios [{"rate": r, "spots": [S, ...]}]; one pricing job per entry.
   closed_form  replace the solve by the closed form when the model has no
             jumps (also the --closed-form flag).
@@ -355,6 +358,25 @@ class RunConfig:
                     f"the grid range [{lo:.4g}, {hi:.4g}]"
                 )
             _check_writable(o.path)
+        written: set[str] = set()
+        for o in self.outputs:
+            for path in self._files(o):
+                key = os.path.abspath(path)
+                if key in written:
+                    raise ConfigError(f"two outputs write the same file: {path}")
+                written.add(key)
+
+    def _files(self, out: OutputSpec) -> list[str]:
+        """The files out writes: its path for a table, else one per scenario,
+        suffixed _r<rate> when there is more than one."""
+        if out.kind == "table" or len(self.scenarios) == 1:
+            return [out.path]
+        return [_suffixed(out.path, f"r{sc.rate:g}") for sc in self.scenarios]
+
+
+def _suffixed(path: str, tag: str) -> str:
+    root, ext = os.path.splitext(path)
+    return f"{root}_{tag}{ext}"
 
 
 def _check_writable(path: str) -> None:
@@ -406,7 +428,8 @@ def emit_plotdata(surfaces: Mapping[str, object], path: str) -> None:
 @dataclass(frozen=True)
 class _Job:
     """One price-table column: model None prices by the closed form, a
-    penalty config makes the solve American."""
+    penalty config makes the solve American, and keep_levels keeps every time
+    level of the surface, not just t = 0's (see pide._march)."""
 
     name: str
     spec: OptionSpec
@@ -414,14 +437,17 @@ class _Job:
     grid: GridSpec
     spots: tuple[float, ...]
     penalty: PenaltyConfig | None = None
+    keep_levels: bool = False
 
 
 def _solve(job: _Job) -> PriceSurface | None:
     if job.model is None:
         return None
     if job.penalty is not None:
-        return solve_american_penalized(job.spec, job.model, job.grid, job.penalty)
-    return solve_european(job.spec, job.model, job.grid)
+        return solve_american_penalized(
+            job.spec, job.model, job.grid, job.penalty, keep_levels=job.keep_levels
+        )
+    return solve_european(job.spec, job.model, job.grid, keep_levels=job.keep_levels)
 
 
 def _price_on(spec: OptionSpec, surface: PriceSurface | None, s: float) -> float:
@@ -483,16 +509,13 @@ def _run_jobs(
 # the price command
 
 
-def _suffixed(path: str, tag: str) -> str:
-    root, ext = os.path.splitext(path)
-    return f"{root}_{tag}{ext}"
-
-
 def _execute(cfg: RunConfig) -> int:
     closed = cfg.closed_form and isinstance(cfg.model, NoJumps)
     penalty = None
     if cfg.style == "american":
         penalty = cfg.penalty if cfg.penalty is not None else PenaltyConfig()
+    # surface and boundary outputs read every time level; the others t = 0's
+    keep_levels = any(o.kind in ("surface", "boundary") for o in cfg.outputs)
     jobs: list[_Job] = []
     for sc in cfg.scenarios:
         name = f"V_r{sc.rate:g}"
@@ -506,15 +529,13 @@ def _execute(cfg: RunConfig) -> int:
                 grid=cfg.grid,
                 spots=sc.spots,
                 penalty=penalty,
+                keep_levels=keep_levels,
             )
         )
 
     def write_other(out: OutputSpec, surfaces: list[PriceSurface | None]) -> None:
         label = _model_label(cfg.model)
-        for job, surface in zip(jobs, surfaces):
-            dest = out.path
-            if len(jobs) > 1:
-                dest = _suffixed(out.path, f"r{job.spec.rate:g}")
+        for job, surface, dest in zip(jobs, surfaces, cfg._files(out)):
             if out.kind == "surface":
                 surface.to_csv(dest)
             elif out.kind == "boundary":

@@ -53,6 +53,12 @@ and add the far-field values' share of every row, which is linear in them
 and is also precomputed per operator.  The two paths agree to roundoff
 (relative difference below 1e-15); the cut-over is where their per-apply
 timings cross.
+
+A solve's `PriceSurface` holds every time level by default, (M+1)(N+1)
+doubles.  A caller that reads only t = 0 passes keep_levels=False: the march
+then holds just the levels a step takes, and the surface holds the payoff
+and the last level at taus (0, T), the surface of an n_time = 1 grid, whose
+t = 0 prices are the full surface's bit for bit.
 """
 from __future__ import annotations
 
@@ -570,7 +576,12 @@ def step_imex(
 
 @dataclass(frozen=True)
 class PriceSurface:
-    """Transformed solution u on the (tau, x) grid, with back-transform metadata."""
+    """Transformed solution u on the (tau, x) grid, with back-transform metadata.
+
+    u[k] is the level at taus[k].  A solve stores every level of its grid, or,
+    with keep_levels=False, only the payoff and the last level, with taus
+    (0, T).
+    """
 
     spec: OptionSpec
     taus: np.ndarray
@@ -590,28 +601,43 @@ class PriceSurface:
                     fh.write(f"{tau:.9g},{x:.9g},{row[i]:.9g}\n")
 
 
-def _march(ops: ImexOperators, solve: Callable | None = None) -> PriceSurface:
+def _march(
+    ops: ImexOperators, solve: Callable | None = None, keep_levels: bool = True
+) -> PriceSurface:
     """Step from the payoff to tau = T; solve, when given, is each step's hook
-    (see step_imex)."""
+    (see step_imex).  With keep_levels the surface holds every level; without,
+    the march holds only the levels a step takes and the surface holds the
+    payoff and the last level, at taus (0, T)."""
     xs, taus, u0 = build_grid(ops.spec, ops.grid)
-    u = np.empty((ops.grid.n_time + 1, ops.grid.n_space + 1))
-    u[0] = u0
-    history = None
+    levels = None
+    if keep_levels:
+        levels = np.empty((ops.grid.n_time + 1, ops.grid.n_space + 1))
+        levels[0] = u0
+    u, history = u0, None
     for n in range(ops.grid.n_time):
-        u[n + 1], history = step_imex(u[n], ops, taus[n], history, solve)
-    return PriceSurface(spec=ops.spec, taus=taus, xs=xs, u=u)
+        u, history = step_imex(u, ops, taus[n], history, solve)
+        if levels is not None:
+            levels[n + 1] = u
+    if levels is None:
+        taus, levels = taus[[0, -1]], np.stack([u0, u])
+    return PriceSurface(spec=ops.spec, taus=taus, xs=xs, u=levels)
 
 
-def solve_european(spec: OptionSpec, model: LevyModel, grid: GridSpec) -> PriceSurface:
-    """March the transformed equation from the payoff to tau = T."""
-    return _march(assemble_operators(spec, model, grid))
+def solve_european(
+    spec: OptionSpec, model: LevyModel, grid: GridSpec, *, keep_levels: bool = True
+) -> PriceSurface:
+    """March the transformed equation from the payoff to tau = T; with
+    keep_levels=False the surface holds only tau = 0 and tau = T (see _march)."""
+    return _march(assemble_operators(spec, model, grid), keep_levels=keep_levels)
 
 
 def price_at(surface: PriceSurface, t: float, S):
     """Price V(t, S): nearest stored tau level, linear interpolation in x.
 
-    Node queries reproduce stored values exactly.  S outside the grid range
-    raises (no extrapolation).
+    t = 0 reads the last level and t = T the payoff, whichever levels the
+    surface stores; a surface of the levels (0, T) alone answers any other t
+    from the nearer of the two.  Node queries reproduce stored values
+    exactly.  S outside the grid range raises (no extrapolation).
     """
     spec = surface.spec
     tau = spec.expiry - t

@@ -108,3 +108,18 @@ def stepped_jump_term(model, grid, values):
     u = values(grid.xs())
     d1 = (u[2:] - u[:-2]) / (2.0 * grid.dx)
     return _explicit_term(u, ops, 0.0) - (spec.rate - 0.5 * spec.sigma**2) * d1
+
+
+def assert_last_level_surface(full, two):
+    """two, solved with keep_levels=False, holds full's payoff and last level
+    at taus (0, T), and prices t = 0 and t = T bit for bit as full does."""
+    expiry = full.spec.expiry
+    assert full.u.shape == full.taus.shape + full.xs.shape
+    assert two.taus.tolist() == [0.0, expiry]
+    assert two.xs.tobytes() == full.xs.tobytes()
+    assert two.u.shape == (2, full.xs.size)
+    assert two.u[0].tobytes() == full.u[0].tobytes()
+    assert two.u[1].tobytes() == full.u[-1].tobytes()
+    S = grid_spots()
+    for t in (0.0, expiry):
+        assert two.price_at(t, S).tobytes() == full.price_at(t, S).tobytes()

@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import BENCH_MERTON, BENCH_VG, STRIKE, bench_spec, far_values
+from conftest import (
+    BENCH_MERTON,
+    BENCH_VG,
+    STRIKE,
+    assert_last_level_surface,
+    bench_spec,
+    far_values,
+)
 from levypide.american import (
     LcpReport,
     PenaltyConfig,
@@ -221,6 +228,22 @@ class TestSweepStoppingRule:
         assert (err.node, err.x, err.gap, err.iterations) == (
             expect.node, expect.x, expect.gap, expect.iterations
         )
+
+
+# the VG measure's upward-jump budget exceeds r = 0.1; that warning has its own test
+@pytest.mark.filterwarnings("ignore:structural condition:RuntimeWarning")
+class TestTwoLevelMarch:
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(), GridSpec(n_space=1600)], ids=["direct", "fft"]
+    )
+    @pytest.mark.parametrize(
+        "model", [NoJumps(), BENCH_MERTON, BENCH_VG], ids=["none", "merton", "vg"]
+    )
+    def test_keeps_the_full_surfaces_end_levels_bit_for_bit(self, model, grid):
+        spec = bench_spec(rate=0.1)
+        full = solve_american_penalized(spec, model, grid)
+        two = solve_american_penalized(spec, model, grid, keep_levels=False)
+        assert_last_level_surface(full, two)
 
 
 class TestExerciseBoundary:

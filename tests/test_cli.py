@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import levypide
+from levypide import cli
 from conftest import (
     ALL_JUMP_MODELS,
     BENCH_CGMY,
@@ -310,6 +311,41 @@ class TestRunConfig:
         assert message in err
 
 
+class TestOutputCollisions:
+    @pytest.mark.parametrize(
+        "rates, outputs, flags, clash",
+        [
+            ([0.1], [("plotdata", "out.csv"), ("plotdata", "out.csv")], [], "out.csv"),
+            ([0.1], [("table", "out.csv"), ("plotdata", "out.csv")], [], "out.csv"),
+            # the table path is used as given, the surface's gets _r<rate>
+            ([0.0, 0.1], [("table", "s_r0.1.csv"), ("surface", "s.csv")], [], "s_r0.1.csv"),
+            # two scenarios of one rate give one suffixed name
+            ([0.1, 0.1], [("plotdata", "p.csv")], [], "p_r0.1.csv"),
+            ([0.1], [("plotdata", "out.csv")], ["--output", "out.csv"], "out.csv"),
+        ],
+        ids=["same-kind", "cross-kind", "suffix", "same-rate", "output-flag"],
+    )
+    def test_is_refused_before_any_write(
+        self, tmp_path, monkeypatch, capsys, rates, outputs, flags, clash
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(
+            tmp_path,
+            model=model_to_dict(BENCH_MERTON),
+            scenarios=[{"rate": r, "spots": [100.0]} for r in rates],
+            # one path absolute and one relative: they are compared resolved
+            outputs=[
+                {"kind": kind, "path": str(tmp_path / name) if i == 0 else name}
+                for i, (kind, name) in enumerate(outputs)
+            ],
+        )
+        assert main(["price", "--config", path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: two outputs write the same file: ")
+        assert err.endswith(f"{clash}\n") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 class TestEmitPlotdata:
     def test_columns_keep_the_given_order(self, tmp_path):
         spec = bench_spec(rate=0.0)
@@ -558,6 +594,86 @@ class TestPriceCommand:
         assert main(["price", "--config", path]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text().startswith("S,payoff,V_r0.1\n")
+
+
+@pytest.fixture
+def keep_levels_calls(monkeypatch):
+    """The keep_levels of every solve the CLI starts, in call order."""
+    calls = []
+    for name in ("solve_european", "solve_american_penalized"):
+        def spy(*args, _solve=getattr(cli, name), **kwargs):
+            calls.append(kwargs["keep_levels"])
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+class TestTimeLevels:
+    """A job keeps every time level only when a surface or boundary output
+    reads them; table and plotdata read t = 0 alone."""
+
+    def test_table1_keeps_two_levels(self, keep_levels_calls):
+        assert main(["table1", "--grid-n", "100", "--grid-m", "50"]) == 0
+        assert keep_levels_calls == [False] * 4
+
+    @pytest.mark.parametrize("style", ["european", "american"])
+    def test_table_and_plotdata_keep_two_levels(self, tmp_path, keep_levels_calls, style):
+        path = write_cfg(
+            tmp_path,
+            model=model_to_dict(BENCH_MERTON),
+            style=style,
+            scenarios=[{"rate": 0.05, "spots": [100.0]}, {"rate": 0.1, "spots": [100.0]}],
+            outputs=[
+                {"kind": "table", "path": str(tmp_path / "t.csv")},
+                {"kind": "plotdata", "path": str(tmp_path / "p.csv")},
+            ],
+        )
+        assert main(["price", "--config", path]) == 0
+        assert keep_levels_calls == [False, False]
+
+    @pytest.mark.parametrize(
+        "style, kind, lines",
+        [("european", "surface", 51 * 101 + 1), ("american", "surface", 51 * 101 + 1),
+         ("american", "boundary", 51 + 1)],
+        ids=["european-surface", "american-surface", "american-boundary"],
+    )
+    def test_surface_and_boundary_keep_every_level(
+        self, tmp_path, keep_levels_calls, style, kind, lines
+    ):
+        # the grid is 100 x 50: (M+1)(N+1) surface rows, M+1 boundary rows
+        out = tmp_path / f"{kind}.csv"
+        path = write_cfg(
+            tmp_path,
+            model=model_to_dict(BENCH_MERTON),
+            style=style,
+            outputs=[
+                {"kind": "table", "path": str(tmp_path / "t.csv")},
+                {"kind": kind, "path": str(out)},
+            ],
+        )
+        assert main(["price", "--config", path]) == 0
+        assert keep_levels_calls == [True]
+        assert len(out.read_text().splitlines()) == lines
+
+    @pytest.mark.parametrize("style", ["european", "american"])
+    def test_a_surface_output_leaves_the_other_files_as_they_were(self, tmp_path, style):
+        files = []
+        for extra in ([], [{"kind": "surface", "path": str(tmp_path / "s.csv")}]):
+            table, plot = tmp_path / f"t{len(extra)}.csv", tmp_path / f"p{len(extra)}.csv"
+            path = write_cfg(
+                tmp_path,
+                model=model_to_dict(BENCH_MERTON),
+                style=style,
+                outputs=[
+                    {"kind": "table", "path": str(table)},
+                    {"kind": "plotdata", "path": str(plot)},
+                    *extra,
+                ],
+            )
+            assert main(["price", "--config", path]) == 0
+            files.append((table.read_bytes(), plot.read_bytes()))
+        assert files[0] == files[1]
 
 
 class TestCheckCommand:

@@ -1,5 +1,6 @@
 """The grid, the discrete jump operator, IMEX stepping, and the European solve."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     RATES,
     STRIKE,
     TABLE_SPOTS,
+    assert_last_level_surface,
     bench_spec,
     far_values,
     grid_spots,
@@ -506,6 +508,29 @@ class TestSolveEuropean:
     def test_frozen_prices(self, model, grid, spot, price):
         surface = solve_european(bench_spec(rate=0.1), model, grid)
         assert surface.price_at(0.0, spot) == pytest.approx(price, rel=1e-10, abs=0.0)
+
+
+class TestTwoLevelMarch:
+    @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
+    @pytest.mark.parametrize(
+        "model", [NoJumps(), BENCH_MERTON, BENCH_VG], ids=["none", "merton", "vg"]
+    )
+    def test_keeps_the_full_surfaces_end_levels_bit_for_bit(self, model, grid):
+        spec = bench_spec(rate=0.1)
+        full = solve_european(spec, model, grid)
+        two = solve_european(spec, model, grid, keep_levels=False)
+        assert_last_level_surface(full, two)
+
+    def test_traces_under_a_tenth_of_the_full_surface(self):
+        grid = GridSpec(n_space=1600, n_time=800)
+        surface_bytes = (grid.n_time + 1) * (grid.n_space + 1) * 8
+        tracemalloc.start()
+        try:
+            solve_european(bench_spec(rate=0.1), BENCH_MERTON, grid, keep_levels=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * surface_bytes
 
 
 class TestPriceAt:
