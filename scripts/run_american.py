@@ -69,7 +69,7 @@ def main() -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             am = solve_american_penalized(spec, model, grid, PenaltyConfig(epsilon=eps))
-        rep = lcp_residual(am, spec, model, grid)
+        rep = lcp_residual(am)
         atm = am.price_at(0.0, 100.0)
         print(
             f"{eps:>9g}  {atm:>10.5f}  {atm - eu_atm:>9.5f}  "

@@ -20,6 +20,10 @@ falls below picard_tol, or, if another sweep is allowed, when the new iterate
 has the active set the sweep just used: the next sweep would repeat that
 solve bit for bit and stop on a zero update, so the stopping rule saves a
 solve without changing a bit of the result.
+
+`lcp_residual` checks a surface against the complementarity system with the
+operators the surface carries (`PriceSurface.ops`): the spec, grid, far field
+and jump measure of the march that made it, so it takes no other argument.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from .pide import (
     ImexOperators,
     PriceSurface,
     assemble_operators,
-    european_asymptote,
+    _check_count,
     _explicit_term,
     _implicit_solve,
     _march,
@@ -67,6 +71,7 @@ class PenaltyConfig:
     picard_tol: float | None = None
 
     def __post_init__(self) -> None:
+        _check_count("max_picard", self.max_picard)
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not self.max_picard >= 1:
@@ -122,7 +127,8 @@ def solve_american_penalized(
 ) -> PriceSurface:
     """March the penalized equation; per step, iterate the penalty to a fixed
     point.  With keep_levels=False the surface holds only tau = 0 and tau = T
-    (see pide._march); extract_boundary and lcp_residual need every level."""
+    (see pide._march); extract_boundary reads only the levels a surface holds,
+    and lcp_residual refuses such a surface: it needs every level."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
     # assembly refuses a measure that fails the integrability check, so such a
@@ -185,9 +191,12 @@ def extract_boundary(surface: PriceSurface) -> ExerciseBoundary:
     within 1e-6 * strike.
 
     Levels whose exercise region is empty get NaN.  Monotonicity of the
-    boundary is reported by callers, not enforced.
+    boundary is reported by callers, not enforced.  A call surface is
+    refused: its exercise region, if any, lies above the strike.
     """
     spec = surface.spec
+    if spec.kind != "put":
+        raise ValueError(f"extract_boundary covers put surfaces only, got a {spec.kind}")
     tol = 1e-6 * spec.strike
     mask = surface.xs <= 0.0
     S_nodes = spec.strike * np.exp(surface.xs[mask])
@@ -217,33 +226,27 @@ class LcpReport:
     pde_residual_sup: float
 
 
-def lcp_residual(
-    surface: PriceSurface,
-    spec: OptionSpec,
-    model: LevyModel,
-    grid: GridSpec,
-    boundary: str = "american",
-) -> LcpReport:
+def lcp_residual(surface: PriceSurface) -> LcpReport:
     """Recompute the scheme's residuals from a stored surface, on the levels
     the SBDF2 step made (tau >= 2 dt):
 
-        ((3/2) u_n - 2 u_(n-1) + u_(n-2)/2) / dt - D u_n - (2 E(u_(n-1)) - E(u_(n-2))).
+        ((3/2) u_n - 2 u_(n-1) + u_(n-2)/2) / dt - D u_n - (2 E(u_(n-1)) - E(u_(n-2))),
 
+    with D and E the surface's own operators (surface.ops), far field included.
     For a penalized American surface the PDE residual equals the (nonnegative)
     penalty source, so the first inequality holds by construction and the
-    complementarity product is the residual times the obstacle gap.  Feeding a
-    European surface with boundary="european" reports a near-zero PDE residual.
+    complementarity product is the residual times the obstacle gap; a European
+    surface reports a near-zero PDE residual.  A surface that does not hold
+    every level of a grid with n_time >= 2 is refused.
     """
-    if boundary == "american":
-        bfn = exercise_asymptote(spec)
-    elif boundary == "european":
-        bfn = european_asymptote(spec)
-    else:
-        raise ValueError(f"boundary must be 'american' or 'european', got {boundary!r}")
-
-    ops = assemble_operators(spec, model, grid, boundary=bfn)
-    xs, taus = ops.xs, grid.taus(spec.expiry)
-    dt, dx = ops.dt, grid.dx
+    ops, taus, u = surface.ops, surface.taus, surface.u
+    n_levels = ops.grid.n_time + 1
+    if len(taus) != n_levels or n_levels < 3:
+        raise ValueError(
+            f"lcp_residual needs every level of a grid with n_time >= 2: the surface "
+            f"holds {len(taus)} levels, its grid has {n_levels}"
+        )
+    spec, xs, dt, dx = ops.spec, ops.xs, ops.dt, ops.grid.dx
     w0 = payoff(spec, spec.strike * np.exp(xs))
     sig2h = 0.5 * spec.sigma**2
 
@@ -252,7 +255,6 @@ def lcp_residual(
     comp = 0.0
     resid_sup = 0.0
     # levels n >= 2 come from SBDF2 steps, which take E of the two levels before
-    u = surface.u
     e_before = _explicit_term(u[0], ops, taus[0])
     e_prev = _explicit_term(u[1], ops, taus[1])
     for n in range(2, len(taus)):

@@ -54,15 +54,18 @@ and is also precomputed per operator.  The two paths agree to roundoff
 (relative difference below 1e-15); the cut-over is where their per-apply
 timings cross.
 
-A solve's `PriceSurface` holds every time level by default, (M+1)(N+1)
-doubles.  A caller that reads only t = 0 passes keep_levels=False: the march
-then holds just the levels a step takes, and the surface holds the payoff
-and the last level at taus (0, T), the surface of an n_time = 1 grid, whose
+A solve's `PriceSurface` carries the operators that made it, so its spec,
+grid, far field and jump measure cannot disagree with its levels; a check of
+the surface (`american.lcp_residual`) reads them from it.  It holds every
+time level by default, (M+1)(N+1) doubles.  A caller that reads only t = 0
+passes keep_levels=False: the march then holds just the levels a step takes,
+and the surface holds the payoff and the last level at taus (0, T), whose
 t = 0 prices are the full surface's bit for bit.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -113,6 +116,8 @@ class GridSpec:
     delta: float | None = None
 
     def __post_init__(self) -> None:
+        _check_count("n_space", self.n_space)
+        _check_count("n_time", self.n_time)
         if not 0 < self.half_width < math.inf:
             raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
         if self.n_space < 4 or self.n_space % 2:
@@ -137,6 +142,15 @@ class GridSpec:
 
     def taus(self, expiry: float) -> np.ndarray:
         return np.linspace(0.0, expiry, self.n_time + 1)
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer, 50.0 included: the solve would
+    meet it in range() or np.empty and fail there with a bare TypeError."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def build_grid(spec: OptionSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -576,17 +590,26 @@ def step_imex(
 
 @dataclass(frozen=True)
 class PriceSurface:
-    """Transformed solution u on the (tau, x) grid, with back-transform metadata.
+    """Transformed solution u on the (tau, x) grid, with the operators that
+    made it.
 
     u[k] is the level at taus[k].  A solve stores every level of its grid, or,
     with keep_levels=False, only the payoff and the last level, with taus
-    (0, T).
+    (0, T).  ops are the march's operators: its spec, grid, far field and jump
+    measure, from which spec and xs are read.
     """
 
-    spec: OptionSpec
+    ops: ImexOperators = field(repr=False)
     taus: np.ndarray
-    xs: np.ndarray
     u: np.ndarray
+
+    @property
+    def spec(self) -> OptionSpec:
+        return self.ops.spec
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.ops.xs
 
     def price_at(self, t: float, S):
         return price_at(self, t, S)
@@ -608,7 +631,7 @@ def _march(
     (see step_imex).  With keep_levels the surface holds every level; without,
     the march holds only the levels a step takes and the surface holds the
     payoff and the last level, at taus (0, T)."""
-    xs, taus, u0 = build_grid(ops.spec, ops.grid)
+    _, taus, u0 = build_grid(ops.spec, ops.grid)
     levels = None
     if keep_levels:
         levels = np.empty((ops.grid.n_time + 1, ops.grid.n_space + 1))
@@ -620,7 +643,7 @@ def _march(
             levels[n + 1] = u
     if levels is None:
         taus, levels = taus[[0, -1]], np.stack([u0, u])
-    return PriceSurface(spec=ops.spec, taus=taus, xs=xs, u=levels)
+    return PriceSurface(ops=ops, taus=taus, u=levels)
 
 
 def solve_european(

@@ -261,7 +261,7 @@ def test_criterion_7_american_suite(merton_surfaces, american_runs):
         shrink_ok = loose == 0.0 or loose / max(shortfall, 1e-300) >= 5.0
         clauses[f"eps-shrink r={r:g}"] = shrink_ok
 
-        rep = lcp_residual(am, bench_spec(rate=r), BENCH_MERTON, GridSpec())
+        rep = lcp_residual(am)
         # roundoff floor: recomputing the residuals of an exactly-solved step
         # leaves ~1e-12 noise on the u ~ 100 scale, so grant that much before
         # comparing two quantities that are both analytically zero at r = 0

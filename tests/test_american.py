@@ -1,4 +1,5 @@
 """Penalized American solve: ordering, obstacle bounds, boundary, residuals."""
+import dataclasses
 import math
 import warnings
 
@@ -26,7 +27,6 @@ from levypide.bs import payoff
 from levypide.levy import CGMY, Kou, NoJumps
 from levypide.pide import (
     GridSpec,
-    PriceSurface,
     _implicit_solve,
     _march,
     assemble_operators,
@@ -94,6 +94,7 @@ class TestPenaltyConfig:
             {"picard_tol": 0.0},
             {"epsilon": math.nan},
             {"max_picard": math.nan},
+            {"max_picard": 2.5},
             {"picard_tol": math.inf},
         ],
     )
@@ -260,7 +261,7 @@ class TestExerciseBoundary:
         u = am.u.copy()
         u[3] += 50.0  # lifts the level off the payoff: empty exercise region
         u[4] = np.nan
-        surface = PriceSurface(spec=am.spec, taus=am.taus, xs=am.xs, u=u)
+        surface = dataclasses.replace(am, u=u)
         b = extract_boundary(surface)
 
         spec = surface.spec
@@ -276,6 +277,11 @@ class TestExerciseBoundary:
         assert np.isnan(b.s_f[3]) and np.isnan(b.s_f[4])
         assert b.s_f.tobytes() == ref.tobytes()
 
+    def test_rejects_a_call_surface(self):
+        eu = solve_european(bench_spec(kind="call"), NoJumps(), GridSpec(n_space=100, n_time=10))
+        with pytest.raises(ValueError, match="put surfaces only"):
+            extract_boundary(eu)
+
     def test_csv_round_trip(self, tmp_path, eps_sweep):
         b = extract_boundary(eps_sweep[1e-3])
         path = tmp_path / "boundary.csv"
@@ -289,28 +295,45 @@ class TestExerciseBoundary:
 
 class TestLcpResidual:
     def test_european_surface_solves_the_equation(self):
-        spec = bench_spec(rate=0.1, sigma=0.12)
-        grid = GridSpec()
-        eu = solve_european(spec, NoJumps(), grid)
-        rep = lcp_residual(eu, spec, NoJumps(), grid, boundary="european")
+        eu = solve_european(bench_spec(rate=0.1, sigma=0.12), NoJumps(), GridSpec())
+        rep = lcp_residual(eu)
         assert isinstance(rep, LcpReport)
         assert rep.pde_violation <= 1e-9
         assert rep.pde_residual_sup <= 1e-9
 
+    # frozen reports: a change to the operators a surface carries or to the
+    # residual's arithmetic shows here
+    def test_european_surface_report(self):
+        rep = lcp_residual(solve_european(bench_spec(rate=0.1), NoJumps(), GridSpec()))
+        assert rep.obstacle_violation == pytest.approx(10.517284922751486, rel=1e-10)
+        assert rep.pde_violation <= 1e-9
+        assert rep.pde_residual_sup <= 1e-9
+        assert rep.max_complementarity <= 1e-9
+
+    def test_penalized_surface_report(self, eps_sweep):
+        rep = lcp_residual(eps_sweep[1e-3])
+        assert rep.max_complementarity == pytest.approx(5.450734745530359, rel=1e-10)
+        assert rep.obstacle_violation == pytest.approx(0.5106177752054037, rel=1e-10)
+        assert rep.max_ineq_violation == rep.obstacle_violation
+        assert rep.pde_residual_sup == pytest.approx(11.049607438019184, rel=1e-10)
+        assert rep.pde_violation <= 1e-9
+
     def test_penalized_surface_at_zero_rate(self):
         # with r = 0 the full complementarity system holds to roundoff
-        spec = bench_spec(rate=0.0)
-        grid = GridSpec()
         with pytest.warns(RuntimeWarning):
-            am = solve_american_penalized(spec, BENCH_MERTON, grid)
-        rep = lcp_residual(am, spec, BENCH_MERTON, grid)
+            am = solve_american_penalized(bench_spec(rate=0.0), BENCH_MERTON, GridSpec())
+        rep = lcp_residual(am)
         assert rep.obstacle_violation <= 1e-9
         assert rep.pde_violation <= 1e-9
         assert rep.max_complementarity <= 1e-9
 
-    def test_rejects_unknown_boundary(self, eps_sweep):
-        with pytest.raises(ValueError, match="boundary"):
-            lcp_residual(
-                eps_sweep[1e-3], bench_spec(rate=0.1), BENCH_MERTON, GridSpec(),
-                boundary="periodic",
-            )
+    def test_rejects_a_two_level_surface(self):
+        spec = bench_spec(rate=0.1)
+        two = solve_american_penalized(spec, BENCH_MERTON, GridSpec(), keep_levels=False)
+        with pytest.raises(ValueError, match="holds 2 levels, its grid has 201"):
+            lcp_residual(two)
+
+    def test_rejects_a_one_step_grid(self):
+        eu = solve_european(bench_spec(rate=0.1), NoJumps(), GridSpec(n_time=1))
+        with pytest.raises(ValueError, match="holds 2 levels, its grid has 2"):
+            lcp_residual(eu)

@@ -75,6 +75,8 @@ class TestGridSpec:
             {"half_width": math.inf},
             {"half_width": math.nan},
             {"n_time": math.inf},
+            {"n_time": 50.5},
+            {"n_space": 100.0},
         ],
     )
     def test_rejects_invalid(self, kw):
