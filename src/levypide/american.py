@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,26 @@ def solve_american_penalized(
     """March the penalized equation; per step, iterate the penalty to a fixed
     point.  With keep_levels=False the surface holds only tau = 0 and tau = T
     (see pide._march); extract_boundary reads only the levels a surface holds,
-    and lcp_residual refuses such a surface: it needs every level."""
+    and lcp_residual refuses such a surface: it needs every level.  A measure
+    that violates the structural condition prices with a RuntimeWarning."""
+
+    def warn(message: str) -> None:
+        warnings.warn(message, RuntimeWarning, stacklevel=4)
+
+    return _solve_penalized(spec, model, grid, pcfg, keep_levels, warn)
+
+
+def _solve_penalized(
+    spec: OptionSpec,
+    model: LevyModel,
+    grid: GridSpec,
+    pcfg: PenaltyConfig,
+    keep_levels: bool,
+    warn: Callable[[str], None],
+) -> PriceSurface:
+    """solve_american_penalized, passing its structural warning to warn(message)
+    before the march; a caller on a worker thread records it there and
+    emits it later, in its own order."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
     # assembly refuses a measure that fails the integrability check, so such a
@@ -136,12 +156,10 @@ def solve_american_penalized(
     ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
     structural = structural_condition_check(model, spec.rate)
     if not structural.passed:
-        warnings.warn(
+        warn(
             "structural condition violated (upward-jump budget exceeds the rate: "
             f"{structural.detail}); the penalized solve proceeds, but the "
-            "complementarity characterization of the American price is not guaranteed",
-            RuntimeWarning,
-            stacklevel=2,
+            "complementarity characterization of the American price is not guaranteed"
         )
 
     xs = ops.xs
@@ -161,7 +179,7 @@ def solve_american_penalized(
         for k in range(pcfg.max_picard):
             pen = pen_scale * active
             u_next[1:-1] = _implicit_solve(step, rhs + pen * w_int, extra_diag=pen)
-            diff = float(np.max(np.abs(u_next - u_iter)))
+            diff = float(np.abs(u_next - u_iter).max())
             if diff < tol:
                 return
             # the same active set would repeat this solve bit for bit in the
@@ -183,7 +201,8 @@ def solve_american_penalized(
             iterations=pcfg.max_picard,
         )
 
-    return _march(ops, sweep, keep_levels)
+    [surface] = _march([ops], sweep, keep_levels)
+    return surface
 
 
 def extract_boundary(surface: PriceSurface) -> ExerciseBoundary:

@@ -22,8 +22,11 @@ Config files are JSON.  Top-level keys:
 
 `price` and `table1` run through one job pipeline: the jobs (one per
 scenario, or table1's built-in columns) run concurrently and LEVYPIDE_WORKERS
-caps the thread count.  All files are written by the main thread after every
-job has finished, so identical runs produce byte-identical outputs.
+caps the thread count.  European jobs that can share a lockstep batch
+(pide.Lockstep) march as one, in at most as many batches as there are
+threads and CPUs.  All files and warnings are written by the main thread
+after every job has finished, in job order, so identical runs produce
+byte-identical outputs whatever the worker count.
 """
 from __future__ import annotations
 
@@ -34,14 +37,18 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .american import (
+# solve_european and solve_american_penalized are not called here, but stay
+# bound: perfbench's tracer wraps the solve entry points at this module.
+from .american import (  # noqa: F401
     PenaltyConfig,
+    _solve_penalized,
     extract_boundary,
     solve_american_penalized,
 )
@@ -58,7 +65,14 @@ from .levy import (
     shape_witness,
     structural_condition_check,
 )
-from .pide import GridSpec, PriceSurface, price_at, solve_european
+from .pide import (  # noqa: F401
+    GridSpec,
+    PriceSurface,
+    _march,
+    assemble_operators,
+    price_at,
+    solve_european,
+)
 
 __all__ = [
     "ConfigError",
@@ -101,6 +115,13 @@ def _fmt9(v: float) -> str:
     return np.format_float_positional(
         float(v), precision=9, unique=True, fractional=False, trim="-"
     )
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _max_workers() -> int | None:
@@ -440,14 +461,98 @@ class _Job:
     keep_levels: bool = False
 
 
-def _solve(job: _Job) -> PriceSurface | None:
-    if job.model is None:
-        return None
-    if job.penalty is not None:
-        return solve_american_penalized(
-            job.spec, job.model, job.grid, job.penalty, keep_levels=job.keep_levels
+# The numerical failures a job may end in: exit 2, not a crash.
+_FAILURES = (ValueError, ArithmeticError, RuntimeError)
+
+
+@dataclass
+class _Outcome:
+    """What one job's solve left: its surface (None for a closed form or a
+    failure), its error, and the warnings it recorded for the main thread."""
+
+    surface: PriceSurface | None = None
+    error: Exception | None = None
+    warnings: list[str] = field(default_factory=list)
+
+
+def _lockstep_key(job: _Job) -> tuple:
+    """European jobs with equal keys can march as one pide.Lockstep batch:
+    one grid, expiry and volatility give one factored band; every jump
+    measure on one grid has the jump reach z_max / dx, and no jumps reach 1,
+    so they give one correlation path and FFT length; the batch's growth
+    guard takes one strike."""
+    spec, jumps = job.spec, not isinstance(job.model, NoJumps)
+    return (job.grid, spec.expiry, spec.sigma, spec.strike, jumps, job.keep_levels)
+
+
+def _solve_american(jobs: list[_Job]) -> list[_Outcome]:
+    """Solve one American job; its structural warning is recorded, not
+    emitted, since warnings from pool threads would reach stderr in thread
+    order."""
+    [job] = jobs
+    out = _Outcome()
+    try:
+        out.surface = _solve_penalized(
+            job.spec, job.model, job.grid, job.penalty, job.keep_levels, out.warnings.append
         )
-    return solve_european(job.spec, job.model, job.grid, keep_levels=job.keep_levels)
+    except _FAILURES as exc:
+        out.error = exc
+    return [out]
+
+
+def _march_lockstep(jobs: list[_Job]) -> list[_Outcome]:
+    """March European jobs of one lockstep key as one batch.  A failing job
+    ends the batch there, and the jobs before it march again without it, so
+    the first failure in job order is found whatever the batch, as if every
+    job ran alone; the jobs after it are left unsolved."""
+    outcomes = [_Outcome() for _ in jobs]
+    rows = []
+    for job, out in zip(jobs, outcomes):
+        try:
+            rows.append(assemble_operators(job.spec, job.model, job.grid))
+        except _FAILURES as exc:
+            out.error = exc
+            break
+    while rows:
+        try:
+            surfaces = _march(rows, keep_levels=jobs[0].keep_levels)
+        except _FAILURES as exc:
+            row = getattr(exc, "row", 0)  # a GrowthGuardError names its row
+            outcomes[row].error = exc
+            rows = rows[:row]
+        else:
+            for out, surface in zip(outcomes, surfaces):
+                out.surface = surface
+            break
+    return outcomes
+
+
+def _solve_jobs(jobs: list[_Job]) -> list[_Outcome]:
+    """Solve the jobs on one thread pool: each American job alone, the
+    European ones in lockstep batches.  A key's jobs split into as many
+    batches as the pool has threads, at most one per CPU: more marches than
+    CPUs would only trade the GIL more often."""
+    cap = _max_workers()
+    limit = _cpu_count() if cap is None else min(cap, _cpu_count())
+    outcomes = [_Outcome() for _ in jobs]
+    tasks: list[tuple[Callable, list[int]]] = []
+    groups: dict[tuple, list[int]] = {}
+    for i, job in enumerate(jobs):
+        if job.penalty is not None:
+            tasks.append((_solve_american, [i]))
+        elif job.model is not None:
+            groups.setdefault(_lockstep_key(job), []).append(i)
+    for members in groups.values():
+        # contiguous runs in job order, whose sizes differ by at most one
+        for chunk in np.array_split(members, min(len(members), limit)):
+            tasks.append((_march_lockstep, chunk.tolist()))
+    tasks.sort(key=lambda task: task[1][0])
+    with ThreadPoolExecutor(max_workers=cap) as pool:
+        futures = [(idx, pool.submit(fn, [jobs[i] for i in idx])) for fn, idx in tasks]
+        for idx, future in futures:
+            for i, out in zip(idx, future.result()):
+                outcomes[i] = out
+    return outcomes
 
 
 def _price_on(spec: OptionSpec, surface: PriceSurface | None, s: float) -> float:
@@ -461,21 +566,25 @@ def _run_jobs(
     outputs: Sequence[OutputSpec],
     write_other: Callable[[OutputSpec, list[PriceSurface | None]], None] | None = None,
 ) -> int:
-    """Solve the jobs on one thread pool, then write the outputs in order from
-    the main thread: `table` outputs here, every other kind through
-    write_other(output, surfaces).  Print the table last.  Every column shares
-    jobs[0]'s payoff.  Exit 2 on a numerical failure, before any file is
-    written; 1 on a write error."""
+    """Solve the jobs (_solve_jobs), emit their warnings in job order, then
+    write the outputs in order from the main thread: `table` outputs here,
+    every other kind through write_other(output, surfaces).  Print the table
+    last.  Every column shares jobs[0]'s payoff.  Exit 2 on a numerical
+    failure, naming the first failing job, before any file is written; 1 on a
+    write error."""
+    outcomes = _solve_jobs(jobs)
+    for out in outcomes:
+        for message in out.warnings:
+            warnings.warn(message, RuntimeWarning)
+    surfaces = [out.surface for out in outcomes]
+    columns = []
     try:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            futures = [pool.submit(_solve, job) for job in jobs]
-            surfaces = [f.result() for f in futures]
-        columns = [
-            {s: _price_on(job.spec, surface, s) for s in job.spots}
-            for job, surface in zip(jobs, surfaces)
-        ]
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        for job, out in zip(jobs, outcomes):
+            if out.error is not None:
+                raise out.error
+            columns.append({s: _price_on(job.spec, out.surface, s) for s in job.spots})
+    except _FAILURES as exc:
+        print(f"numerical failure in {job.name}: {exc}", file=sys.stderr)
         return 2
 
     spots = list(dict.fromkeys(s for job in jobs for s in job.spots))

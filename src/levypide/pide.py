@@ -27,10 +27,32 @@ samples of e^x exactly, the discrete counterpart of the identity that makes
 the discounted stock a martingale.
 
 `step_imex` is the one time step of both the European and the American
-solve.  Its optional `solve` hook replaces the banded solve and fills the
-new level's interior (the American solve passes its penalty sweep); every
-step and substep, hooked or not, ends in the same growth guard, which also
-refuses a NaN or an infinity: the LAPACK kernels do not check their input.
+solve, and `_march` its one march.  The step's optional `solve` hook
+replaces the banded solve and fills the new level's interior (the American
+solve passes its penalty sweep); every step and substep, hooked or not, ends
+in the same growth guard, which also refuses a NaN or an infinity: the LAPACK
+kernels do not check their input.
+
+The march advances a lockstep batch (`Lockstep`): the levels of k jobs that
+share a grid, a time step and a volatility (hence one factored band), a jump
+reach (hence one correlation path and FFT length) and a strike (the growth
+guard's floor) are the rows of one (k, N+1) array.  A step applies the k
+jump kernels in one `rfft`/`irfft` pair along the last axis (the direct
+path, J below _FFT_MIN_OFFSET, correlates row by row) and back-substitutes
+the k right-hand sides in one `dgttrs` call; the far field, the Dirichlet
+values and the growth guard stay per row, so each row is its own solve bit
+for bit.  A single solve is a batch of one and steps a plain (N+1,) vector
+through the same code.  The batch exists for threads: every numpy call
+drops and retakes the GIL, so two threads that each march one job hand it
+over at every one of a step's dozen calls, while threads that march two rows
+each make the same number of calls for twice the work.  Measured on a
+2-vCPU host (numpy 2.4, scipy 1.17), two threads against one: `dgttrs`
+releases the GIL and runs 1.9x faster, numpy's rfft and irfft 1.6-1.9x;
+`dgtsv`, `dpttrs` and `dptsv` hold it (1.0x), and an elementwise ufunc on a
+few thousand doubles gains nothing (1.0x).  So the penalty sweep's `dgtsv`
+serializes American jobs that run side by side, and an LDL^T solve
+(`dpttrf`/`dpttrs`), twice as fast as `dgttrs` on one thread, loses on the
+pool.
 
 The far field, which supplies the Dirichlet data at x = +-L and the values
 of u beyond the grid that the jump integral reaches, is a `FarField`:
@@ -60,12 +82,14 @@ the surface (`american.lcp_residual`) reads them from it.  It holds every
 time level by default, (M+1)(N+1) doubles.  A caller that reads only t = 0
 passes keep_levels=False: the march then holds just the levels a step takes,
 and the surface holds the payoff and the last level at taus (0, T), whose
-t = 0 prices are the full surface's bit for bit.
+t = 0 prices are the full surface's bit for bit; `price_at` refuses any other
+t on such a surface.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -87,9 +111,11 @@ __all__ = [
     "Correlation",
     "IntegralOperator",
     "ImexOperators",
+    "Lockstep",
     "StepHistory",
     "build_grid",
     "FarField",
+    "GrowthGuardError",
     "european_asymptote",
     "assemble_integral_operator",
     "assemble_operators",
@@ -210,6 +236,10 @@ class Correlation:
     `np.correlate` of the node vector padded with the J far-field values on
     each side.  Longer ones correlate the grid nodes alone through a real FFT
     of length fft_len and add the far-field values' share of every row.
+
+    A lockstep batch's correlation stacks its rows' kernels (and their
+    transforms) along a leading axis and correlates row r of a (k, n_nodes)
+    array with kernel r.
     """
 
     kernel: np.ndarray = field(repr=False)
@@ -250,12 +280,16 @@ class Correlation:
         return out
 
     def __call__(self, u: np.ndarray, far: np.ndarray) -> np.ndarray:
-        """The correlation of u, with far = far_data(u's values beyond the grid)."""
-        J = self.kernel.size // 2
+        """The correlation of u, with far = far_data(u's values beyond the
+        grid); u and far are one row or a batch's rows."""
+        J = self.kernel.shape[-1] // 2
         if self.kernel_rfft is None:
-            return np.correlate(np.concatenate([far[:J], u, far[J:]]), self.kernel, mode="valid")
+            padded = np.concatenate([far[..., :J], u, far[..., J:]], axis=-1)
+            if u.ndim == 1:
+                return np.correlate(padded, self.kernel, mode="valid")
+            return np.array([np.correlate(p, k, mode="valid") for p, k in zip(padded, self.kernel)])
         spectrum = np.fft.rfft(u, self.fft_len) * self.kernel_rfft
-        return np.fft.irfft(spectrum, self.fft_len)[J : J + u.size] + far
+        return np.fft.irfft(spectrum, self.fft_len)[..., J : J + self.n_nodes] + far
 
 
 @dataclass(frozen=True)
@@ -383,6 +417,7 @@ class ImexOperators:
     assemble_operators returns the SBDF2 step's operators: dt is the time
     step and band is (3/2) I - dt D.  Their `start` holds the same pieces with
     the start substep's dt / 4 and band I - (dt / 4) D, and no start of its own.
+    A step reads them as a batch of one row (`Lockstep` is the batch of k).
     """
 
     spec: OptionSpec
@@ -398,26 +433,124 @@ class ImexOperators:
     # level and growth at the two Dirichlet nodes xs[0], xs[-1]
     edge_level: tuple[float, float]
     edge_growth: tuple[float, float]
+    # dt (sigma^2/2) / dx^2: D's off-diagonal coupling, which carries the
+    # Dirichlet values into the edge equations
+    coupling: float
     # rows: super-diagonal, diagonal, sub-diagonal
     band: np.ndarray = field(repr=False)
     # dgttrf's (dl, d, du, du2, ipiv) of band
     band_lu: tuple = field(repr=False)
     start: ImexOperators | None = field(default=None, repr=False)
 
+    @property
+    def rows(self) -> tuple[ImexOperators]:
+        return (self,)
+
+    @property
+    def strike(self) -> float:
+        return self.spec.strike
+
+    def growth(self, tau: float) -> float:
+        """The far field's growth factor e^(r tau)."""
+        return math.exp(self.spec.rate * tau)
+
     def edge_values(self, tau: float) -> tuple[float, float]:
         """The Dirichlet values at xs[0] and xs[-1] at tau."""
-        grow = math.exp(self.spec.rate * tau)
+        grow = self.growth(tau)
         return (
             self.edge_level[0] + grow * self.edge_growth[0],
             self.edge_level[1] + grow * self.edge_growth[1],
         )
 
 
+@dataclass
+class Lockstep:
+    """The operators of k jobs stepped as the rows of one (k, N+1) array.
+
+    The rows share their grid, time step and volatility, so one factored band
+    serves them all, their jump reach, so their kernels take one correlation
+    path at one FFT length, and their strike, the growth guard's floor; each
+    row keeps its own kernel, far field and Dirichlet values.  It reads like
+    an ImexOperators whose per-row pieces are stacked: growth and edge_values
+    return one value per row.
+    """
+
+    rows: tuple[ImexOperators, ...]
+    dt: float
+    coupling: float
+    explicit: Correlation
+    far_level: np.ndarray = field(repr=False)
+    far_growth: np.ndarray = field(repr=False)
+    # (k, 2): level and growth at xs[0] and xs[-1], one row per job
+    edge_level: np.ndarray = field(repr=False)
+    edge_growth: np.ndarray = field(repr=False)
+    strike: float
+    band: np.ndarray = field(repr=False)
+    band_lu: tuple = field(repr=False)
+    start: Lockstep | None = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, rows: Sequence[ImexOperators]) -> Lockstep:
+        """The batch of rows, with the batch of their starts; rows that do
+        not share one band, one correlation path and one strike are refused."""
+        first = rows[0]
+
+        def key(ops: ImexOperators) -> tuple:
+            return (ops.grid, ops.dt, ops.spec.sigma, ops.explicit.kernel.size, ops.spec.strike)
+
+        if any(key(ops) != key(first) for ops in rows):
+            raise ValueError(
+                "a lockstep batch needs one grid, time step, volatility, jump reach and strike"
+            )
+        ex = first.explicit
+        spectra = None
+        if ex.kernel_rfft is not None:
+            spectra = np.stack([ops.explicit.kernel_rfft for ops in rows])
+        explicit = Correlation(
+            np.stack([ops.explicit.kernel for ops in rows]), spectra, ex.fft_len, ex.n_nodes
+        )
+        batch = cls(
+            rows=tuple(rows),
+            dt=first.dt,
+            coupling=first.coupling,
+            explicit=explicit,
+            far_level=np.stack([ops.far_level for ops in rows]),
+            far_growth=np.stack([ops.far_growth for ops in rows]),
+            edge_level=np.array([ops.edge_level for ops in rows]),
+            edge_growth=np.array([ops.edge_growth for ops in rows]),
+            strike=first.spec.strike,
+            band=first.band,
+            band_lu=first.band_lu,
+        )
+        # a start differs from its step in dt and the band alone (see
+        # assemble_operators), so the starts' batch shares the stacked pieces
+        start = first.start
+        batch.start = replace(
+            batch,
+            rows=tuple(ops.start for ops in rows),
+            dt=start.dt,
+            coupling=start.coupling,
+            band=start.band,
+            band_lu=start.band_lu,
+        )
+        return batch
+
+    def growth(self, tau: float) -> np.ndarray:
+        """Each row's e^(r tau), as a (k, 1) column; math.exp, as a row of one
+        computes it, so the bits are a solo solve's."""
+        return np.array([[math.exp(ops.spec.rate * tau)] for ops in self.rows])
+
+    def edge_values(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's Dirichlet values at xs[0] and at xs[-1] at tau."""
+        values = self.edge_level + self.growth(tau) * self.edge_growth
+        return values[:, 0], values[:, 1]
+
+
 def _factored_band(
     spec: OptionSpec, grid: GridSpec, dt: float, lead: float
-) -> tuple[np.ndarray, tuple]:
-    """lead I - dt D on the interior nodes, D = (sigma^2/2) d_xx, and its
-    dgttrf factors."""
+) -> tuple[float, np.ndarray, tuple]:
+    """lead I - dt D on the interior nodes, D = (sigma^2/2) d_xx: its
+    off-diagonal coupling c, the band and its dgttrf factors."""
     n_int = grid.n_space - 1
     c = dt * 0.5 * spec.sigma**2 / grid.dx**2
     band = np.zeros((3, n_int))
@@ -426,7 +559,7 @@ def _factored_band(
     band[2, :-1] = -c
     *band_lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
     _check_info(info)
-    return band, tuple(band_lu)
+    return c, band, tuple(band_lu)
 
 
 def assemble_operators(
@@ -446,7 +579,7 @@ def assemble_operators(
     explicit = Correlation.of(kernel, grid.n_space + 1)
     ext_nodes = _ext_nodes(grid, kernel.size // 2)
     edge_xs = np.array([xs[0], xs[-1]])
-    band, band_lu = _factored_band(spec, grid, dt, 1.5)
+    coupling, band, band_lu = _factored_band(spec, grid, dt, 1.5)
     ops = ImexOperators(
         spec=spec,
         grid=grid,
@@ -458,12 +591,13 @@ def assemble_operators(
         far_growth=explicit.far_data(boundary.growth(ext_nodes)),
         edge_level=tuple(boundary.level(edge_xs).tolist()),
         edge_growth=tuple(boundary.growth(edge_xs).tolist()),
+        coupling=coupling,
         band=band,
         band_lu=band_lu,
     )
     sub = dt / _START_SUBSTEPS
-    sub_band, sub_lu = _factored_band(spec, grid, sub, 1.0)
-    ops.start = replace(ops, dt=sub, band=sub_band, band_lu=sub_lu)
+    sub_coupling, sub_band, sub_lu = _factored_band(spec, grid, sub, 1.0)
+    ops.start = replace(ops, dt=sub, coupling=sub_coupling, band=sub_band, band_lu=sub_lu)
     return ops
 
 
@@ -473,65 +607,84 @@ def _check_info(info: int) -> None:
 
 
 def _implicit_solve(
-    ops: ImexOperators, rhs: np.ndarray, extra_diag: np.ndarray | None = None
+    ops: ImexOperators | Lockstep, rhs: np.ndarray, extra_diag: np.ndarray | None = None
 ) -> np.ndarray:
-    """Solve the implicit system for the interior nodes: through the factors
-    made at assembly, or, with extra_diag added to the diagonal, by one fresh
-    elimination."""
+    """Solve the implicit system for the interior nodes, one right-hand side
+    per row of rhs: through the factors made at assembly, or, with extra_diag
+    added to the diagonal, by one fresh elimination."""
     if extra_diag is None:
-        x, info = dgttrs(*ops.band_lu, rhs)
+        x, info = dgttrs(*ops.band_lu, rhs.T)
     else:
         band = ops.band
-        *_, x, info = dgtsv(band[2, :-1], band[1] + extra_diag, band[0, 1:], rhs)
+        *_, x, info = dgtsv(band[2, :-1], band[1] + extra_diag, band[0, 1:], rhs.T)
     _check_info(info)
-    return x
+    return x.T
 
 
-def _growth_guard(u_next: np.ndarray, prev_peak: float, ops: ImexOperators) -> float:
-    """Refuse u_next if it outgrew the previous level, whose max|u| is
-    prev_peak; return max|u_next|, the next guard's prev_peak."""
+class GrowthGuardError(RuntimeError):
+    """The growth guard refused a level; row is the batch row that left the
+    stability envelope (0 for a solve of one job)."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _growth_guard(
+    u_next: np.ndarray, prev_peak: float | np.ndarray, ops: ImexOperators | Lockstep
+) -> float | np.ndarray:
+    """Refuse u_next if a row left the envelope (1 + 20 dt) prev_peak, where
+    prev_peak is max(max|u|, strike) of the level before; return u_next's
+    max(max|u|, strike) per row, the next guard's prev_peak.  The envelope is
+    at least the strike, so a row outside it has max|u| above the strike and
+    the error quotes max|u| itself; the first such row names itself."""
     dt = ops.dt
-    scale = max(prev_peak, ops.spec.strike)
-    peak = float(np.max(np.abs(u_next)))
-    envelope = (1.0 + 20.0 * dt) * scale
+    peak = np.abs(u_next).max(axis=-1, initial=ops.strike)
+    envelope = (1.0 + 20.0 * dt) * prev_peak
     # a NaN compares False with anything and an inf scale lets an inf peak
     # pass, so non-finite values are refused explicitly
-    if not (math.isfinite(peak) and peak <= envelope + 1e-9):
-        raise RuntimeError(
+    passed = (peak <= envelope + 1e-9) & (peak < math.inf)
+    if not all(passed.flat):
+        row = int(np.argmin(passed))
+        W = ops.rows[row].integral.total_weight
+        raise GrowthGuardError(
             f"time step amplified the solution beyond the stability envelope: "
-            f"max|u_next| = {peak:.6g} > (1 + 20 dt) scale = {envelope:.6g} "
-            f"(dt = {dt:.4g}, dt*W = {dt * ops.integral.total_weight:.4g}); "
-            "refine dt or loosen the jump truncation"
+            f"max|u_next| = {np.reshape(peak, -1)[row]:.6g} > (1 + 20 dt) scale = "
+            f"{np.reshape(envelope, -1)[row]:.6g} (dt = {dt:.4g}, dt*W = {dt * W:.4g}); "
+            "refine dt or loosen the jump truncation",
+            row,
         )
     return peak
 
 
-def _explicit_term(u: np.ndarray, ops: ImexOperators, tau: float) -> np.ndarray:
-    """E(u) at tau on the interior nodes, the drift plus the jump term: one
-    correlation, with the far field supplying u beyond the grid."""
-    far = ops.far_level + math.exp(ops.spec.rate * tau) * ops.far_growth
-    return ops.explicit(u, far)[1:-1]
+def _explicit_term(u: np.ndarray, ops: ImexOperators | Lockstep, tau: float) -> np.ndarray:
+    """E(u) at tau on the interior nodes, the drift plus the jump term, for
+    one row or a batch's rows: one correlation, with the far field supplying
+    u beyond the grid."""
+    far = ops.far_level + ops.growth(tau) * ops.far_growth
+    return ops.explicit(u, far)[..., 1:-1]
 
 
 def _implicit_step(
-    ops: ImexOperators,
+    ops: ImexOperators | Lockstep,
     rhs: np.ndarray,
     u_prev: np.ndarray,
     tau_prev: float,
-    prev_peak: float,
+    prev_peak: float | np.ndarray,
     solve: Callable | None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Fold the new Dirichlet values into rhs, solve with ops' matrix (or the
-    hook) and guard; return the new level and its max|u|."""
-    dt = ops.dt
-    tau = tau_prev + dt
+    hook) and guard; return the new level and its guard scale per row."""
+    tau = tau_prev + ops.dt
+    lo, hi = ops.edge_values(tau)
+    # .T[0] and .T[-1] are the edge nodes of one row and of every row alike
     u_next = np.empty_like(u_prev)
-    u_next[0], u_next[-1] = ops.edge_values(tau)
-    c = dt * 0.5 * ops.spec.sigma**2 / ops.grid.dx**2
-    rhs[0] += c * u_next[0]
-    rhs[-1] += c * u_next[-1]
+    u_next.T[0], u_next.T[-1] = lo, hi
+    c = ops.coupling
+    rhs.T[0] += c * lo
+    rhs.T[-1] += c * hi
     if solve is None:
-        u_next[1:-1] = _implicit_solve(ops, rhs)
+        u_next[..., 1:-1] = _implicit_solve(ops, rhs)
     else:
         solve(ops, tau, rhs, u_next, u_prev)
     return u_next, _growth_guard(u_next, prev_peak, ops)
@@ -539,22 +692,25 @@ def _implicit_step(
 
 class StepHistory(NamedTuple):
     """What an SBDF2 step from u_n takes besides u_n: u_(n-1), its
-    b_(n-1) = u_(n-1)[1:-1] + dt E(u_(n-1)), and max|u_n|."""
+    b_(n-1) = u_(n-1)[1:-1] + dt E(u_(n-1)), and the growth guard's scale
+    max(max|u_n|, strike), one per row."""
 
     u_before: np.ndarray
     b_before: np.ndarray
-    peak: float
+    peak: float | np.ndarray
 
 
 def step_imex(
     u_prev: np.ndarray,
-    ops: ImexOperators,
+    ops: ImexOperators | Lockstep,
     tau_prev: float,
     history: StepHistory | None = None,
     solve: Callable | None = None,
 ) -> tuple[np.ndarray, StepHistory]:
     """Advance one time level, from tau_prev to tau_prev + ops.dt; return the
-    new level and the history its own step takes.
+    new level and the history its own step takes.  u_prev is one job's
+    (N+1,) level with its ImexOperators, or a lockstep batch's (k, N+1)
+    levels with their Lockstep.
 
     With the history of the step that made u_prev, this is the SBDF2 step.
     Its interior right-hand side is 2 b_n - b_(n-1) + u_(n-1)[1:-1] / 2, where
@@ -569,18 +725,18 @@ def step_imex(
     equations, and u_next already holds them at its ends.
     """
     explicit = _explicit_term(u_prev, ops, tau_prev)
-    b = u_prev[1:-1] + ops.dt * explicit
+    b = u_prev[..., 1:-1] + ops.dt * explicit
     if history is not None:
-        rhs = 2.0 * b - history.b_before + 0.5 * history.u_before[1:-1]
+        rhs = 2.0 * b - history.b_before + 0.5 * history.u_before[..., 1:-1]
         u_next, peak = _implicit_step(ops, rhs, u_prev, tau_prev, history.peak, solve)
         return u_next, StepHistory(u_prev, b, peak)
     start = ops.start
-    u_next, peak = u_prev, float(np.max(np.abs(u_prev)))
+    u_next, peak = u_prev, np.abs(u_prev).max(axis=-1, initial=ops.strike)
     for k in range(_START_SUBSTEPS):
         tau = tau_prev + k * start.dt
         if k:
             explicit = _explicit_term(u_next, start, tau)
-        rhs = u_next[1:-1] + start.dt * explicit
+        rhs = u_next[..., 1:-1] + start.dt * explicit
         u_next, peak = _implicit_step(start, rhs, u_next, tau, peak, solve)
     return u_next, StepHistory(u_prev, b, peak)
 
@@ -625,25 +781,35 @@ class PriceSurface:
 
 
 def _march(
-    ops: ImexOperators, solve: Callable | None = None, keep_levels: bool = True
-) -> PriceSurface:
-    """Step from the payoff to tau = T; solve, when given, is each step's hook
-    (see step_imex).  With keep_levels the surface holds every level; without,
-    the march holds only the levels a step takes and the surface holds the
-    payoff and the last level, at taus (0, T)."""
-    _, taus, u0 = build_grid(ops.spec, ops.grid)
+    rows: Sequence[ImexOperators], solve: Callable | None = None, keep_levels: bool = True
+) -> list[PriceSurface]:
+    """Step rows' jobs from their payoffs to tau = T in lockstep and return
+    their surfaces, in order; solve, when given, is each step's hook (see
+    step_imex) and needs a batch of one.  With keep_levels each surface holds
+    every level; without, the march holds only the levels a step takes and
+    each surface holds the payoff and the last level, at taus (0, T).
+
+    One row steps as a vector with its own operators, k rows as a (k, N+1)
+    array with their Lockstep; a failing row raises GrowthGuardError with its
+    index, and the batch yields no surface."""
+    if solve is not None and len(rows) != 1:
+        raise ValueError(f"a hooked march takes one row, got {len(rows)}")
+    first = rows[0]
+    taus = first.grid.taus(first.spec.expiry)
+    u0 = np.array([build_grid(row.spec, row.grid)[2] for row in rows])
+    ops, u = (first, u0[0]) if len(rows) == 1 else (Lockstep.of(rows), u0)
     levels = None
     if keep_levels:
-        levels = np.empty((ops.grid.n_time + 1, ops.grid.n_space + 1))
-        levels[0] = u0
-    u, history = u0, None
-    for n in range(ops.grid.n_time):
+        levels = np.empty((len(rows), first.grid.n_time + 1, first.grid.n_space + 1))
+        levels[:, 0] = u0
+    history = None
+    for n in range(first.grid.n_time):
         u, history = step_imex(u, ops, taus[n], history, solve)
         if levels is not None:
-            levels[n + 1] = u
+            levels[:, n + 1] = u
     if levels is None:
-        taus, levels = taus[[0, -1]], np.stack([u0, u])
-    return PriceSurface(ops=ops, taus=taus, u=levels)
+        taus, levels = taus[[0, -1]], np.stack([u0, np.reshape(u, u0.shape)], axis=1)
+    return [PriceSurface(ops=row, taus=taus, u=level) for row, level in zip(rows, levels)]
 
 
 def solve_european(
@@ -651,21 +817,30 @@ def solve_european(
 ) -> PriceSurface:
     """March the transformed equation from the payoff to tau = T; with
     keep_levels=False the surface holds only tau = 0 and tau = T (see _march)."""
-    return _march(assemble_operators(spec, model, grid), keep_levels=keep_levels)
+    [surface] = _march([assemble_operators(spec, model, grid)], keep_levels=keep_levels)
+    return surface
 
 
 def price_at(surface: PriceSurface, t: float, S):
     """Price V(t, S): nearest stored tau level, linear interpolation in x.
 
     t = 0 reads the last level and t = T the payoff, whichever levels the
-    surface stores; a surface of the levels (0, T) alone answers any other t
-    from the nearer of the two.  Node queries reproduce stored values
-    exactly.  S outside the grid range raises (no extrapolation).
+    surface stores; a surface that holds fewer levels than its grid (the
+    levels (0, T) of keep_levels=False) refuses any other t.  Node queries
+    reproduce stored values exactly.  S outside the grid range raises (no
+    extrapolation).
     """
     spec = surface.spec
     tau = spec.expiry - t
     if tau < -1e-12 or tau > spec.expiry + 1e-12:
         raise ValueError(f"calendar time {t} outside [0, {spec.expiry}]")
+    if len(surface.taus) < surface.ops.grid.n_time + 1 and not (
+        abs(t) <= 1e-12 or abs(tau) <= 1e-12
+    ):
+        raise ValueError(
+            f"calendar time {t}: the surface holds only t = 0 and t = {spec.expiry:g}, "
+            "not every level of its grid"
+        )
     k = int(np.clip(round(tau / (surface.taus[1] - surface.taus[0])), 0, len(surface.taus) - 1))
     S_arr = np.asarray(S, dtype=float)
     if np.any(S_arr <= 0):

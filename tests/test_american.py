@@ -72,7 +72,8 @@ def reference_solve(spec, model, grid, pcfg):
             iterations=pcfg.max_picard,
         )
 
-    return _march(ops, sweep)
+    [surface] = _march([ops], sweep)
+    return surface
 
 
 def obstacle_violation(surface):

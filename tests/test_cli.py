@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from levypide.cli import (
     model_from_dict,
     model_to_dict,
 )
-from levypide.levy import NoJumps, VarianceGamma
+from levypide.levy import CGMY, NoJumps, VarianceGamma
 from levypide.pide import GridSpec, solve_european
 
 
@@ -598,14 +600,21 @@ class TestPriceCommand:
 
 @pytest.fixture
 def keep_levels_calls(monkeypatch):
-    """The keep_levels of every solve the CLI starts, in call order."""
+    """The keep_levels of every job the CLI solves: one entry per row of a
+    lockstep march, one per American solve."""
     calls = []
-    for name in ("solve_european", "solve_american_penalized"):
-        def spy(*args, _solve=getattr(cli, name), **kwargs):
-            calls.append(kwargs["keep_levels"])
-            return _solve(*args, **kwargs)
+    march, penalized = cli._march, cli._solve_penalized
 
-        monkeypatch.setattr(cli, name, spy)
+    def spy_march(rows, solve=None, keep_levels=True):
+        calls.extend([keep_levels] * len(rows))
+        return march(rows, solve, keep_levels)
+
+    def spy_penalized(spec, model, grid, pcfg, keep_levels, warn):
+        calls.append(keep_levels)
+        return penalized(spec, model, grid, pcfg, keep_levels, warn)
+
+    monkeypatch.setattr(cli, "_march", spy_march)
+    monkeypatch.setattr(cli, "_solve_penalized", spy_penalized)
     return calls
 
 
@@ -674,6 +683,175 @@ class TestTimeLevels:
             assert main(["price", "--config", path]) == 0
             files.append((table.read_bytes(), plot.read_bytes()))
         assert files[0] == files[1]
+
+
+VG_BM = {"type": "vg", "theta": -0.43, "kappa": 0.27, "sigma_vg": 0.23}
+STIFF_CGMY = {"type": "cgmy", "c": 1.0, "g": 6.0, "m": 8.0, "y": 1.5}
+
+
+def runs_by_workers(monkeypatch, capsys, tmp_path, argv_for, workers=("1", "2", "3")):
+    """Per worker count: the exit code, stdout, stderr and every file the run
+    wrote, by name; argv_for(out_dir) gives the command line."""
+    runs = {}
+    for n in workers:
+        monkeypatch.setenv("LEVYPIDE_WORKERS", n)
+        out_dir = tmp_path / f"w{n}"
+        out_dir.mkdir()
+        code = main(argv_for(out_dir))
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        runs[n] = (code, out, err, files)
+    return runs
+
+
+def two_scenario_cfg(tmp_path, out_dir, model=model_to_dict(BENCH_MERTON)):
+    """A European config with scenarios r = 0 and 0.1 writing a table, plot
+    data and surfaces into out_dir."""
+    return write_cfg(
+        tmp_path,
+        name=f"{out_dir.name}.json",
+        model=model,
+        scenarios=[{"rate": 0.0, "spots": [90.0, 100.0]}, {"rate": 0.1, "spots": [90.0, 100.0]}],
+        outputs=[
+            {"kind": "table", "path": str(out_dir / "t.csv")},
+            {"kind": "plotdata", "path": str(out_dir / "p.csv")},
+            {"kind": "surface", "path": str(out_dir / "s.csv")},
+        ],
+    )
+
+
+class TestLockstepJobs:
+    """European jobs that share a grid, expiry, volatility, strike and jump
+    reach march as the rows of one batch; the outputs do not depend on how
+    the jobs were split."""
+
+    def test_table1_is_byte_identical_for_one_two_and_three_workers(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        runs = runs_by_workers(
+            monkeypatch, capsys, tmp_path, lambda d: ["table1", "--output", str(d / "t1.csv")]
+        )
+        assert runs["1"][0] == 0 and runs["1"][3]
+        assert runs["1"] == runs["2"] == runs["3"]
+
+    def test_price_is_byte_identical_for_one_two_and_three_workers(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        runs = runs_by_workers(
+            monkeypatch, capsys, tmp_path,
+            lambda d: ["price", "--config", two_scenario_cfg(tmp_path, d)],
+        )
+        assert runs["1"][0] == 0 and len(runs["1"][3]) == 5  # table, 2 plotdata, 2 surfaces
+        assert runs["1"] == runs["2"] == runs["3"]
+
+    def test_a_guard_trip_names_the_first_failing_job_for_any_worker_count(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        runs = runs_by_workers(
+            monkeypatch, capsys, tmp_path,
+            lambda d: ["price", "--config", two_scenario_cfg(tmp_path, d, model=STIFF_CGMY)],
+        )
+        code, out, err, files = runs["1"]
+        assert (code, out, files) == (2, "", {})
+        assert err.startswith("numerical failure in V_r0: time step amplified the solution")
+        assert runs["1"] == runs["2"] == runs["3"]
+
+    @pytest.mark.parametrize(
+        "workers, cpus, batches",
+        [("1", 2, [2]), ("2", 1, [2]), ("2", 2, [1, 1]), ("3", 2, [1, 1])],
+    )
+    def test_batches_are_capped_by_workers_and_cpus(
+        self, tmp_path, monkeypatch, workers, cpus, batches
+    ):
+        monkeypatch.setenv("LEVYPIDE_WORKERS", workers)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        sizes = []
+        march = cli._march
+
+        def spy(rows, solve=None, keep_levels=True):
+            sizes.append(len(rows))
+            return march(rows, solve, keep_levels)
+
+        monkeypatch.setattr(cli, "_march", spy)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["price", "--config", two_scenario_cfg(tmp_path, out_dir)]) == 0
+        assert sizes == batches
+
+    def test_a_batch_reports_its_first_failing_job_in_job_order(self):
+        # the second job trips the guard at the first step, the first one at
+        # the tenth: the batch fails on row 1, and the first job, marched again
+        # alone, fails with the message of its own solo march
+        grid = GridSpec()
+        jobs = [
+            cli._Job(name=f"y{y}", spec=bench_spec(), model=CGMY(c=1.0, g=6.0, m=8.0, y=y),
+                     grid=grid, spots=(100.0,))
+            for y in (1.2, 1.8)
+        ]
+        batch = cli._march_lockstep(jobs)
+        solo = [cli._march_lockstep([job])[0] for job in jobs]
+        assert [str(out.error) for out in batch] == [str(out.error) for out in solo]
+        assert all(out.surface is None for out in batch)
+
+    def test_rows_before_a_failing_row_keep_their_solo_surfaces(self):
+        grid = GridSpec()
+        jobs = [
+            cli._Job(name=name, spec=bench_spec(), model=model, grid=grid, spots=(100.0,))
+            for name, model in (("calm", BENCH_MERTON), ("stiff", CGMY(c=1.0, g=6.0, m=8.0, y=1.5)))
+        ]
+        calm, stiff = cli._march_lockstep(jobs)
+        assert calm.error is None and stiff.surface is None
+        assert "stability envelope" in str(stiff.error)
+        solo = solve_european(bench_spec(), BENCH_MERTON, grid, keep_levels=False)
+        assert calm.surface.u.tobytes() == solo.u.tobytes()
+
+
+class TestAmericanWarnings:
+    def test_structural_warnings_come_in_job_order_when_the_second_job_ends_first(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("LEVYPIDE_WORKERS", "2")
+        second_done = threading.Event()
+        finished = []
+        solve = cli._solve_penalized
+
+        def first_waits(spec, *args):
+            if spec.rate == 0.0:
+                assert second_done.wait(timeout=60)
+            try:
+                return solve(spec, *args)
+            finally:
+                finished.append(spec.rate)
+                if spec.rate == 0.1:
+                    second_done.set()
+
+        monkeypatch.setattr(cli, "_solve_penalized", first_waits)
+        path = write_cfg(
+            tmp_path,
+            model=VG_BM,
+            style="american",
+            scenarios=[{"rate": 0.0, "spots": [100.0]}, {"rate": 0.1, "spots": [100.0]}],
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["price", "--config", path]) == 0
+        assert finished == [0.1, 0.0]
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert len(messages) == 2
+        assert "vs rate 0)" in messages[0] and "vs rate 0.1)" in messages[1]
+
+    def test_a_failing_job_still_reports_its_warning_first(self, tmp_path, capsys):
+        path = write_cfg(
+            tmp_path,
+            model=VG_BM,
+            style="american",
+            penalty={"max_picard": 1, "picard_tol": 1e-15},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["price", "--config", path]) == 2
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert capsys.readouterr().err.startswith("numerical failure in V_r0.1: penalty iteration")
 
 
 class TestCheckCommand:

@@ -21,16 +21,18 @@ from conftest import (
     stepped_jump_term,
 )
 from levypide.american import exercise_asymptote
-from levypide.bs import bs_price, payoff, u_bs
+from levypide.bs import OptionSpec, bs_price, payoff, u_bs
 from levypide.levy import CGMY, NoJumps, truncated_second_moment
 from levypide.oracle import merton_series_price
 from levypide.pide import (
     Correlation,
     FarField,
     GridSpec,
+    GrowthGuardError,
     StepHistory,
     _explicit_term,
     _implicit_solve,
+    _march,
     assemble_integral_operator,
     assemble_operators,
     build_grid,
@@ -385,7 +387,7 @@ class TestStepImex:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert after.u_before is u
         assert np.max(np.abs(after.b_before - (u[1:-1] + dt * e_now))) <= 1e-12 * np.max(np.abs(u))
-        assert after.peak == np.max(np.abs(got))
+        assert after.peak == max(np.max(np.abs(got)), spec.strike)  # the guard's scale
 
         # without history: four backward-Euler substeps of dt / 4
         got, after = step_imex(u, ops, tau)
@@ -535,6 +537,61 @@ class TestTwoLevelMarch:
         assert peak < 0.1 * surface_bytes
 
 
+class TestLockstep:
+    """k jobs marched as the rows of one array: each row is its own solve."""
+
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(), GridSpec(n_space=1600, n_time=800)], ids=["direct", "fft"]
+    )
+    @pytest.mark.parametrize(
+        "models", [(BENCH_MERTON, BENCH_VG), (NoJumps(), NoJumps())], ids=["merton-vg", "none"]
+    )
+    def test_rows_are_solo_solves_bit_for_bit(self, grid, models):
+        jobs = [(bench_spec(rate=rate), model) for rate, model in zip(RATES, models)]
+        rows = [assemble_operators(spec, model, grid) for spec, model in jobs]
+        full = _march(rows)
+        two = _march(rows, keep_levels=False)
+        for (spec, model), ops, f, t in zip(jobs, rows, full, two):
+            solo = solve_european(spec, model, grid)
+            assert f.ops is ops and t.ops is ops
+            assert f.u.tobytes() == solo.u.tobytes()
+            assert f.taus.tobytes() == solo.taus.tobytes()
+            assert t.u.tobytes() == solo.u[[0, -1]].tobytes()
+            assert t.taus.tobytes() == solo.taus[[0, -1]].tobytes()
+
+    def test_a_guard_trip_names_its_row_with_the_solo_message(self):
+        grid = GridSpec()
+        calm = assemble_operators(bench_spec(), BENCH_MERTON, grid)
+        stiff = assemble_operators(bench_spec(rate=0.1), CGMY(c=1.0, g=6.0, m=8.0, y=1.5), grid)
+        with pytest.raises(GrowthGuardError) as solo:
+            _march([stiff])
+        with pytest.raises(GrowthGuardError) as batch:
+            _march([calm, stiff])
+        assert (solo.value.row, batch.value.row) == (0, 1)
+        assert str(batch.value) == str(solo.value)
+
+    @pytest.mark.parametrize(
+        "spec, model, grid",
+        [
+            (bench_spec(sigma=0.3), BENCH_MERTON, GridSpec()),
+            (bench_spec(), NoJumps(), GridSpec()),
+            (bench_spec(), BENCH_MERTON, GridSpec(n_time=100)),
+            (OptionSpec(strike=90.0, expiry=1.0, rate=0.0, sigma=0.23, kind="put"),
+             BENCH_MERTON, GridSpec()),
+        ],
+        ids=["sigma", "jump-reach", "time-step", "strike"],
+    )
+    def test_refuses_rows_that_cannot_share_a_step(self, spec, model, grid):
+        base = assemble_operators(bench_spec(), BENCH_MERTON, GridSpec())
+        with pytest.raises(ValueError, match="lockstep batch needs"):
+            _march([base, assemble_operators(spec, model, grid)])
+
+    def test_a_hooked_march_takes_one_row(self):
+        ops = assemble_operators(bench_spec(), BENCH_MERTON, GridSpec())
+        with pytest.raises(ValueError, match="one row"):
+            _march([ops, ops], solve=lambda *args: None)
+
+
 class TestPriceAt:
     def test_node_queries_reproduce_stored_values(self, merton_surfaces):
         surface = merton_surfaces[0.1]
@@ -559,6 +616,16 @@ class TestPriceAt:
         vec = surface.price_at(0.0, S)
         for s, v in zip(S, vec):
             assert surface.price_at(0.0, float(s)) == v
+
+    def test_a_two_level_surface_refuses_the_times_between(self, merton_surfaces):
+        # it holds t = 0 and t = T alone, so no other t has a level to read
+        full = merton_surfaces[0.1]
+        two = solve_european(bench_spec(rate=0.1), BENCH_MERTON, GridSpec(), keep_levels=False)
+        for t in (0.4, 0.5, 1e-6, 1.0 - 1e-6):
+            with pytest.raises(ValueError, match="holds only t = 0 and t = 1"):
+                two.price_at(t, 100.0)
+        for t in (0.0, 1e-13, 1.0):
+            assert two.price_at(t, 100.0) == full.price_at(t, 100.0)
 
     def test_refuses_out_of_range_queries(self, merton_surfaces):
         surface = merton_surfaces[0.1]
