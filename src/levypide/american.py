@@ -15,11 +15,18 @@ start substep solves the same system with I - (dt/4) D, dt/4 in P and w at the
 substep's tau.  The sweep is a fixed-point iteration: the penalty's active
 set lags one iterate while its value is taken implicitly as an extra
 diagonal, which keeps every inner solve tridiagonal and converges in a few
-sweeps even for eps much smaller than dt.  The sweep stops when the update
-falls below picard_tol, or, if another sweep is allowed, when the new iterate
-has the active set the sweep just used: the next sweep would repeat that
-solve bit for bit and stop on a zero update, so the stopping rule saves a
-solve without changing a bit of the result.
+sweeps even for eps much smaller than dt.  After each sweep's solve the
+stopping rule asks, in this order: if another sweep is allowed, does the new
+iterate have the active set the sweep just used?  Then the next sweep would
+repeat that solve bit for bit and stop on a zero update, so the sweep stops
+without changing a bit of the result, and without computing the update
+norm.  Otherwise it stops when the update |u_next - u_iter|_inf falls below
+picard_tol; on the last allowed sweep it raises PicardError with that
+update.  A sweep whose active set is empty adds nothing to the band, so it
+back-substitutes through the factors assembly made (`dgttrs`, which gives
+the bits of a fresh elimination of the same band); any other sweep
+eliminates the band plus its penalty diagonal afresh (`dgtsv`).  The penalty
+scale (dt/eps) e^(x^-) is computed once for each of the two step sizes.
 
 `lcp_residual` checks a surface against the complementarity system with the
 operators the surface carries (`PriceSurface.ops`): the spec, grid, far field
@@ -166,6 +173,8 @@ def _solve_penalized(
     tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike
     w0_int = payoff(spec, spec.strike * np.exp(xs[1:-1]))
     weight = np.exp(np.minimum(xs[1:-1], 0.0))
+    # (dt / eps) e^(x^-) for the SBDF2 step's dt and the start substep's
+    pen_scales = {step.dt: (step.dt / pcfg.epsilon) * weight for step in (ops, ops.start)}
 
     def sweep(
         step: ImexOperators, tau: float, rhs: np.ndarray, u_next: np.ndarray, u_prev: np.ndarray
@@ -173,19 +182,23 @@ def _solve_penalized(
         # step: the operators of the SBDF2 step or start substep this sweep serves
         dt = step.dt
         w_int = math.exp(spec.rate * tau) * w0_int
-        pen_scale = (dt / pcfg.epsilon) * weight
+        pen_scale = pen_scales[dt]
         u_iter = u_prev
         active = u_iter[1:-1] < w_int
         for k in range(pcfg.max_picard):
-            pen = pen_scale * active
-            u_next[1:-1] = _implicit_solve(step, rhs + pen * w_int, extra_diag=pen)
+            if np.count_nonzero(active):
+                pen = pen_scale * active
+                u_next[1:-1] = _implicit_solve(step, rhs + pen * w_int, extra_diag=pen)
+            else:
+                # band + 0 is the band that assembly factored
+                u_next[1:-1] = _implicit_solve(step, rhs)
+            # the same active set would repeat this solve bit for bit in the
+            # next sweep, which then stops on a zero update
+            next_active = u_next[1:-1] < w_int
+            if k + 1 < pcfg.max_picard and next_active.tobytes() == active.tobytes():
+                return
             diff = float(np.abs(u_next - u_iter).max())
             if diff < tol:
-                return
-            # the same active set would repeat this solve bit for bit in the
-            # next sweep, which then stops on diff == 0
-            next_active = u_next[1:-1] < w_int
-            if k + 1 < pcfg.max_picard and np.array_equal(next_active, active):
                 return
             active = next_active
             u_iter = u_next.copy()

@@ -11,7 +11,8 @@ Config files are JSON.  Top-level keys:
             sigma_vg).
   grid      {"half_width", "n_space", "n_time", ["z_max"], ["delta"]}.
   style     "european" (default) or "american".
-  penalty   {"epsilon", "max_picard", "picard_tol"}; american style only.
+  penalty   {"epsilon", "max_picard", "picard_tol"}; american style only,
+            any other style refuses it (and --epsilon).
   outputs   [{"kind": "table"|"surface"|"boundary"|"plotdata", "path": ...}];
             with several scenarios, every kind but table writes one file per
             scenario, its path suffixed _r<rate>.  No two outputs may write
@@ -359,6 +360,8 @@ class RunConfig:
                     )
         if self.style == "american" and self.option.kind != "put":
             raise ConfigError("american style covers put options only")
+        if self.penalty is not None and self.style != "american":
+            raise ConfigError("penalty settings require style: american")
         substitute = self.closed_form and isinstance(self.model, NoJumps)
         for o in self.outputs:
             if o.kind not in _OUTPUT_KINDS:
@@ -432,7 +435,7 @@ def emit_plotdata(surfaces: Mapping[str, object], path: str) -> None:
     columns = []
     for surf in surfaces.values():
         if isinstance(surf, PriceSurface):
-            vals = np.array([float(price_at(surf, 0.0, s)) for s in S])
+            vals = price_at(surf, 0.0, S)
         else:
             vals = np.asarray(surf(S), dtype=float)
         columns.append(vals)
@@ -555,10 +558,11 @@ def _solve_jobs(jobs: list[_Job]) -> list[_Outcome]:
     return outcomes
 
 
-def _price_on(spec: OptionSpec, surface: PriceSurface | None, s: float) -> float:
-    if surface is None:
-        return float(bs_price(spec, s))
-    return float(price_at(surface, 0.0, s))
+def _prices_on(job: _Job, surface: PriceSurface | None) -> dict[float, float]:
+    """The job's t = 0 prices by spot, from one call over all its spots."""
+    spots = np.array(job.spots)
+    prices = bs_price(job.spec, spots) if surface is None else price_at(surface, 0.0, spots)
+    return dict(zip(job.spots, prices.tolist()))
 
 
 def _run_jobs(
@@ -582,7 +586,7 @@ def _run_jobs(
         for job, out in zip(jobs, outcomes):
             if out.error is not None:
                 raise out.error
-            columns.append({s: _price_on(job.spec, out.surface, s) for s in job.spots})
+            columns.append(_prices_on(job, out.surface))
     except _FAILURES as exc:
         print(f"numerical failure in {job.name}: {exc}", file=sys.stderr)
         return 2

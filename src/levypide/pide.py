@@ -19,8 +19,9 @@ the four substeps' local error, O(dt^2 / 4), is of the second-order scheme's
 size.  The tridiagonal solves call LAPACK
 directly: assembly factors both matrices, (3/2) I - dt D for the SBDF2 steps
 and I - (dt/4) D for the substeps, once (`dgttrf`) and each unhooked step
-back-substitutes (`dgttrs`); a solve with an extra diagonal (the penalty
-sweep) eliminates afresh (`dgtsv`).  Both run the elimination
+back-substitutes (`dgttrs`); a solve with an extra diagonal (a penalty
+sweep with an active node) eliminates afresh (`dgtsv`), while a penalty-free
+sweep back-substitutes like an unhooked step.  Both run the elimination
 `scipy.linalg.solve_banded` runs for a (1, 1) band, so the bits are the banded
 solver's.  The discrete jump operator is calibrated so that it annihilates
 samples of e^x exactly, the discrete counterpart of the identity that makes
@@ -50,9 +51,17 @@ each make the same number of calls for twice the work.  Measured on a
 releases the GIL and runs 1.9x faster, numpy's rfft and irfft 1.6-1.9x;
 `dgtsv`, `dpttrs` and `dptsv` hold it (1.0x), and an elementwise ufunc on a
 few thousand doubles gains nothing (1.0x).  So the penalty sweep's `dgtsv`
-serializes American jobs that run side by side, and an LDL^T solve
-(`dpttrf`/`dpttrs`), twice as fast as `dgttrs` on one thread, loses on the
-pool.
+holds the GIL and serializes American jobs that run side by side, except on
+the penalty-free sweeps (an empty active set), which go through `dgttrs`;
+and an LDL^T solve (`dpttrf`/`dpttrs`), twice as fast as `dgttrs` on one
+thread, loses on the pool.
+
+A step builds its right-hand side in place on the arrays it makes: b, the
+SBDF2 right-hand side, the far-field values and the FFT path's output are
+each one fresh array that the next operations update, in the order of the
+formulas; only the two operands of a sum or a product swap places, which
+changes no bit in IEEE arithmetic.  So a step allocates fewer temporaries
+and keeps its bits.  No step writes into an array its caller passed.
 
 The far field, which supplies the Dirichlet data at x = +-L and the values
 of u beyond the grid that the jump integral reaches, is a `FarField`:
@@ -288,8 +297,11 @@ class Correlation:
             if u.ndim == 1:
                 return np.correlate(padded, self.kernel, mode="valid")
             return np.array([np.correlate(p, k, mode="valid") for p, k in zip(padded, self.kernel)])
-        spectrum = np.fft.rfft(u, self.fft_len) * self.kernel_rfft
-        return np.fft.irfft(spectrum, self.fft_len)[..., J : J + self.n_nodes] + far
+        spectrum = np.fft.rfft(u, self.fft_len)
+        spectrum *= self.kernel_rfft
+        out = np.fft.irfft(spectrum, self.fft_len)[..., J : J + self.n_nodes]
+        out += far
+        return out
 
 
 @dataclass(frozen=True)
@@ -661,7 +673,8 @@ def _explicit_term(u: np.ndarray, ops: ImexOperators | Lockstep, tau: float) -> 
     """E(u) at tau on the interior nodes, the drift plus the jump term, for
     one row or a batch's rows: one correlation, with the far field supplying
     u beyond the grid."""
-    far = ops.far_level + ops.growth(tau) * ops.far_growth
+    far = ops.growth(tau) * ops.far_growth
+    far += ops.far_level
     return ops.explicit(u, far)[..., 1:-1]
 
 
@@ -724,19 +737,28 @@ def step_imex(
     level it fills, rhs has the new Dirichlet values folded into its edge
     equations, and u_next already holds them at its ends.
     """
+    # the arithmetic runs in place on fresh arrays, in the order of
+    # b = u_n + dt E(u_n) and rhs = (2 b - b_(n-1)) + u_(n-1) / 2
     explicit = _explicit_term(u_prev, ops, tau_prev)
-    b = u_prev[..., 1:-1] + ops.dt * explicit
     if history is not None:
-        rhs = 2.0 * b - history.b_before + 0.5 * history.u_before[..., 1:-1]
+        b = explicit
+        b *= ops.dt
+        b += u_prev[..., 1:-1]
+        rhs = 2.0 * b
+        rhs -= history.b_before
+        rhs += 0.5 * history.u_before[..., 1:-1]
         u_next, peak = _implicit_step(ops, rhs, u_prev, tau_prev, history.peak, solve)
         return u_next, StepHistory(u_prev, b, peak)
     start = ops.start
+    # the first substep reads E(u_0) too, so b_0 gets arrays of its own
+    b = u_prev[..., 1:-1] + ops.dt * explicit
     u_next, peak = u_prev, np.abs(u_prev).max(axis=-1, initial=ops.strike)
     for k in range(_START_SUBSTEPS):
         tau = tau_prev + k * start.dt
         if k:
             explicit = _explicit_term(u_next, start, tau)
-        rhs = u_next[..., 1:-1] + start.dt * explicit
+        rhs = start.dt * explicit
+        rhs += u_next[..., 1:-1]
         u_next, peak = _implicit_step(start, rhs, u_next, tau, peak, solve)
     return u_next, StepHistory(u_prev, b, peak)
 
@@ -803,8 +825,9 @@ def _march(
         levels = np.empty((len(rows), first.grid.n_time + 1, first.grid.n_space + 1))
         levels[:, 0] = u0
     history = None
-    for n in range(first.grid.n_time):
-        u, history = step_imex(u, ops, taus[n], history, solve)
+    # Python floats: the step's scalar arithmetic on numpy scalars is slower
+    for n, tau in enumerate(taus[:-1].tolist()):
+        u, history = step_imex(u, ops, tau, history, solve)
         if levels is not None:
             levels[:, n + 1] = u
     if levels is None:

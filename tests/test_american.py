@@ -208,19 +208,34 @@ class TestSolveAmerican:
 # the VG measure's upward-jump budget exceeds both rates; that warning has its own test
 @pytest.mark.filterwarnings("ignore:structural condition:RuntimeWarning")
 class TestSweepStoppingRule:
-    @pytest.mark.parametrize("rate", [0.05, 0.1])
+    # at r = 0 most sweeps meet an empty active set and back-substitute
+    # through the factored band; the reference eliminates band + 0 afresh
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(), GridSpec(n_space=1600)], ids=["direct", "fft"]
+    )
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.1])
     @pytest.mark.parametrize("model", [BENCH_MERTON, BENCH_VG], ids=["merton", "vg"])
-    def test_matches_the_full_sweep_bit_for_bit(self, model, rate):
+    def test_matches_the_full_sweep_bit_for_bit(self, model, rate, grid):
         spec = bench_spec(rate=rate)
-        am = solve_american_penalized(spec, model, GridSpec())
-        ref = reference_solve(spec, model, GridSpec(), PenaltyConfig())
+        am = solve_american_penalized(spec, model, grid)
+        ref = reference_solve(spec, model, grid, PenaltyConfig())
         assert am.u.tobytes() == ref.u.tobytes()
 
-    @pytest.mark.parametrize("max_picard", [1, 2])
+    # r = 0 stalls only at max_picard = 1: its active set stays empty, so a
+    # second sweep repeats the first and both solves stop there
+    @pytest.mark.parametrize(
+        "rate, max_picard, stalls",
+        [(0.1, 1, True), (0.1, 2, True), (0.0, 1, True), (0.0, 2, False)],
+    )
     @pytest.mark.parametrize("model", [BENCH_MERTON, BENCH_VG], ids=["merton", "vg"])
-    def test_stalls_where_the_full_sweep_stalls(self, model, max_picard):
-        spec = bench_spec(rate=0.1)
+    def test_stalls_where_the_full_sweep_stalls(self, model, rate, max_picard, stalls):
+        spec = bench_spec(rate=rate)
         cfg = PenaltyConfig(max_picard=max_picard, picard_tol=1e-12)
+        if not stalls:
+            am = solve_american_penalized(spec, model, GridSpec(), cfg)
+            ref = reference_solve(spec, model, GridSpec(), cfg)
+            assert am.u.tobytes() == ref.u.tobytes()
+            return
         with pytest.raises(PicardError) as got:
             solve_american_penalized(spec, model, GridSpec(), cfg)
         with pytest.raises(PicardError) as ref:

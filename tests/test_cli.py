@@ -8,6 +8,7 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levypide
@@ -203,6 +204,37 @@ class TestRunConfig:
         base["outputs"] = [{"kind": "boundary", "path": str(tmp_path / "b.csv")}]
         with pytest.raises(ConfigError, match="american"):
             RunConfig.from_dict(base)
+
+    @pytest.mark.parametrize(
+        "command, flags, mutation",
+        [
+            ("price", [], {"penalty": {"epsilon": 0.5}}),
+            ("price", ["--epsilon", "0.01"], {"style": "european", "penalty": {"epsilon": 0.5}}),
+            ("price", ["--epsilon", "0.01"], {}),
+            ("price", [], {"style": "european", "penalty": {}}),
+            ("check", [], {"style": "european", "penalty": {"max_picard": 7}}),
+        ],
+        ids=["penalty", "penalty-and-flag", "flag", "empty-penalty", "check"],
+    )
+    def test_penalty_settings_need_american_style(
+        self, tmp_path, capsys, command, flags, mutation
+    ):
+        # refused like a boundary output without american style, before any write
+        table = tmp_path / "t.csv"
+        path = write_cfg(
+            tmp_path,
+            model=model_to_dict(BENCH_MERTON),
+            outputs=[{"kind": "table", "path": str(table)}],
+            **mutation,
+        )
+        assert main([command, "--config", path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: penalty settings require style: american\n"
+        assert captured.out == "" and not table.exists()
+
+    def test_a_null_penalty_is_no_penalty(self, tmp_path):
+        base = json.loads(Path(write_cfg(tmp_path, penalty=None)).read_text())
+        assert RunConfig.from_dict(base).penalty is None
 
     def test_closed_form_excludes_grid_outputs(self, tmp_path):
         base = json.loads(Path(write_cfg(tmp_path)).read_text())
@@ -448,6 +480,34 @@ class TestPriceCommand:
         lines = bpath.read_text().strip().split("\n")
         assert lines[0] == "tau,s_f"
         assert len(lines) == 52  # header + 51 time levels
+
+    @pytest.mark.parametrize("style", ["european", "american"])
+    def test_one_price_lookup_per_job_and_per_plot_column(self, tmp_path, monkeypatch, style):
+        # a job's table prices and a plotdata column each come from one
+        # price_at call over all their spots
+        lookups = []
+        price_at = cli.price_at
+
+        def spy(surface, t, S):
+            lookups.append(np.size(S))
+            return price_at(surface, t, S)
+
+        monkeypatch.setattr(cli, "price_at", spy)
+        path = write_cfg(
+            tmp_path,
+            model=model_to_dict(BENCH_MERTON),
+            style=style,
+            scenarios=[
+                {"rate": 0.05, "spots": [90.0, 100.0, 110.0, 100.0]},
+                {"rate": 0.1, "spots": [100.0]},
+            ],
+            outputs=[
+                {"kind": "table", "path": str(tmp_path / "t.csv")},
+                {"kind": "plotdata", "path": str(tmp_path / "p.csv")},
+            ],
+        )
+        assert main(["price", "--config", path]) == 0
+        assert lookups == [4, 1, 91, 91]
 
     def test_plotdata_output(self, tmp_path):
         ppath = tmp_path / "p.csv"

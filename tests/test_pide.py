@@ -29,6 +29,7 @@ from levypide.pide import (
     FarField,
     GridSpec,
     GrowthGuardError,
+    Lockstep,
     StepHistory,
     _explicit_term,
     _implicit_solve,
@@ -162,6 +163,29 @@ class TestCorrelation:
         assert sizes == [grid.n_space + 1]
         assert ops.start.explicit is ops.explicit
         assert (ops.explicit.kernel_rfft is None) == (grid is not FFT_GRID)
+
+    @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["solo", "lockstep"])
+    def test_leaves_its_arguments_unchanged(self, grid, batch):
+        # the step works in place on the arrays these calls return, never on
+        # the arrays passed in, the operators' included
+        rows = [assemble_operators(bench_spec(rate=r), BENCH_MERTON, grid) for r in RATES]
+        ops = Lockstep.of(rows) if batch else rows[0]
+        corr = ops.explicit
+        assert (corr.kernel_rfft is None) == (grid is not FFT_GRID)
+        rng = np.random.default_rng(5)
+        shape = (len(rows),) if batch else ()
+        u = rng.standard_normal(shape + (grid.n_space + 1,))
+        far = rng.standard_normal(shape + ops.far_level.shape[-1:])
+        args = [u, far, ops.far_level, ops.far_growth, corr.kernel]
+        if corr.kernel_rfft is not None:
+            args.append(corr.kernel_rfft)
+        before = [a.copy() for a in args]
+        out = corr(u, far)
+        term = _explicit_term(u, ops, 0.3)
+        assert not any(np.shares_memory(r, a) for r in (out, term) for a in args)
+        for a, b in zip(args, before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestIntegralOperator:
@@ -308,6 +332,23 @@ class TestStepImex:
             tau += ops.dt
         ref = exact(xs, tau)
         assert np.max(np.abs(u - ref)) / np.max(ref) < 1e-5
+
+    @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
+    def test_leaves_its_level_and_history_unchanged(self, grid):
+        # the start and an SBDF2 step build b and the right-hand side in place
+        # on their own arrays; the history they return is what they took
+        spec = bench_spec(rate=0.1)
+        ops = assemble_operators(spec, BENCH_MERTON, grid)
+        u0 = build_grid(spec, grid)[2]
+        kept = u0.copy()
+        u1, history = step_imex(u0, ops, 0.0)
+        assert u0.tobytes() == kept.tobytes() and history.u_before is u0
+        kept = [u1.copy(), history.u_before.copy(), history.b_before.copy()]
+        u2, after = step_imex(u1, ops, ops.dt, history)
+        assert [u1.tobytes(), history.u_before.tobytes(), history.b_before.tobytes()] == [
+            a.tobytes() for a in kept
+        ]
+        assert after.u_before is u1 and not np.shares_memory(after.b_before, u2)
 
     def test_growth_guard_trips_on_exploding_boundary(self):
         spec = bench_spec(rate=0.1)
