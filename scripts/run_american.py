@@ -79,8 +79,8 @@ def main() -> int:
         last = am
 
     if args.boundary and last is not None:
-        extract_boundary(last).to_csv(args.boundary)
         b = extract_boundary(last)
+        b.to_csv(args.boundary)
         print(
             f"boundary written to {args.boundary}: s_f goes {b.s_f[0]:.2f} -> "
             f"{b.s_f[-1]:.2f} as tau goes 0 -> {spec.expiry:g}"

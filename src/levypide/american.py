@@ -62,6 +62,7 @@ __all__ = [
     "PicardError",
     "exercise_asymptote",
     "solve_american_penalized",
+    "penalized_operators",
     "extract_boundary",
     "lcp_residual",
 ]
@@ -138,32 +139,29 @@ def solve_american_penalized(
     (see pide._march); extract_boundary reads only the levels a surface holds,
     and lcp_residual refuses such a surface: it needs every level.  A measure
     that violates the structural condition prices with a RuntimeWarning."""
+    ops, sweep, warning = penalized_operators(spec, model, grid, pcfg)
+    if warning is not None:
+        warnings.warn(warning, RuntimeWarning, stacklevel=2)
+    [surface] = _march([ops], sweep, keep_levels)
+    return surface
 
-    def warn(message: str) -> None:
-        warnings.warn(message, RuntimeWarning, stacklevel=4)
 
-    return _solve_penalized(spec, model, grid, pcfg, keep_levels, warn)
-
-
-def _solve_penalized(
-    spec: OptionSpec,
-    model: LevyModel,
-    grid: GridSpec,
-    pcfg: PenaltyConfig,
-    keep_levels: bool,
-    warn: Callable[[str], None],
-) -> PriceSurface:
-    """solve_american_penalized, passing its structural warning to warn(message)
-    before the march; a caller on a worker thread records it there and
-    emits it later, in its own order."""
+def penalized_operators(
+    spec: OptionSpec, model: LevyModel, grid: GridSpec, pcfg: PenaltyConfig
+) -> tuple[ImexOperators, Callable, str | None]:
+    """What solve_american_penalized marches: the operators with the exercise
+    far field, their penalty sweep (pide.step_imex's solve hook) and the
+    structural warning, None when the measure meets the condition.  A caller
+    that marches elsewhere writes the warning in its own order."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
     # assembly refuses a measure that fails the integrability check, so such a
     # measure raises before the structural check can warn
     ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
     structural = structural_condition_check(model, spec.rate)
+    warning = None
     if not structural.passed:
-        warn(
+        warning = (
             "structural condition violated (upward-jump budget exceeds the rate: "
             f"{structural.detail}); the penalized solve proceeds, but the "
             "complementarity characterization of the American price is not guaranteed"
@@ -214,8 +212,7 @@ def _solve_penalized(
             iterations=pcfg.max_picard,
         )
 
-    [surface] = _march([ops], sweep, keep_levels)
-    return surface
+    return ops, sweep, warning
 
 
 def extract_boundary(surface: PriceSurface) -> ExerciseBoundary:

@@ -21,12 +21,15 @@ Config files are JSON.  Top-level keys:
   closed_form  replace the solve by the closed form when the model has no
             jumps (also the --closed-form flag).
 
-`price` and `table1` run through one job pipeline: the jobs (one per
-scenario, or table1's built-in columns) run concurrently and LEVYPIDE_WORKERS
-caps the thread count.  European jobs that can share a lockstep batch
-(pide.Lockstep) march as one, in at most as many batches as there are
-threads and CPUs.  All files and warnings are written by the main thread
-after every job has finished, in job order, so identical runs produce
+`price` and `table1` run through one job pipeline: the jobs are one per
+scenario, or table1's built-in columns.  The main thread plans them in job
+order: it assembles each job's operators, runs an American job's structural
+check and writes its warning as a `warning: <message>` line on stderr, and
+records a refusal as that job's error.  A thread pool, whose size
+LEVYPIDE_WORKERS caps, then only marches: each American job alone, and the
+European jobs whose operators share a pide.Lockstep.key as one batch, in at
+most as many batches as there are threads and CPUs.  The main thread writes
+every file after the last march, in job order, so identical runs produce
 byte-identical outputs whatever the worker count.
 """
 from __future__ import annotations
@@ -38,10 +41,9 @@ import json
 import math
 import os
 import sys
-import warnings
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +51,8 @@ import numpy as np
 # bound: perfbench's tracer wraps the solve entry points at this module.
 from .american import (  # noqa: F401
     PenaltyConfig,
-    _solve_penalized,
     extract_boundary,
+    penalized_operators,
     solve_american_penalized,
 )
 from .bs import OptionSpec, bs_price, payoff
@@ -68,6 +70,8 @@ from .levy import (
 )
 from .pide import (  # noqa: F401
     GridSpec,
+    ImexOperators,
+    Lockstep,
     PriceSurface,
     _march,
     assemble_operators,
@@ -451,9 +455,8 @@ def emit_plotdata(surfaces: Mapping[str, object], path: str) -> None:
 
 @dataclass(frozen=True)
 class _Job:
-    """One price-table column: model None prices by the closed form, a
-    penalty config makes the solve American, and keep_levels keeps every time
-    level of the surface, not just t = 0's (see pide._march)."""
+    """One price-table column: model None prices by the closed form, and a
+    penalty config makes the solve American."""
 
     name: str
     spec: OptionSpec
@@ -461,7 +464,6 @@ class _Job:
     grid: GridSpec
     spots: tuple[float, ...]
     penalty: PenaltyConfig | None = None
-    keep_levels: bool = False
 
 
 # The numerical failures a job may end in: exit 2, not a crash.
@@ -471,54 +473,34 @@ _FAILURES = (ValueError, ArithmeticError, RuntimeError)
 @dataclass
 class _Outcome:
     """What one job's solve left: its surface (None for a closed form or a
-    failure), its error, and the warnings it recorded for the main thread."""
+    failure) and its error."""
 
     surface: PriceSurface | None = None
     error: Exception | None = None
-    warnings: list[str] = field(default_factory=list)
 
 
-def _lockstep_key(job: _Job) -> tuple:
-    """European jobs with equal keys can march as one pide.Lockstep batch:
-    one grid, expiry and volatility give one factored band; every jump
-    measure on one grid has the jump reach z_max / dx, and no jumps reach 1,
-    so they give one correlation path and FFT length; the batch's growth
-    guard takes one strike."""
-    spec, jumps = job.spec, not isinstance(job.model, NoJumps)
-    return (job.grid, spec.expiry, spec.sigma, spec.strike, jumps, job.keep_levels)
+def _plan(job: _Job) -> tuple[ImexOperators, Callable | None]:
+    """The job's operators and its step hook, None for a European job; an
+    American job's structural warning goes to stderr now, in job order."""
+    if job.penalty is None:
+        return assemble_operators(job.spec, job.model, job.grid), None
+    ops, sweep, warning = penalized_operators(job.spec, job.model, job.grid, job.penalty)
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
+    return ops, sweep
 
 
-def _solve_american(jobs: list[_Job]) -> list[_Outcome]:
-    """Solve one American job; its structural warning is recorded, not
-    emitted, since warnings from pool threads would reach stderr in thread
-    order."""
-    [job] = jobs
-    out = _Outcome()
-    try:
-        out.surface = _solve_penalized(
-            job.spec, job.model, job.grid, job.penalty, job.keep_levels, out.warnings.append
-        )
-    except _FAILURES as exc:
-        out.error = exc
-    return [out]
-
-
-def _march_lockstep(jobs: list[_Job]) -> list[_Outcome]:
-    """March European jobs of one lockstep key as one batch.  A failing job
-    ends the batch there, and the jobs before it march again without it, so
-    the first failure in job order is found whatever the batch, as if every
-    job ran alone; the jobs after it are left unsolved."""
-    outcomes = [_Outcome() for _ in jobs]
-    rows = []
-    for job, out in zip(jobs, outcomes):
-        try:
-            rows.append(assemble_operators(job.spec, job.model, job.grid))
-        except _FAILURES as exc:
-            out.error = exc
-            break
+def _march_task(
+    rows: list[ImexOperators], solve: Callable | None, keep_levels: bool
+) -> list[_Outcome]:
+    """March rows as one batch (see pide._march).  A failing row ends the
+    march there, and the rows before it march again without it, so the
+    first failure in job order is found whatever the batch, as if every row
+    ran alone; the rows after it are left unsolved."""
+    outcomes = [_Outcome() for _ in rows]
     while rows:
         try:
-            surfaces = _march(rows, keep_levels=jobs[0].keep_levels)
+            surfaces = _march(rows, solve, keep_levels)
         except _FAILURES as exc:
             row = getattr(exc, "row", 0)  # a GrowthGuardError names its row
             outcomes[row].error = exc
@@ -530,28 +512,40 @@ def _march_lockstep(jobs: list[_Job]) -> list[_Outcome]:
     return outcomes
 
 
-def _solve_jobs(jobs: list[_Job]) -> list[_Outcome]:
-    """Solve the jobs on one thread pool: each American job alone, the
-    European ones in lockstep batches.  A key's jobs split into as many
-    batches as the pool has threads, at most one per CPU: more marches than
-    CPUs would only trade the GIL more often."""
+def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[_Outcome]:
+    """Plan the jobs on the main thread (_plan), then march them on one
+    thread pool: each American job alone with its penalty sweep, the
+    European ones in batches of one Lockstep.key.  A key's jobs split into as
+    many batches as the pool has threads, at most one per CPU: more marches
+    than CPUs would only trade the GIL more often."""
     cap = _max_workers()
     limit = _cpu_count() if cap is None else min(cap, _cpu_count())
     outcomes = [_Outcome() for _ in jobs]
-    tasks: list[tuple[Callable, list[int]]] = []
+    rows: dict[int, ImexOperators] = {}
+    tasks: list[tuple[list[int], Callable | None]] = []
     groups: dict[tuple, list[int]] = {}
     for i, job in enumerate(jobs):
-        if job.penalty is not None:
-            tasks.append((_solve_american, [i]))
-        elif job.model is not None:
-            groups.setdefault(_lockstep_key(job), []).append(i)
+        if job.model is None:
+            continue
+        try:
+            rows[i], sweep = _plan(job)
+        except _FAILURES as exc:
+            outcomes[i].error = exc
+            continue
+        if sweep is None:
+            groups.setdefault(Lockstep.key(rows[i]), []).append(i)
+        else:
+            tasks.append(([i], sweep))
     for members in groups.values():
         # contiguous runs in job order, whose sizes differ by at most one
         for chunk in np.array_split(members, min(len(members), limit)):
-            tasks.append((_march_lockstep, chunk.tolist()))
-    tasks.sort(key=lambda task: task[1][0])
+            tasks.append((chunk.tolist(), None))
+    tasks.sort(key=lambda task: task[0][0])
     with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = [(idx, pool.submit(fn, [jobs[i] for i in idx])) for fn, idx in tasks]
+        futures = [
+            (idx, pool.submit(_march_task, [rows[i] for i in idx], solve, keep_levels))
+            for idx, solve in tasks
+        ]
         for idx, future in futures:
             for i, out in zip(idx, future.result()):
                 outcomes[i] = out
@@ -570,16 +564,15 @@ def _run_jobs(
     outputs: Sequence[OutputSpec],
     write_other: Callable[[OutputSpec, list[PriceSurface | None]], None] | None = None,
 ) -> int:
-    """Solve the jobs (_solve_jobs), emit their warnings in job order, then
-    write the outputs in order from the main thread: `table` outputs here,
-    every other kind through write_other(output, surfaces).  Print the table
-    last.  Every column shares jobs[0]'s payoff.  Exit 2 on a numerical
-    failure, naming the first failing job, before any file is written; 1 on a
-    write error."""
-    outcomes = _solve_jobs(jobs)
-    for out in outcomes:
-        for message in out.warnings:
-            warnings.warn(message, RuntimeWarning)
+    """Solve the jobs (_solve_jobs), then write the outputs in order from the
+    main thread: `table` outputs here, every other kind through
+    write_other(output, surfaces).  Print the table last.  Every column
+    shares jobs[0]'s payoff.  Surface and boundary outputs read every time
+    level, the others t = 0's alone, so the marches keep every level only
+    for those (see pide._march).  Exit 2 on a numerical failure, naming the
+    first failing job, before any file is written; 1 on a write error."""
+    keep_levels = any(o.kind in ("surface", "boundary") for o in outputs)
+    outcomes = _solve_jobs(jobs, keep_levels)
     surfaces = [out.surface for out in outcomes]
     columns = []
     try:
@@ -627,8 +620,6 @@ def _execute(cfg: RunConfig) -> int:
     penalty = None
     if cfg.style == "american":
         penalty = cfg.penalty if cfg.penalty is not None else PenaltyConfig()
-    # surface and boundary outputs read every time level; the others t = 0's
-    keep_levels = any(o.kind in ("surface", "boundary") for o in cfg.outputs)
     jobs: list[_Job] = []
     for sc in cfg.scenarios:
         name = f"V_r{sc.rate:g}"
@@ -642,7 +633,6 @@ def _execute(cfg: RunConfig) -> int:
                 grid=cfg.grid,
                 spots=sc.spots,
                 penalty=penalty,
-                keep_levels=keep_levels,
             )
         )
 

@@ -34,19 +34,26 @@ solve passes its penalty sweep); every step and substep, hooked or not, ends
 in the same growth guard, which also refuses a NaN or an infinity: the LAPACK
 kernels do not check their input.
 
-The march advances a lockstep batch (`Lockstep`): the levels of k jobs that
-share a grid, a time step and a volatility (hence one factored band), a jump
-reach (hence one correlation path and FFT length) and a strike (the growth
-guard's floor) are the rows of one (k, N+1) array.  A step applies the k
-jump kernels in one `rfft`/`irfft` pair along the last axis (the direct
-path, J below _FFT_MIN_OFFSET, correlates row by row) and back-substitutes
-the k right-hand sides in one `dgttrs` call; the far field, the Dirichlet
-values and the growth guard stay per row, so each row is its own solve bit
-for bit.  A single solve is a batch of one and steps a plain (N+1,) vector
-through the same code.  The batch exists for threads: every numpy call
-drops and retakes the GIL, so two threads that each march one job hand it
-over at every one of a step's dozen calls, while threads that march two rows
-each make the same number of calls for twice the work.  Measured on a
+The march advances a lockstep batch (`Lockstep`): the levels of k jobs whose
+operators share one key (`Lockstep.key`: the grid, time step, strike, jump
+reach and the factored bands themselves) are the rows of one (k, N+1) array.
+The key is the one batch rule: a caller groups jobs by it and `Lockstep.of`
+refuses rows that break it.  A step applies the k jump kernels in one
+`rfft`/`irfft` pair along the last axis (the direct path, J below
+_FFT_MIN_OFFSET, correlates row by row) and back-substitutes the k
+right-hand sides in one `dgttrs` call; the far field, the Dirichlet values
+and the growth guard stay per row, so each row is its own solve bit for bit.
+A single solve steps a plain (N+1,) vector with its own operators through
+the same code, not a `Lockstep.of([ops])`: in an interleaved in-process A/B
+at 400x200 on a 2-vCPU host (this tree against a copy that stepped every
+solve as a batch of one, calls alternating; a copy against itself reads
+0.996-1.000), the batch of one took 1.22x the time per American solve and
+1.29x per European one, bits identical, and one SBDF2 step 76.5 us against
+54.9 us: the edge values, the growth guard and the direct path's row loop
+are slower on (1, N+1) arrays.  The batch exists for threads: every numpy
+call drops and retakes the GIL, so two threads that each march one job hand
+it over at every one of a step's dozen calls, while threads that march two
+rows each make the same number of calls for twice the work.  Measured on a
 2-vCPU host (numpy 2.4, scipy 1.17), two threads against one: `dgttrs`
 releases the GIL and runs 1.9x faster, numpy's rfft and irfft 1.6-1.9x;
 `dgtsv`, `dpttrs` and `dptsv` hold it (1.0x), and an elementwise ufunc on a
@@ -479,10 +486,10 @@ class ImexOperators:
 class Lockstep:
     """The operators of k jobs stepped as the rows of one (k, N+1) array.
 
-    The rows share their grid, time step and volatility, so one factored band
-    serves them all, their jump reach, so their kernels take one correlation
-    path at one FFT length, and their strike, the growth guard's floor; each
-    row keeps its own kernel, far field and Dirichlet values.  It reads like
+    The rows share one key (`key`): one factored band serves them all, their
+    kernels take one correlation path at one FFT length, and one strike is
+    the growth guard's floor; each row keeps its own kernel, far field and
+    Dirichlet values.  It reads like
     an ImexOperators whose per-row pieces are stacked: growth and edge_values
     return one value per row.
     """
@@ -501,19 +508,19 @@ class Lockstep:
     band_lu: tuple = field(repr=False)
     start: Lockstep | None = field(default=None, repr=False)
 
+    @staticmethod
+    def key(ops: ImexOperators) -> tuple:
+        """The batch rule: rows with equal keys march as one batch."""
+        band, start = ops.band.tobytes(), ops.start.band.tobytes()
+        return (ops.grid, ops.dt, ops.spec.strike, ops.explicit.kernel.size, band, start)
+
     @classmethod
     def of(cls, rows: Sequence[ImexOperators]) -> Lockstep:
-        """The batch of rows, with the batch of their starts; rows that do
-        not share one band, one correlation path and one strike are refused."""
+        """The batch of rows, with the batch of their starts; rows whose keys
+        differ are refused."""
         first = rows[0]
-
-        def key(ops: ImexOperators) -> tuple:
-            return (ops.grid, ops.dt, ops.spec.sigma, ops.explicit.kernel.size, ops.spec.strike)
-
-        if any(key(ops) != key(first) for ops in rows):
-            raise ValueError(
-                "a lockstep batch needs one grid, time step, volatility, jump reach and strike"
-            )
+        if any(cls.key(ops) != cls.key(first) for ops in rows[1:]):
+            raise ValueError("a lockstep batch needs one grid, dt, strike, jump reach and band")
         ex = first.explicit
         spectra = None
         if ex.kernel_rfft is not None:

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +32,22 @@ from levypide.cli import (
     model_to_dict,
 )
 from levypide.levy import CGMY, NoJumps, VarianceGamma
-from levypide.pide import GridSpec, solve_european
+from levypide.pide import GridSpec, assemble_operators, solve_european
 
 
 OPTION = {"kind": "put", "strike": 100.0, "expiry": 1.0, "sigma": 0.23}
+
+
+def run_module(*argv, flags=()):
+    """`python <flags> -m levypide <argv>` in a subprocess that imports this
+    tree's package."""
+    src = str(Path(levypide.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "levypide", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -661,20 +672,15 @@ class TestPriceCommand:
 @pytest.fixture
 def keep_levels_calls(monkeypatch):
     """The keep_levels of every job the CLI solves: one entry per row of a
-    lockstep march, one per American solve."""
+    march, European or American."""
     calls = []
-    march, penalized = cli._march, cli._solve_penalized
+    march = cli._march
 
     def spy_march(rows, solve=None, keep_levels=True):
         calls.extend([keep_levels] * len(rows))
         return march(rows, solve, keep_levels)
 
-    def spy_penalized(spec, model, grid, pcfg, keep_levels, warn):
-        calls.append(keep_levels)
-        return penalized(spec, model, grid, pcfg, keep_levels, warn)
-
     monkeypatch.setattr(cli, "_march", spy_march)
-    monkeypatch.setattr(cli, "_solve_penalized", spy_penalized)
     return calls
 
 
@@ -781,9 +787,9 @@ def two_scenario_cfg(tmp_path, out_dir, model=model_to_dict(BENCH_MERTON)):
 
 
 class TestLockstepJobs:
-    """European jobs that share a grid, expiry, volatility, strike and jump
-    reach march as the rows of one batch; the outputs do not depend on how
-    the jobs were split."""
+    """European jobs whose operators share one pide.Lockstep.key march as
+    the rows of one batch; the outputs do not depend on how the jobs were
+    split."""
 
     def test_table1_is_byte_identical_for_one_two_and_three_workers(
         self, tmp_path, monkeypatch, capsys
@@ -842,24 +848,22 @@ class TestLockstepJobs:
         # the second job trips the guard at the first step, the first one at
         # the tenth: the batch fails on row 1, and the first job, marched again
         # alone, fails with the message of its own solo march
-        grid = GridSpec()
-        jobs = [
-            cli._Job(name=f"y{y}", spec=bench_spec(), model=CGMY(c=1.0, g=6.0, m=8.0, y=y),
-                     grid=grid, spots=(100.0,))
+        rows = [
+            assemble_operators(bench_spec(), CGMY(c=1.0, g=6.0, m=8.0, y=y), GridSpec())
             for y in (1.2, 1.8)
         ]
-        batch = cli._march_lockstep(jobs)
-        solo = [cli._march_lockstep([job])[0] for job in jobs]
+        batch = cli._march_task(rows, None, False)
+        solo = [cli._march_task([ops], None, False)[0] for ops in rows]
         assert [str(out.error) for out in batch] == [str(out.error) for out in solo]
         assert all(out.surface is None for out in batch)
 
     def test_rows_before_a_failing_row_keep_their_solo_surfaces(self):
         grid = GridSpec()
-        jobs = [
-            cli._Job(name=name, spec=bench_spec(), model=model, grid=grid, spots=(100.0,))
-            for name, model in (("calm", BENCH_MERTON), ("stiff", CGMY(c=1.0, g=6.0, m=8.0, y=1.5)))
+        rows = [
+            assemble_operators(bench_spec(), model, grid)
+            for model in (BENCH_MERTON, CGMY(c=1.0, g=6.0, m=8.0, y=1.5))
         ]
-        calm, stiff = cli._march_lockstep(jobs)
+        calm, stiff = cli._march_task(rows, None, False)
         assert calm.error is None and stiff.surface is None
         assert "stability envelope" in str(stiff.error)
         solo = solve_european(bench_spec(), BENCH_MERTON, grid, keep_levels=False)
@@ -867,38 +871,41 @@ class TestLockstepJobs:
 
 
 class TestAmericanWarnings:
+    """A measure that violates the structural condition prices with one
+    `warning: <message>` line on stderr per American job, in job order,
+    written before any march."""
+
     def test_structural_warnings_come_in_job_order_when_the_second_job_ends_first(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setenv("LEVYPIDE_WORKERS", "2")
         second_done = threading.Event()
         finished = []
-        solve = cli._solve_penalized
+        march = cli._march
 
-        def first_waits(spec, *args):
-            if spec.rate == 0.0:
+        def first_waits(rows, *args):
+            rate = rows[0].spec.rate
+            if rate == 0.0:
                 assert second_done.wait(timeout=60)
             try:
-                return solve(spec, *args)
+                return march(rows, *args)
             finally:
-                finished.append(spec.rate)
-                if spec.rate == 0.1:
+                finished.append(rate)
+                if rate == 0.1:
                     second_done.set()
 
-        monkeypatch.setattr(cli, "_solve_penalized", first_waits)
+        monkeypatch.setattr(cli, "_march", first_waits)
         path = write_cfg(
             tmp_path,
             model=VG_BM,
             style="american",
             scenarios=[{"rate": 0.0, "spots": [100.0]}, {"rate": 0.1, "spots": [100.0]}],
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["price", "--config", path]) == 0
+        assert main(["price", "--config", path]) == 0
         assert finished == [0.1, 0.0]
-        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
-        assert len(messages) == 2
-        assert "vs rate 0)" in messages[0] and "vs rate 0.1)" in messages[1]
+        first, second = capsys.readouterr().err.splitlines()
+        assert first.startswith("warning: structural") and "vs rate 0)" in first
+        assert second.startswith("warning: structural") and "vs rate 0.1)" in second
 
     def test_a_failing_job_still_reports_its_warning_first(self, tmp_path, capsys):
         path = write_cfg(
@@ -907,11 +914,39 @@ class TestAmericanWarnings:
             style="american",
             penalty={"max_picard": 1, "picard_tol": 1e-15},
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["price", "--config", path]) == 2
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert capsys.readouterr().err.startswith("numerical failure in V_r0.1: penalty iteration")
+        assert main(["price", "--config", path]) == 2
+        warning, failure = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: structural condition violated")
+        assert failure.startswith("numerical failure in V_r0.1: penalty iteration")
+
+    def test_every_job_of_every_call_writes_its_own_line(self, tmp_path, capsys):
+        # two jobs at one rate repeat one message, and a second call in the
+        # same process repeats both
+        path = write_cfg(
+            tmp_path,
+            model=VG_BM,
+            style="american",
+            scenarios=[{"rate": 0.1, "spots": [100.0]}, {"rate": 0.1, "spots": [110.0]}],
+        )
+        for _ in range(2):
+            assert main(["price", "--config", path]) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 2 and lines[0] == lines[1]
+            assert lines[0].startswith("warning: structural condition violated")
+
+    def test_runs_when_runtime_warnings_are_errors(self, tmp_path):
+        path = write_cfg(
+            tmp_path,
+            model=VG_BM,
+            style="american",
+            scenarios=[{"rate": 0.0, "spots": [100.0]}, {"rate": 0.1, "spots": [100.0]}],
+        )
+        proc = run_module("price", "--config", path, flags=("-W", "error::RuntimeWarning"))
+        assert proc.returncode == 0, proc.stderr
+        first, second = proc.stderr.splitlines()
+        assert first.startswith("warning: structural") and "vs rate 0)" in first
+        assert second.startswith("warning: structural") and "vs rate 0.1)" in second
+        assert "V_r0" in proc.stdout
 
 
 class TestCheckCommand:
@@ -1042,13 +1077,7 @@ class TestMainEntry:
         path = write_cfg(
             tmp_path, model={"type": "merton", "lam": 0.1, "m": -0.2, "delta": 0.15}
         )
-        src = str(Path(levypide.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "levypide", "check", "--config", path],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_module("check", "--config", path)
         assert proc.returncode == 0, proc.stderr
         assert "integrability: passed=True" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr

@@ -1,6 +1,7 @@
 """The grid, the discrete jump operator, IMEX stepping, and the European solve."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -626,6 +627,19 @@ class TestLockstep:
         base = assemble_operators(bench_spec(), BENCH_MERTON, GridSpec())
         with pytest.raises(ValueError, match="lockstep batch needs"):
             _march([base, assemble_operators(spec, model, grid)])
+
+    @pytest.mark.parametrize("which", ["step", "start"])
+    def test_refuses_rows_whose_bands_differ(self, which):
+        # the rows agree in grid, dt, sigma, strike and kernel length; only
+        # the factored band of the step or of the start tells them apart
+        base = assemble_operators(bench_spec(), BENCH_MERTON, GridSpec())
+        other = assemble_operators(bench_spec(sigma=0.3), BENCH_MERTON, GridSpec())
+        step, start = (other, base) if which == "step" else (base, other)
+        row = replace(base, band=step.band, band_lu=step.band_lu)
+        row.start = replace(base.start, band=start.start.band, band_lu=start.start.band_lu)
+        with pytest.raises(ValueError, match="lockstep batch needs"):
+            Lockstep.of([base, row])
+        assert Lockstep.key(row) != Lockstep.key(base)
 
     def test_a_hooked_march_takes_one_row(self):
         ops = assemble_operators(bench_spec(), BENCH_MERTON, GridSpec())
