@@ -44,6 +44,7 @@ __all__ = [
     "truncated_second_moment",
     "integrability_check",
     "structural_condition_check",
+    "characteristic_exponent",
 ]
 
 
@@ -454,13 +455,12 @@ def _simpson(f: Callable, a: float, b: float, n: int) -> np.ndarray:
 
 
 def _wings(model: LevyModel, inner: Callable, outer: Callable, total=0.0,
-           sides=(1.0, -1.0), upper: float = _Z_MAX) -> np.ndarray:
+           sides=(1.0, -1.0), upper: float = _Z_MAX, n: int = _N_PANELS) -> np.ndarray:
     """total plus, side by side, the integral of inner(z) h(z) over
     _DELTA <= |z| <= 1 and of outer(z) h(z) over 1 <= |z| <= upper, each by
     the Simpson rules of _simpson: in s = ln|z| next to the origin, where the
     integrands behave like powers of |z|, and linear beyond.  Side -1.0 is
-    z < 0.  Returns the _N_PANELS-panel value, then the 2 _N_PANELS-panel one."""
-    n = 2 * _N_PANELS
+    z < 0.  Returns the (n / 2)-panel value, then the n-panel one."""
     for side in sides:
         f = lambda t: inner(side * t) * density(model, side * t)
         total = total + _simpson(lambda s: f(np.exp(s)) * np.exp(s), math.log(_DELTA), 0.0, n)
@@ -501,7 +501,7 @@ def integrability_check(model: LevyModel) -> CheckReport:
 
     core = truncated_second_moment(model, _DELTA)
     value, failure = _refined(
-        _wings(model, lambda z: z * z, lambda z: 1.0, total=core)
+        _wings(model, lambda z: z * z, lambda z: 1.0, total=core, n=2 * _N_PANELS)
     )
     detail = failure or f"integral of min(z^2,1) nu(dz) = {value:.6g}"
     return CheckReport(value, failure is None, detail)
@@ -551,8 +551,40 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
         upper = max(_Z_MAX, min(400.0, 40.0 / rate))
 
     value, failure = _refined(
-        core + _wings(model, np.expm1, np.expm1, sides=(1.0,), upper=upper)
+        core + _wings(model, np.expm1, np.expm1, sides=(1.0,), upper=upper, n=2 * _N_PANELS)
     )
     passed = failure is None and value <= r + 1e-12
     detail = failure or f"upward-jump budget {value:.6g} vs rate {r:g}"
     return CheckReport(value, passed, detail)
+
+
+def characteristic_exponent(
+    model: LevyModel,
+    sigma: float,
+    omega: float,
+    y: float,
+) -> complex:
+    """Characteristic exponent of the log-price Levy process.
+
+    phi(y) = -sigma^2 y^2/2 + i omega y
+             + integral of (e^(iyz) - 1 - iyz 1_{|z|<=1}) nu(dz).
+
+    The |z| < delta core uses the quadratic Taylor term -y^2/2 z^2; accuracy
+    degrades like O(|y|^3 delta) for very large frequencies.  phi(0) = 0
+    exactly by construction.
+    """
+    base = -0.5 * sigma * sigma * y * y + 1j * omega * y
+    if isinstance(model, NoJumps):
+        return complex(base)
+    witness = shape_witness(model)
+    if witness.alpha >= 3.0:
+        raise ValueError("measure is not integrable against min(z^2, 1)")
+
+    return complex(
+        _wings(
+            model,
+            lambda z: np.exp(1j * y * z) - 1.0 - 1j * y * z,
+            lambda z: np.exp(1j * y * z) - 1.0,
+            total=base - 0.5 * y * y * truncated_second_moment(model, _DELTA),
+        )[1]
+    )

@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import special
 from scipy.integrate import quad
 
@@ -24,6 +25,7 @@ from levypide.levy import (
     NoJumps,
     ShapeParams,
     VarianceGamma,
+    characteristic_exponent,
     density,
     finite_activity,
     integrability_check,
@@ -396,9 +398,10 @@ class TestStructuralCondition:
 # frozen check values
 
 class TestFrozenCheckValues:
-    """Both checks on the benchmark families, to 1e-12: a change of the
-    quadrature constants or of the order in which the wing integrals are
-    added moves these, though not the 6-digit `check` output."""
+    """Both checks and the characteristic exponent on the benchmark families,
+    to 1e-12: a change of the quadrature constants or of the order in which
+    the wing integrals are added moves these, though not the 6-digit `check`
+    output."""
 
     FROZEN = {
         "merton": (0.006249999738629176, 0.0006772314403227547),
@@ -414,3 +417,78 @@ class TestFrozenCheckValues:
         model = ALL_JUMP_MODELS[name]
         assert integrability_check(model).value == pytest.approx(integrability, rel=1e-12)
         assert structural_condition_check(model, 0.1).value == pytest.approx(structural, rel=1e-12)
+
+    # characteristic_exponent(model, 0.23, 0.05, y) at y = 0.5, 3 and 20
+    EXPONENT = {
+        "merton": (
+            -0.0073915352304390145 + 0.025044694561480677j,
+            -0.26346383631855014 + 0.1589728451863501j,
+            -10.680726132472431 + 1.4008406326551939j,
+        ),
+        "kou": (
+            -0.010905027769603386 + 0.022094564630575003j,
+            -0.2976653845627904 + 0.1564300518447713j,
+            -10.678404706143864 + 1.0324309679205017j,
+        ),
+        "vg": (
+            -0.01942683948463266 + 0.02503587757737423j,
+            -0.6571819323519162 + 0.2650719233779795j,
+            -16.15203261780445 + 7.569293116415613j,
+        ),
+        "nig": (
+            -0.02326018161712104 + 0.024228362201099397j,
+            -0.7841090474678922 + 0.2012733715266615j,
+            -20.454105180566387 + 2.9108349247846728j,
+        ),
+        "cgmy": (
+            -0.012818004649306214 + 0.02499387412033038j,
+            -0.44884146720926493 + 0.16457572184429603j,
+            -14.535060929142572 + 1.7431796539270266j,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPONENT))
+    def test_exponent(self, name):
+        model = ALL_JUMP_MODELS[name]
+        for y, frozen in zip((0.5, 3.0, 20.0), self.EXPONENT[name]):
+            val = characteristic_exponent(model, 0.23, 0.05, y)
+            assert val == pytest.approx(frozen, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# characteristic exponent
+
+class TestCharacteristicExponent:
+    @pytest.mark.parametrize(
+        "model", [NoJumps(), BENCH_MERTON, BENCH_VG, BENCH_NIG], ids=type
+    )
+    def test_zero_frequency_is_exactly_zero(self, model):
+        val = characteristic_exponent(model, 0.23, 0.05, 0.0)
+        assert val.real == 0.0 and val.imag == 0.0
+
+    def test_pure_gaussian_term(self):
+        val = characteristic_exponent(NoJumps(), 0.2, 0.0, 1.0)
+        assert val == pytest.approx(-0.02, abs=1e-15)
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
+    def test_lognormal_jumps_match_closed_form(self, y):
+        mer = BENCH_MERTON
+        quad_val = characteristic_exponent(mer, 0.23, 0.05, y)
+        # linear compensator truncated to |z| <= 1: partial first moment
+        a = (-1.0 - mer.m) / mer.delta
+        b = (1.0 - mer.m) / mer.delta
+        phi = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
+        m1 = mer.m * (special.ndtr(b) - special.ndtr(a)) + mer.delta * (phi(a) - phi(b))
+        closed = (
+            -0.5 * 0.23**2 * y * y
+            + 1j * 0.05 * y
+            + mer.lam * (np.exp(1j * y * mer.m - mer.delta**2 * y * y / 2.0) - 1.0)
+            - 1j * y * mer.lam * m1
+        )
+        assert abs(quad_val - closed) < 1e-8
+
+    @given(st.floats(min_value=-4.0, max_value=4.0))
+    def test_conjugate_symmetry(self, y):
+        a = characteristic_exponent(BENCH_KOU, 0.23, 0.1, y)
+        b = characteristic_exponent(BENCH_KOU, 0.23, 0.1, -y)
+        assert a == pytest.approx(b.conjugate(), rel=1e-9, abs=1e-12)
