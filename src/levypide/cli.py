@@ -26,11 +26,16 @@ scenario, or table1's built-in columns.  The main thread plans them in job
 order: it assembles each job's operators, runs an American job's structural
 check and writes its warning as a `warning: <message>` line on stderr, and
 records a refusal as that job's error.  A thread pool, whose size
-LEVYPIDE_WORKERS caps, then only marches: each American job alone, and the
-European jobs whose operators share a pide.Lockstep.key as one batch, in at
-most as many batches as there are threads and CPUs.  The main thread writes
-every file after the last march, in job order, so identical runs produce
-byte-identical outputs whatever the worker count.
+LEVYPIDE_WORKERS caps, then only marches.  One rule makes its batches: jobs
+whose operators share a pide.Lockstep.key and a step hook march together,
+split into at most as many marches as there are threads and CPUs.  A
+European job has no hook; an American job's is its own penalty sweep, so it
+marches alone.  A job's outcome is one value: its PriceSurface, its error,
+or None for a closed form.  The main thread writes every file after the
+last march, in job order, so identical runs produce byte-identical outputs
+whatever the worker count.  A European price at one of a job's spots that
+leaves the static no-arbitrage bounds by more than K dx^2 is a numerical
+failure (exit 2).
 """
 from __future__ import annotations
 
@@ -470,15 +475,6 @@ class _Job:
 _FAILURES = (ValueError, ArithmeticError, RuntimeError)
 
 
-@dataclass
-class _Outcome:
-    """What one job's solve left: its surface (None for a closed form or a
-    failure) and its error."""
-
-    surface: PriceSurface | None = None
-    error: Exception | None = None
-
-
 def _plan(job: _Job) -> tuple[ImexOperators, Callable | None]:
     """The job's operators and its step hook, None for a European job; an
     American job's structural warning goes to stderr now, in job order."""
@@ -492,54 +488,47 @@ def _plan(job: _Job) -> tuple[ImexOperators, Callable | None]:
 
 def _march_task(
     rows: list[ImexOperators], solve: Callable | None, keep_levels: bool
-) -> list[_Outcome]:
-    """March rows as one batch (see pide._march).  A failing row ends the
-    march there, and the rows before it march again without it, so the
-    first failure in job order is found whatever the batch, as if every row
-    ran alone; the rows after it are left unsolved."""
-    outcomes = [_Outcome() for _ in rows]
-    while rows:
-        try:
-            surfaces = _march(rows, solve, keep_levels)
-        except _FAILURES as exc:
-            row = getattr(exc, "row", 0)  # a GrowthGuardError names its row
-            outcomes[row].error = exc
-            rows = rows[:row]
-        else:
-            for out, surface in zip(outcomes, surfaces):
-                out.surface = surface
-            break
-    return outcomes
+) -> list[PriceSurface | Exception | None]:
+    """March rows as one batch (see pide._march); each row's outcome is its
+    surface or its error.  A failing row ends the march there, and the rows
+    before it march again without it, so the first failure in job order is
+    found whatever the batch, as if every row ran alone; the rows after it
+    are left unsolved (None)."""
+    if not rows:
+        return []
+    try:
+        return _march(rows, solve, keep_levels)
+    except _FAILURES as exc:
+        row = getattr(exc, "row", 0)  # a GrowthGuardError names its row
+        return [*_march_task(rows[:row], solve, keep_levels), exc] + [None] * (len(rows) - row - 1)
 
 
-def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[_Outcome]:
+def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[PriceSurface | Exception | None]:
     """Plan the jobs on the main thread (_plan), then march them on one
-    thread pool: each American job alone with its penalty sweep, the
-    European ones in batches of one Lockstep.key.  A key's jobs split into as
-    many batches as the pool has threads, at most one per CPU: more marches
-    than CPUs would only trade the GIL more often."""
+    thread pool in batches of one (Lockstep.key, step hook): an American
+    job's penalty sweep is its own, so it marches alone.  A batch's jobs
+    split into as many marches as the pool has threads, at most one per CPU:
+    more marches than CPUs would only trade the GIL more often."""
     cap = _max_workers()
     limit = _cpu_count() if cap is None else min(cap, _cpu_count())
-    outcomes = [_Outcome() for _ in jobs]
+    outcomes = [None] * len(jobs)
     rows: dict[int, ImexOperators] = {}
-    tasks: list[tuple[list[int], Callable | None]] = []
-    groups: dict[tuple, list[int]] = {}
+    batches: dict[tuple, list[int]] = {}
     for i, job in enumerate(jobs):
         if job.model is None:
             continue
         try:
             rows[i], sweep = _plan(job)
         except _FAILURES as exc:
-            outcomes[i].error = exc
+            outcomes[i] = exc
             continue
-        if sweep is None:
-            groups.setdefault(Lockstep.key(rows[i]), []).append(i)
-        else:
-            tasks.append(([i], sweep))
-    for members in groups.values():
-        # contiguous runs in job order, whose sizes differ by at most one
-        for chunk in np.array_split(members, min(len(members), limit)):
-            tasks.append((chunk.tolist(), None))
+        batches.setdefault((Lockstep.key(rows[i]), sweep), []).append(i)
+    # contiguous runs in job order, whose sizes differ by at most one
+    tasks = [
+        (chunk.tolist(), sweep)
+        for (_, sweep), members in batches.items()
+        for chunk in np.array_split(members, min(len(members), limit))
+    ]
     tasks.sort(key=lambda task: task[0][0])
     with ThreadPoolExecutor(max_workers=cap) as pool:
         futures = [
@@ -553,10 +542,42 @@ def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[_Outcome]:
 
 
 def _prices_on(job: _Job, surface: PriceSurface | None) -> dict[float, float]:
-    """The job's t = 0 prices by spot, from one call over all its spots."""
+    """The job's t = 0 prices by spot, from one call over all its spots; a
+    European grid solve's are checked against the static bounds."""
     spots = np.array(job.spots)
-    prices = bs_price(job.spec, spots) if surface is None else price_at(surface, 0.0, spots)
+    if surface is None:
+        prices = bs_price(job.spec, spots)
+    else:
+        prices = price_at(surface, 0.0, spots)
+        if job.penalty is None:
+            _check_static_bounds(surface.ops, spots, prices)
     return dict(zip(job.spots, prices.tolist()))
+
+
+def _check_static_bounds(ops: ImexOperators, spots: np.ndarray, prices: np.ndarray) -> None:
+    """Refuse European t = 0 prices that leave the static no-arbitrage bounds,
+    max(K e^(-rT) - S, 0) <= P <= K e^(-rT) for a put and
+    max(S - K e^(-rT), 0) <= C <= S for a call, by more than K dx^2, the size
+    of a second-order discretization error.  The message quotes the worst
+    spot, the bound it leaves and the stiffness numbers dt*W and
+    dt*c_loc/dx^2."""
+    spec, dx = ops.spec, ops.grid.dx
+    discounted = spec.strike * math.exp(-spec.rate * spec.expiry)
+    if spec.kind == "put":
+        lower, upper = np.maximum(discounted - spots, 0.0), np.full_like(spots, discounted)
+    else:
+        lower, upper = np.maximum(spots - discounted, 0.0), spots
+    excess = np.maximum(lower - prices, prices - upper)
+    i = int(np.argmax(excess))
+    tol = spec.strike * dx**2
+    if excess[i] > tol:
+        side, bound = ("lower", lower[i]) if prices[i] < lower[i] else ("upper", upper[i])
+        raise RuntimeError(
+            f"price {prices[i]:.6g} at S = {spots[i]:g} leaves the static {side} bound "
+            f"{bound:.6g} by {excess[i]:.4g} > K dx^2 = {tol:.4g} "
+            f"(dt*W = {ops.dt * ops.integral.total_weight:.3g}, "
+            f"dt*c_loc/dx^2 = {ops.dt * ops.integral.local_correction / dx**2:.3g})"
+        )
 
 
 def _run_jobs(
@@ -573,13 +594,12 @@ def _run_jobs(
     first failing job, before any file is written; 1 on a write error."""
     keep_levels = any(o.kind in ("surface", "boundary") for o in outputs)
     outcomes = _solve_jobs(jobs, keep_levels)
-    surfaces = [out.surface for out in outcomes]
     columns = []
     try:
         for job, out in zip(jobs, outcomes):
-            if out.error is not None:
-                raise out.error
-            columns.append(_prices_on(job, out.surface))
+            if isinstance(out, Exception):
+                raise out
+            columns.append(_prices_on(job, out))
     except _FAILURES as exc:
         print(f"numerical failure in {job.name}: {exc}", file=sys.stderr)
         return 2
@@ -590,7 +610,7 @@ def _run_jobs(
     try:
         for out in outputs:
             if out.kind != "table":
-                write_other(out, surfaces)
+                write_other(out, outcomes)
                 continue
             with open(out.path, "w", newline="") as fh:
                 fh.write(",".join(header) + "\n")

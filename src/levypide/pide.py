@@ -86,11 +86,11 @@ correlation and no stencil arithmetic.  Kernels with J below _FFT_MIN_OFFSET
 use the direct O(N J) `np.correlate` on the node vector padded with the 2J
 far-field values, one dot product per row.  Longer ones correlate the N+1
 grid nodes alone through a real FFT of length N+1+J (rounded up to a
-2^a 3^b 5^c length), with the kernel's transform computed once at assembly,
-and add the far-field values' share of every row, which is linear in them
-and is also precomputed per operator.  The two paths agree to roundoff
-(relative difference below 1e-15); the cut-over is where their per-apply
-timings cross.
+2^a 3^b 5^c length by `scipy.fft.next_fast_len`), with the kernel's
+transform computed once at assembly, and add the far-field values' share of
+every row, which is linear in them and is also precomputed per operator.
+The two paths agree to roundoff (relative difference below 1e-15); the
+cut-over is where their per-apply timings cross.
 
 A solve's `PriceSurface` carries the operators that made it, so its spec,
 grid, far field and jump measure cannot disagree with its levels; a check of
@@ -110,6 +110,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .bs import OptionSpec, payoff
@@ -274,7 +275,7 @@ class Correlation:
         J = kernel.size // 2
         if J < _FFT_MIN_OFFSET:
             return cls(kernel, None, 0, n_nodes)
-        n = _smooth_length(n_nodes + J)
+        n = next_fast_len(n_nodes + J, real=True)
         return cls(kernel, np.fft.rfft(kernel[::-1], n), n, n_nodes)
 
     def far_data(self, ext: np.ndarray) -> np.ndarray:
@@ -332,22 +333,6 @@ class IntegralOperator:
     local_correction: float
     drift_correction: float
     dx: float
-
-
-def _smooth_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: a length the FFT handles quickly."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOperator:
@@ -431,7 +416,9 @@ class ImexOperators:
     """Assembled pieces shared by the time steps: grid arrays, the jump
     operator, the explicit operator E as one correlation with the far field's
     precomputed shares, and one step's banded implicit matrix with its LU
-    factors.
+    factors.  The band carries the edge couplings as well: its sub-diagonal
+    and super-diagonal couple the first and last interior equations to the
+    Dirichlet values at xs[0] and xs[-1].
 
     assemble_operators returns the SBDF2 step's operators: dt is the time
     step and band is (3/2) I - dt D.  Their `start` holds the same pieces with
@@ -452,9 +439,6 @@ class ImexOperators:
     # level and growth at the two Dirichlet nodes xs[0], xs[-1]
     edge_level: tuple[float, float]
     edge_growth: tuple[float, float]
-    # dt (sigma^2/2) / dx^2: D's off-diagonal coupling, which carries the
-    # Dirichlet values into the edge equations
-    coupling: float
     # rows: super-diagonal, diagonal, sub-diagonal
     band: np.ndarray = field(repr=False)
     # dgttrf's (dl, d, du, du2, ipiv) of band
@@ -496,7 +480,6 @@ class Lockstep:
 
     rows: tuple[ImexOperators, ...]
     dt: float
-    coupling: float
     explicit: Correlation
     far_level: np.ndarray = field(repr=False)
     far_growth: np.ndarray = field(repr=False)
@@ -531,7 +514,6 @@ class Lockstep:
         batch = cls(
             rows=tuple(rows),
             dt=first.dt,
-            coupling=first.coupling,
             explicit=explicit,
             far_level=np.stack([ops.far_level for ops in rows]),
             far_growth=np.stack([ops.far_growth for ops in rows]),
@@ -548,7 +530,6 @@ class Lockstep:
             batch,
             rows=tuple(ops.start for ops in rows),
             dt=start.dt,
-            coupling=start.coupling,
             band=start.band,
             band_lu=start.band_lu,
         )
@@ -567,9 +548,11 @@ class Lockstep:
 
 def _factored_band(
     spec: OptionSpec, grid: GridSpec, dt: float, lead: float
-) -> tuple[float, np.ndarray, tuple]:
-    """lead I - dt D on the interior nodes, D = (sigma^2/2) d_xx: its
-    off-diagonal coupling c, the band and its dgttrf factors."""
+) -> tuple[np.ndarray, tuple]:
+    """lead I - dt D on the interior nodes, D = (sigma^2/2) d_xx: the band
+    and its dgttrf factors.  The band carries the edge couplings too: a step
+    folds the Dirichlet value at xs[0] with minus its sub-diagonal and the one
+    at xs[-1] with minus its super-diagonal (see _implicit_step)."""
     n_int = grid.n_space - 1
     c = dt * 0.5 * spec.sigma**2 / grid.dx**2
     band = np.zeros((3, n_int))
@@ -578,7 +561,7 @@ def _factored_band(
     band[2, :-1] = -c
     *band_lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
     _check_info(info)
-    return c, band, tuple(band_lu)
+    return band, tuple(band_lu)
 
 
 def assemble_operators(
@@ -598,7 +581,7 @@ def assemble_operators(
     explicit = Correlation.of(kernel, grid.n_space + 1)
     ext_nodes = _ext_nodes(grid, kernel.size // 2)
     edge_xs = np.array([xs[0], xs[-1]])
-    coupling, band, band_lu = _factored_band(spec, grid, dt, 1.5)
+    band, band_lu = _factored_band(spec, grid, dt, 1.5)
     ops = ImexOperators(
         spec=spec,
         grid=grid,
@@ -610,13 +593,12 @@ def assemble_operators(
         far_growth=explicit.far_data(boundary.growth(ext_nodes)),
         edge_level=tuple(boundary.level(edge_xs).tolist()),
         edge_growth=tuple(boundary.growth(edge_xs).tolist()),
-        coupling=coupling,
         band=band,
         band_lu=band_lu,
     )
     sub = dt / _START_SUBSTEPS
-    sub_coupling, sub_band, sub_lu = _factored_band(spec, grid, sub, 1.0)
-    ops.start = replace(ops, dt=sub, coupling=sub_coupling, band=sub_band, band_lu=sub_lu)
+    sub_band, sub_lu = _factored_band(spec, grid, sub, 1.0)
+    ops.start = replace(ops, dt=sub, band=sub_band, band_lu=sub_lu)
     return ops
 
 
@@ -700,9 +682,10 @@ def _implicit_step(
     # .T[0] and .T[-1] are the edge nodes of one row and of every row alike
     u_next = np.empty_like(u_prev)
     u_next.T[0], u_next.T[-1] = lo, hi
-    c = ops.coupling
-    rhs.T[0] += c * lo
-    rhs.T[-1] += c * hi
+    # the edge equations' couplings to the Dirichlet nodes are the band's
+    # sub-diagonal (low edge) and super-diagonal (high edge)
+    rhs.T[0] -= ops.band[2, 0] * lo
+    rhs.T[-1] -= ops.band[0, -1] * hi
     if solve is None:
         u_next[..., 1:-1] = _implicit_solve(ops, rhs)
     else:

@@ -21,7 +21,7 @@ from conftest import (
     BENCH_VG,
     bench_spec,
 )
-from levypide.bs import bs_price
+from levypide.bs import OptionSpec, bs_price
 from levypide.cli import (
     ConfigError,
     RunConfig,
@@ -32,7 +32,13 @@ from levypide.cli import (
     model_to_dict,
 )
 from levypide.levy import CGMY, NoJumps, VarianceGamma
-from levypide.pide import GridSpec, assemble_operators, solve_european
+from levypide.pide import (
+    GridSpec,
+    GrowthGuardError,
+    PriceSurface,
+    assemble_operators,
+    solve_european,
+)
 
 
 OPTION = {"kind": "put", "strike": 100.0, "expiry": 1.0, "sigma": 0.23}
@@ -625,6 +631,46 @@ class TestPriceCommand:
         assert main(["price", "--config", path]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_a_european_price_outside_the_static_bounds_is_a_numerical_failure(
+        self, tmp_path, capsys
+    ):
+        # dt*c_loc/dx^2 = 0.605 on the default grid: the explicit small-jump
+        # stencil grows slowly enough to pass the growth guard, and the put
+        # prices at -154.411
+        table = tmp_path / "t.csv"
+        path = write_cfg(
+            tmp_path,
+            option={**OPTION, "sigma": 0.442},
+            model={"type": "cgmy", "c": 0.45894, "g": 19.342, "m": 13.666, "y": 1.3478},
+            grid=None,
+            scenarios=[{"rate": 0.0, "spots": [100.0]}],
+            outputs=[{"kind": "table", "path": str(table)}],
+        )
+        assert main(["price", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not table.exists()
+        assert err.startswith("numerical failure in V_r0: price -154.411 at S = 100 ")
+        assert "static lower bound 0 " in err
+        assert "dt*W = 0.457" in err and "dt*c_loc/dx^2 = 0.605" in err
+
+    @pytest.mark.parametrize("kind", ["put", "call"])
+    def test_static_bounds_allow_k_dx_squared(self, kind):
+        spec = OptionSpec(strike=100.0, expiry=1.0, rate=0.1, sigma=0.23, kind=kind)
+        ops = assemble_operators(spec, BENCH_MERTON, GridSpec())
+        spots = np.array([60.0, 100.0, 160.0])
+        discounted = 100.0 * math.exp(-0.1)
+        if kind == "put":
+            lower, upper = np.maximum(discounted - spots, 0.0), np.full(3, discounted)
+        else:
+            lower, upper = np.maximum(spots - discounted, 0.0), spots
+        slack = 0.9 * 100.0 * GridSpec().dx ** 2
+        cli._check_static_bounds(ops, spots, lower - slack)
+        cli._check_static_bounds(ops, spots, upper + slack)
+        with pytest.raises(RuntimeError, match="at S = 160 leaves the static upper bound"):
+            cli._check_static_bounds(ops, spots, upper + np.array([0.0, slack, 3 * slack]))
+        with pytest.raises(RuntimeError, match="at S = 60 leaves the static lower bound"):
+            cli._check_static_bounds(ops, spots, lower - np.array([3 * slack, slack, 0.0]))
+
     def test_epsilon_override_reaches_the_solver(self, tmp_path):
         path = write_cfg(tmp_path, style="american")
         assert main(["price", "--config", path, "--epsilon", "1e-2"]) == 0
@@ -843,6 +889,18 @@ class TestLockstepJobs:
         out_dir.mkdir()
         assert main(["price", "--config", two_scenario_cfg(tmp_path, out_dir)]) == 0
         assert sizes == batches
+        # each American job's penalty sweep is its own step hook, so it is a
+        # batch of one whatever the worker and CPU counts
+        sizes.clear()
+        american = write_cfg(
+            tmp_path,
+            name="american.json",
+            model=model_to_dict(BENCH_MERTON),
+            style="american",
+            scenarios=[{"rate": 0.0, "spots": [90.0, 100.0]}, {"rate": 0.1, "spots": [90.0, 100.0]}],
+        )
+        assert main(["price", "--config", american]) == 0
+        assert sizes == [1, 1]
 
     def test_a_batch_reports_its_first_failing_job_in_job_order(self):
         # the second job trips the guard at the first step, the first one at
@@ -854,8 +912,8 @@ class TestLockstepJobs:
         ]
         batch = cli._march_task(rows, None, False)
         solo = [cli._march_task([ops], None, False)[0] for ops in rows]
-        assert [str(out.error) for out in batch] == [str(out.error) for out in solo]
-        assert all(out.surface is None for out in batch)
+        assert all(isinstance(out, GrowthGuardError) for out in [*batch, *solo])
+        assert [str(out) for out in batch] == [str(out) for out in solo]
 
     def test_rows_before_a_failing_row_keep_their_solo_surfaces(self):
         grid = GridSpec()
@@ -864,10 +922,10 @@ class TestLockstepJobs:
             for model in (BENCH_MERTON, CGMY(c=1.0, g=6.0, m=8.0, y=1.5))
         ]
         calm, stiff = cli._march_task(rows, None, False)
-        assert calm.error is None and stiff.surface is None
-        assert "stability envelope" in str(stiff.error)
+        assert isinstance(calm, PriceSurface) and isinstance(stiff, GrowthGuardError)
+        assert "stability envelope" in str(stiff)
         solo = solve_european(bench_spec(), BENCH_MERTON, grid, keep_levels=False)
-        assert calm.surface.u.tobytes() == solo.u.tobytes()
+        assert calm.u.tobytes() == solo.u.tobytes()
 
 
 class TestAmericanWarnings:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf
 
 from conftest import (
     ALL_JUMP_MODELS,
@@ -450,6 +451,30 @@ class TestStepImex:
             factored = _implicit_solve(ops, rhs)
             fresh = _implicit_solve(ops, rhs, extra_diag=np.zeros_like(rhs))
             assert factored.tobytes() == fresh.tobytes()
+
+    def test_folds_the_edges_with_the_bands_own_off_diagonals(self):
+        # a hand-made nonsymmetric band: the low Dirichlet value enters the
+        # first interior equation through the sub-diagonal, the high one the
+        # last through the super-diagonal, so the new level solves the
+        # tridiagonal system over all N+1 nodes
+        ops = assemble_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
+        sub, diag, sup = -0.9, 2.5, -0.2
+        band = np.zeros((3, ops.grid.n_space - 1))
+        band[0, 1:], band[1], band[2, :-1] = sup, diag, sub
+        *band_lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+        assert info == 0
+        lo, hi = 3.0, 5.0
+        ops = replace(
+            ops, band=band, band_lu=tuple(band_lu), edge_level=(lo, hi), edge_growth=(0.0, 0.0)
+        )
+        xs, tau = ops.xs, 0.3
+        u, u_before = np.cos(3.0 * xs), np.sin(2.0 * xs)
+        got, _ = step_imex(u, ops, tau, StepHistory(u_before, u_before[1:-1], STRIKE))
+        b = u[1:-1] + ops.dt * _explicit_term(u, ops, tau)
+        rhs = 2.0 * b - u_before[1:-1] + 0.5 * u_before[1:-1]
+        assert (got[0], got[-1]) == (lo, hi)
+        lhs = sub * got[:-2] + diag * got[1:-1] + sup * got[2:]
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
     def test_singular_band_raises_linalg_error(self):
         # zero diagonal, off-diagonals -c: singular for the odd interior count 399
