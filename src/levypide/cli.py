@@ -4,7 +4,7 @@ emit price tables and plot-ready data files.
 Config files are JSON.  Top-level keys:
 
   option    {"kind", "strike", "expiry", "sigma", ["rate"]}; rate here is a
-            default only, each scenario supplies its own.
+            default only (0), each scenario supplies its own.
   model     {"type": "none"|"merton"|"kou"|"vg"|"nig"|"cgmy", ...params}, or
             null for no jumps.  "vg" accepts either the density parameters
             (a, b, c) or the time-changed-diffusion ones (theta, kappa,
@@ -16,10 +16,17 @@ Config files are JSON.  Top-level keys:
   outputs   [{"kind": "table"|"surface"|"boundary"|"plotdata", "path": ...}];
             with several scenarios, every kind but table writes one file per
             scenario, its path suffixed _r<rate>.  No two outputs may write
-            the same file.
+            the same file, and a path must name a file.
   scenarios [{"rate": r, "spots": [S, ...]}]; one pricing job per entry.
   closed_form  replace the solve by the closed form when the model has no
             jumps (also the --closed-form flag).
+
+Every value is a number, except: n_space, n_time and max_picard are whole
+numbers (400.0 reads as 400); kind, style, type and path are strings;
+scenarios, spots and outputs are lists; closed_form is true or false.  A
+null value reads as an absent one, and an absent grid or penalty value takes
+GridSpec's or PenaltyConfig's default.  Any other JSON type, or a missing
+required field, is a one-line ConfigError that names the field.
 
 `price` and `table1` run through one job pipeline: the jobs are one per
 scenario, or table1's built-in columns.  The main thread plans them in job
@@ -158,51 +165,31 @@ def model_from_dict(d) -> LevyModel:
         d = {"type": d}
     if not isinstance(d, Mapping):
         raise ConfigError(f"model must be an object or a name, got {type(d).__name__}")
-    kind = str(d.get("type", "")).lower()
-    params = {k: d[k] for k in d if k != "type"}
+    kind = _get(d, "type", _text, "", name="model type").lower()
+    params = {k: v for k, v in d.items() if k != "type" and v is not None}
     cls = _MODELS.get(_MODEL_ALIASES.get(kind, kind))
     if cls is None:
-        raise ConfigError(f"unknown model: {kind!r} (expected one of {', '.join(_MODELS)})")
+        raise ConfigError(f"unknown model type: {kind!r} (expected one of {', '.join(_MODELS)})")
     if cls is NoJumps and params:
         raise ConfigError(f"model 'none' takes no parameters, got {sorted(params)}")
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    try:
-        if cls is VarianceGamma and frozenset(params) != frozenset(names):
-            if frozenset(params) != frozenset(_VG_BM_PARAMS):
-                raise ConfigError(
-                    "vg model takes either (a, b, c) or (theta, kappa, sigma_vg), "
-                    f"got {sorted(params)}"
-                )
-            return VarianceGamma.from_bm_params(**_floats(params, _VG_BM_PARAMS, kind))
-        return cls(**_floats(params, names, kind))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid {kind} parameters: {exc}") from exc
-
-
-def _floats(params: Mapping, names: tuple[str, ...], kind: str) -> dict[str, float]:
+    build, names = cls, tuple(f.name for f in dataclasses.fields(cls))
+    if cls is VarianceGamma and frozenset(params) != frozenset(names):
+        if frozenset(params) != frozenset(_VG_BM_PARAMS):
+            raise ConfigError(
+                "vg model takes either (a, b, c) or (theta, kappa, sigma_vg), "
+                f"got {sorted(params)}"
+            )
+        build, names = VarianceGamma.from_bm_params, _VG_BM_PARAMS
     if frozenset(params) != frozenset(names):
         raise ConfigError(
             f"{kind} model needs exactly the parameters {list(names)}, got {sorted(params)}"
         )
-    return {k: _number(params[k], f"{kind} {k}") for k in names}
-
-
-def _number(value, name: str, convert: Callable = float):
-    """convert(value), refusing a JSON boolean, which Python reads as 0 or 1."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
-    return convert(value)
-
-
-def _count(value, name: str) -> int:
-    """_number(value, name, int), refusing a fractional number, which int()
-    would truncate; an integral float such as 400.0 is read as 400."""
-    n = _number(value, name, int)
-    if isinstance(value, float) and n != value:
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return n
+    try:
+        return build(**{k: _number(params[k], f"{kind} {k}") for k in names})
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {kind} parameters: {exc}") from exc
 
 
 def model_to_dict(model: LevyModel) -> dict:
@@ -217,24 +204,64 @@ def model_to_dict(model: LevyModel) -> dict:
 # run configuration
 
 
-def _object(d: Mapping, key: str) -> Mapping:
-    """d[key] as an object; absent or null reads as {}."""
-    value = d.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{key} must be an object, got {type(value).__name__}")
-    return value
+def _typed(value, name: str, types: type | tuple, what: str):
+    """value when it has one of the types, refusing any other JSON type; a JSON
+    boolean, which Python reads as 0 or 1, is only true or false."""
+    if isinstance(value, types) and (types is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{name} must be {what}, got {json.dumps(value, default=repr)}")
 
 
-def _list(d: Mapping, key: str) -> list:
-    """d[key] as a list; absent or null reads as []."""
+# The readers of the JSON types: reader(value, name) returns the value or
+# refuses it as a one-line ConfigError that names it.
+_text = functools.partial(_typed, types=str, what="a string")
+_flag = functools.partial(_typed, types=bool, what="true or false")
+_object = functools.partial(_typed, types=Mapping, what="an object")
+_list = functools.partial(_typed, types=list, what="a list")
+
+
+def _number(value, name: str) -> float:
+    return float(_typed(value, name, (int, float), "a number"))
+
+
+def _count(value, name: str) -> int:
+    """A whole number: an integral float such as 400.0 reads as 400, and int()
+    would truncate a fractional one.  An infinite or NaN count raises
+    int()'s own error, which the section reports."""
+    _number(value, name)
+    n = int(value)
+    if n != value:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return n
+
+
+def _get(d: Mapping, key: str, read: Callable, default=None, name: str | None = None):
+    """read(d[key], name or key); an absent or null key reads as default."""
     value = d.get(key)
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {type(value).__name__}")
-    return value
+    return default if value is None else read(value, name or key)
+
+
+def _section(cls, d: Mapping, name: str, readers: Mapping[str, Callable],
+             refusal: str | None = None, **defaults):
+    """cls built from the config section d: each field of readers that d holds
+    is read by its reader, as `<name> <field>`; an absent one takes defaults'
+    value, else cls's own default, and one with neither is refused by name.
+    A refusal of cls's, or of int() or float(), reads `<refusal>: <reason>`."""
+    try:
+        values = {key: _get(d, key, read, name=f"{name} {key}") for key, read in readers.items()}
+        fields = {**defaults, **{key: v for key, v in values.items() if v is not None}}
+        for f in dataclasses.fields(cls):
+            if f.name not in fields and f.default is dataclasses.MISSING:
+                raise ConfigError(f"{name} section is missing field {f.name!r}")
+        return cls(**fields)
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{refusal or f'invalid {name} section'}: {exc}") from exc
+
+
+def _spots(value, name: str) -> tuple[float, ...]:
+    return tuple(_number(s, "scenario spot") for s in _list(value, name))
 
 
 @dataclass(frozen=True)
@@ -262,92 +289,45 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunConfig":
-        if not isinstance(d, Mapping):
-            raise ConfigError(f"config root must be an object, got {type(d).__name__}")
-        try:
-            opt = d["option"]
-            option = OptionSpec(
-                strike=_number(opt["strike"], "strike"),
-                expiry=_number(opt["expiry"], "expiry"),
-                rate=_number(opt.get("rate", 0.0), "rate"),
-                sigma=_number(opt["sigma"], "sigma"),
-                kind=str(opt.get("kind", "put")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"option section is missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid option section: {exc}") from exc
-
-        model = model_from_dict(d.get("model"))
-
-        g = _object(d, "grid")
-        try:
-            grid = GridSpec(
-                half_width=_number(g.get("half_width", 4.0), "half_width"),
-                n_space=_count(g.get("n_space", 400), "n_space"),
-                n_time=_count(g.get("n_time", 200), "n_time"),
-                z_max=None if g.get("z_max") is None else _number(g["z_max"], "z_max"),
-                delta=None if g.get("delta") is None else _number(g["delta"], "delta"),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"inconsistent grid: {exc}") from exc
-
-        style = str(d.get("style", "european"))
-        if style not in ("european", "american"):
-            raise ConfigError(f"style must be 'european' or 'american', got {style!r}")
-
-        penalty = None
-        if d.get("penalty") is not None:
-            p = _object(d, "penalty")
-            tol = p.get("picard_tol")
-            try:
-                penalty = PenaltyConfig(
-                    epsilon=_number(p.get("epsilon", 1e-3), "epsilon"),
-                    max_picard=_count(p.get("max_picard", 50), "max_picard"),
-                    picard_tol=None if tol is None else _number(tol, "picard_tol"),
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"invalid penalty section: {exc}") from exc
-
-        outputs = []
-        for o in _list(d, "outputs"):
-            try:
-                outputs.append(OutputSpec(kind=str(o["kind"]), path=str(o["path"])))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"each output needs 'kind' and 'path': {o!r}") from exc
-
-        scenarios = []
-        for s in _list(d, "scenarios"):
-            try:
-                scenarios.append(
-                    Scenario(
-                        rate=_number(s["rate"], "scenario rate"),
-                        spots=tuple(_number(x, "spot") for x in s["spots"]),
-                    )
-                )
-            except ConfigError:
-                raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"each scenario needs 'rate' and 'spots': {s!r}") from exc
-
-        closed_form = d.get("closed_form", False)
-        if not isinstance(closed_form, bool):
-            raise ConfigError(f"closed_form must be true or false, got {closed_form!r}")
-
+        d = _object(d, "config root")
+        penalty = _get(d, "penalty", _object)
         cfg = cls(
-            option=option,
-            model=model,
-            grid=grid,
-            style=style,
-            penalty=penalty,
-            outputs=tuple(outputs),
-            scenarios=tuple(scenarios),
-            closed_form=closed_form,
+            option=_section(
+                OptionSpec, _get(d, "option", _object, {}), "option",
+                {"strike": _number, "expiry": _number, "rate": _number, "sigma": _number,
+                 "kind": _text},
+                rate=0.0,
+            ),
+            model=model_from_dict(d.get("model")),
+            grid=_section(
+                GridSpec, _get(d, "grid", _object, {}), "grid",
+                {"half_width": _number, "n_space": _count, "n_time": _count,
+                 "z_max": _number, "delta": _number},
+                "inconsistent grid",
+            ),
+            style=_get(d, "style", _text, "european"),
+            penalty=None if penalty is None else _section(
+                PenaltyConfig, penalty, "penalty",
+                {"epsilon": _number, "max_picard": _count, "picard_tol": _number},
+            ),
+            outputs=tuple(
+                _section(OutputSpec, _object(o, "each output"), "output",
+                         {"kind": _text, "path": _text})
+                for o in _get(d, "outputs", _list, [])
+            ),
+            scenarios=tuple(
+                _section(Scenario, _object(s, "each scenario"), "scenario",
+                         {"rate": _number, "spots": _spots})
+                for s in _get(d, "scenarios", _list, [])
+            ),
+            closed_form=_get(d, "closed_form", _flag, False),
         )
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
+        if self.style not in ("european", "american"):
+            raise ConfigError(f"style must be 'european' or 'american', got {self.style!r}")
         if not self.scenarios:
             raise ConfigError("scenario list is empty; nothing to price")
         K, L = self.option.strike, self.grid.half_width
@@ -413,7 +393,10 @@ def _suffixed(path: str, tag: str) -> str:
 
 
 def _check_writable(path: str) -> None:
-    """Refuse an output path whose directory is missing or read-only."""
+    """Refuse an output path that is empty or names a directory, or whose
+    directory is missing or read-only."""
+    if not path or os.path.isdir(path):
+        raise ConfigError(f"output path is not a file: {path!r}")
     parent = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise ConfigError(
@@ -696,24 +679,25 @@ def _apply_overrides(d, args: argparse.Namespace) -> None:
             d["model"] = {"type": text}
     if getattr(args, "rate", None) is not None:
         deduped: list = []
-        for sc in _list(d, "scenarios"):
+        for sc in _get(d, "scenarios", _list, []):
             if isinstance(sc, Mapping):
                 sc = {**sc, "rate": args.rate}
             if sc not in deduped:
                 deduped.append(sc)
         d["scenarios"] = deduped
-    if getattr(args, "grid_n", None) is not None:
-        d["grid"] = {**_object(d, "grid"), "n_space": args.grid_n}
-    if getattr(args, "grid_m", None) is not None:
-        d["grid"] = {**_object(d, "grid"), "n_time": args.grid_m}
-    if getattr(args, "epsilon", None) is not None:
-        d["penalty"] = {**_object(d, "penalty"), "epsilon": args.epsilon}
+    for flag, section, key in (
+        ("grid_n", "grid", "n_space"),
+        ("grid_m", "grid", "n_time"),
+        ("epsilon", "penalty", "epsilon"),
+    ):
+        if getattr(args, flag, None) is not None:
+            d[section] = {**_get(d, section, _object, {}), key: getattr(args, flag)}
     if getattr(args, "closed_form", False):
         d["closed_form"] = True
     if getattr(args, "output", None) is not None:
         outputs = [
             o
-            for o in _list(d, "outputs")
+            for o in _get(d, "outputs", _list, [])
             if not (isinstance(o, Mapping) and o.get("kind") == "table")
         ]
         outputs.append({"kind": "table", "path": args.output})
@@ -777,12 +761,10 @@ def check(config_path: str) -> int:
 def _run_table1(args: argparse.Namespace) -> int:
     """Reproduce the benchmark put-price table: payoff, closed forms at both
     volatility conventions, and the two jump models, at r in {0, 0.1}."""
+    counts = {"n_space": args.grid_n, "n_time": args.grid_m}
     try:
-        grid = GridSpec(
-            n_space=400 if args.grid_n is None else args.grid_n,
-            n_time=200 if args.grid_m is None else args.grid_m,
-        )
-        if args.output:
+        grid = GridSpec(**{key: n for key, n in counts.items() if n is not None})
+        if args.output is not None:
             _check_writable(args.output)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -807,7 +789,7 @@ def _run_table1(args: argparse.Namespace) -> int:
             ("vg", 0.23, vg),
         )
     ]
-    outputs = [OutputSpec(kind="table", path=args.output)] if args.output else []
+    outputs = [] if args.output is None else [OutputSpec(kind="table", path=args.output)]
     return _run_jobs(jobs, outputs)
 
 

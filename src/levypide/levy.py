@@ -66,7 +66,10 @@ class ShapeParams:
         if not all(math.isfinite(v) for v in fields):
             raise ValueError(f"envelope parameters must be finite, got {fields}")
         if self.alpha < 0 or self.mu < 0 or self.c0 <= 0:
-            raise ValueError("need alpha >= 0, mu >= 0, c0 > 0")
+            raise ValueError(
+                f"need alpha >= 0, mu >= 0, c0 > 0, got alpha={self.alpha:g}, "
+                f"mu={self.mu:g}, c0={self.c0:g}"
+            )
 
     @property
     def admissible(self) -> bool:
@@ -120,8 +123,7 @@ class NoJumps:
 class Merton:
     """Compound Poisson jumps with Gaussian sizes: h(z) = lam * N(m, delta^2) density.
 
-    lam is the jump intensity per year; lam = 0 degenerates to no jumps, which
-    the Monte Carlo oracle uses as its pure-diffusion path.
+    lam is the jump intensity per year; lam = 0 degenerates to no jumps.
     """
 
     lam: float
@@ -487,11 +489,15 @@ def integrability_check(model: LevyModel) -> CheckReport:
     """Evaluate the defining integrability condition: integral of min(z^2, 1) nu(dz).
 
     Passes when the value is finite and stable (relative change below
-    _REL_TOL = 1e-3 when the panel count doubles).
+    _REL_TOL = 1e-3 when the panel count doubles).  A measure whose shape
+    witness cannot be built fails, with value nan.
     """
     if isinstance(model, NoJumps):
         return CheckReport(0.0, True, "empty measure")
-    witness = shape_witness(model)
+    try:
+        witness = shape_witness(model)
+    except ValueError as exc:
+        return CheckReport(math.nan, False, f"witness unavailable: {exc}")
     if witness.alpha >= 3.0:
         return CheckReport(
             math.inf,
@@ -513,12 +519,16 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
     This is the sufficient condition under which the American put price is
     characterized by the complementarity problem the penalty solver targets.
     Divergent configurations are reported (not raised) with the violated decay
-    condition named.  The upper cutoff extends beyond _Z_MAX = 10 automatically
+    condition named, and a measure whose shape witness cannot be built fails
+    with value nan.  The upper cutoff extends beyond _Z_MAX = 10 automatically
     when the right wing decays slowly, keeping the truncated tail negligible.
     """
     if isinstance(model, NoJumps):
         return CheckReport(0.0, True, "empty measure")
-    witness = shape_witness(model)
+    try:
+        witness = shape_witness(model)
+    except ValueError as exc:
+        return CheckReport(math.nan, False, f"witness unavailable: {exc}")
     if witness.alpha >= 2.0:
         return CheckReport(
             math.inf,

@@ -42,6 +42,12 @@ from levypide.pide import (
 
 
 OPTION = {"kind": "put", "strike": 100.0, "expiry": 1.0, "sigma": 0.23}
+# A Merton model its constructor accepts whose shape witness cannot be built:
+# c0 = lam / (delta sqrt(2 pi)) e^(-m^2 / (2 delta^2)) underflows to 0.
+NO_WITNESS = {"type": "merton", "lam": 0.1, "m": -5.0, "delta": 0.05}
+WITNESS_UNAVAILABLE = (
+    "witness unavailable: need alpha >= 0, mu >= 0, c0 > 0, got alpha=0, mu=200, c0=0"
+)
 
 
 def run_module(*argv, flags=()):
@@ -260,11 +266,34 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="closed_form"):
             RunConfig.from_dict(base)
 
-    def test_unwritable_output_path(self, tmp_path):
-        base = json.loads(Path(write_cfg(tmp_path)).read_text())
-        base["outputs"] = [{"kind": "table", "path": str(tmp_path / "no/such/dir/t.csv")}]
-        with pytest.raises(ConfigError, match="not writable"):
-            RunConfig.from_dict(base)
+    def test_a_null_optional_value_reads_as_its_default(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, style=None, grid={"n_space": None, "n_time": 50})
+        cfg = RunConfig.from_dict(json.loads(Path(path).read_text()))
+        assert (cfg.style, cfg.penalty, cfg.grid.n_space) == ("european", None, 400)
+        assert main(["price", "--config", path]) == 0
+        assert "V_r0.1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("no/such/dir/t.csv", "not writable"),
+            ("", "output path is not a file: ''"),
+            (".", "output path is not a file: '.'"),
+        ],
+        ids=["missing-directory", "empty", "directory"],
+    )
+    def test_unwritable_output_path(self, tmp_path, monkeypatch, capsys, path, message):
+        # refused before the first output is written
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(
+            tmp_path,
+            outputs=[{"kind": "table", "path": "first.csv"}, {"kind": "plotdata", "path": path}],
+        )
+        assert main(["price", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "command, flags, mutation, message",
@@ -350,16 +379,32 @@ class TestRunConfig:
             ({"grid": {"n_space": 100, "n_time": 50.9}}, "n_time must be a whole number, got 50.9"),
             ({"style": "american", "penalty": {"max_picard": 2.5}},
              "max_picard must be a whole number, got 2.5"),
+            # one reader per JSON type: no string is split into spots or
+            # turned into a path, and a null reads as absent
+            ({"scenarios": [{"rate": 0.1, "spots": "99"}]},
+             'scenario spots must be a list, got "99"'),
+            ({"outputs": [{"kind": "table", "path": None}]},
+             "output section is missing field 'path'"),
+            ({"outputs": [{"kind": "table", "path": 5}]}, "output path must be a string, got 5"),
+            ({"outputs": [{"kind": None, "path": "t.csv"}]},
+             "output section is missing field 'kind'"),
+            ({"model": {"type": None}}, "unknown model type: ''"),
+            ({"scenarios": [{"spots": [100.0]}]}, "scenario section is missing field 'rate'"),
+            ({"scenarios": [{"rate": 0.1}]}, "scenario section is missing field 'spots'"),
+            ({"outputs": [{"kind": "table"}]}, "output section is missing field 'path'"),
         ],
     )
     def test_non_finite_and_mistyped_values_are_one_line_errors(
-        self, tmp_path, capsys, command, mutation, message
+        self, tmp_path, monkeypatch, capsys, command, mutation, message
     ):
+        # relative output paths land in tmp_path
+        monkeypatch.chdir(tmp_path)
         path = write_cfg(tmp_path, **mutation)
         assert main([command, "--config", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 class TestOutputCollisions:
@@ -621,6 +666,19 @@ class TestPriceCommand:
     def test_unknown_model_in_config(self, tmp_path):
         path = write_cfg(tmp_path, model={"type": "heston"})
         assert main(["price", "--config", path]) == 1
+
+    def test_a_model_without_a_witness_is_a_numerical_failure(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        path = write_cfg(
+            tmp_path, model=NO_WITNESS, outputs=[{"kind": "table", "path": str(table)}]
+        )
+        assert main(["price", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "numerical failure in V_r0.1: measure fails the integrability check: "
+            f"{WITNESS_UNAVAILABLE}\n"
+        )
+        assert captured.out == "" and not table.exists()
 
     def test_stalled_penalty_iteration_is_a_numerical_failure(self, tmp_path, capsys):
         path = write_cfg(
@@ -1051,6 +1109,19 @@ class TestCheckCommand:
         assert "admissible=False" in out
         assert "integrability: passed=False" in out
 
+    def test_a_witness_that_cannot_be_built_fails_every_measure_check(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, model=NO_WITNESS)
+        assert main(["check", "--config", path]) == 2
+        captured = capsys.readouterr()
+        reason = WITNESS_UNAVAILABLE.removeprefix("witness unavailable: ")
+        assert captured.out == (
+            "model: merton\n"
+            f"witness: unavailable ({reason})\n"
+            f"integrability: passed=False value=nan ({WITNESS_UNAVAILABLE})\n"
+            f"structural r=0.1: passed=False value=nan ({WITNESS_UNAVAILABLE})\n"
+        )
+        assert captured.err == ""
+
     def test_parse_error(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "absent.json")]) == 1
 
@@ -1083,6 +1154,15 @@ class TestTable1:
         assert float(atm[2]) == pytest.approx(4.78444, abs=1e-4)
         assert float(atm[3]) == pytest.approx(9.15549, abs=1e-4)  # 100 (2 N(0.115) - 1)
         assert "merton_r0" in capsys.readouterr().out
+
+    def test_default_grid_is_gridspec_default(self, tmp_path, capsys):
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        assert main(["table1", "--output", str(implicit)]) == 0
+        argv = ["table1", "--grid-n", "400", "--grid-m", "200", "--output", str(explicit)]
+        assert main(argv) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[: len(stdout) // 2] == stdout[len(stdout) // 2:]
 
     def test_unwritable_output(self, tmp_path, capsys):
         dest = tmp_path / "no/dir/t.csv"

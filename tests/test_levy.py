@@ -325,6 +325,15 @@ class TestIntegrability:
         assert rep.value == math.inf
         assert "alpha" in rep.detail
 
+    def test_a_witness_that_cannot_be_built_fails_both_checks(self):
+        # c0 = lam / (delta sqrt(2 pi)) e^(-m^2 / (2 delta^2)) underflows to 0
+        far = Merton(lam=0.1, m=-5.0, delta=0.05)
+        with pytest.raises(ValueError, match="got alpha=0, mu=200, c0=0"):
+            shape_witness(far)
+        for rep in (integrability_check(far), structural_condition_check(far, 0.1)):
+            assert not rep.passed and math.isnan(rep.value)
+            assert rep.detail.startswith("witness unavailable: need alpha >= 0")
+
     def test_integrable_but_inadmissible_configuration(self):
         # slow upward wing: square-integrable near 0 and summable tails, so the
         # defining integral converges even though the pricing envelope fails
