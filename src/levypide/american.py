@@ -99,6 +99,11 @@ class PicardError(RuntimeError):
         self.gap = gap
         self.iterations = iterations
 
+    def __reduce__(self):
+        # as GrowthGuardError's: the pickle carries every field, not the
+        # message alone
+        return type(self), (str(self), self.node, self.x, self.gap, self.iterations)
+
 
 @dataclass(frozen=True)
 class ExerciseBoundary:

@@ -25,24 +25,34 @@ Every value is a number, except: n_space, n_time and max_picard are whole
 numbers (400.0 reads as 400); kind, style, type and path are strings;
 scenarios, spots and outputs are lists; closed_form is true or false.  A
 null value reads as an absent one, and an absent grid or penalty value takes
-GridSpec's or PenaltyConfig's default.  Any other JSON type, or a missing
-required field, is a one-line ConfigError that names the field.
+GridSpec's or PenaltyConfig's default.  Any other JSON type, a missing
+required field, or a key not listed above (a misspelled key would otherwise
+read as an absent one), at the top level or in a section, is a one-line
+ConfigError that names the field.
 
 `price` and `table1` run through one job pipeline: the jobs are one per
 scenario, or table1's built-in columns.  The main thread plans them in job
 order: it assembles each job's operators, runs an American job's structural
 check and writes its warning as a `warning: <message>` line on stderr, and
-records a refusal as that job's error.  A thread pool, whose size
-LEVYPIDE_WORKERS caps, then only marches.  One rule makes its batches: jobs
-whose operators share a pide.Lockstep.key and a step hook march together,
-split into at most as many marches as there are threads and CPUs.  A
+records a refusal as that job's error.  One rule makes the batches: jobs
+whose operators share a pide.Lockstep.key and a step hook march together.  A
 European job has no hook; an American job's is its own penalty sweep, so it
-marches alone.  A job's outcome is one value: its PriceSurface, its error,
-or None for a closed form.  The main thread writes every file after the
-last march, in job order, so identical runs produce byte-identical outputs
-whatever the worker count.  A European price at one of a job's spots that
-leaves the static no-arbitrage bounds by more than K dx^2 is a numerical
-failure (exit 2).
+marches alone.  The marches then run on a pool of fork-started processes, at
+most LEVYPIDE_WORKERS and one per CPU, a batch split into one march per
+process at most; processes, not threads, because a march's dozen
+elementwise numpy calls per step hand the GIL over and the sweep's `dgtsv`
+holds it.  They run inline, one after another and each batch whole, when
+there is one march, one worker or one CPU, when the work is below
+_POOL_MIN_WORK (a fork and join costs about 10 ms), or when fork is
+unavailable.  The pool is fork-only: the children inherit the planned
+operators and the sweeps, closures that do not pickle.  Python 3.12 and
+later warn on a fork in a process that runs other threads: the CLI starts
+none, but a threaded BLAS may.  A job's outcome is one value: its
+PriceSurface, its error, or None for a closed form.  The main thread writes
+every file after the last march, in job order, so identical runs produce
+byte-identical outputs whatever the worker count.  A European price at one
+of a job's spots that leaves the static no-arbitrage bounds by more than
+K dx^2 is a numerical failure (exit 2).
 """
 from __future__ import annotations
 
@@ -54,7 +64,6 @@ import math
 import os
 import sys
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,17 +150,19 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _max_workers() -> int | None:
+def _worker_limit() -> int:
+    """The most marches that run at once: LEVYPIDE_WORKERS, at most one per
+    CPU."""
     raw = os.environ.get("LEVYPIDE_WORKERS")
     if not raw:
-        return None
+        return _cpu_count()
     try:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"LEVYPIDE_WORKERS must be an integer, got {raw!r}") from exc
     if n < 1:
         raise ConfigError(f"LEVYPIDE_WORKERS must be >= 1, got {n}")
-    return n
+    return min(n, _cpu_count())
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +252,22 @@ def _get(d: Mapping, key: str, read: Callable, default=None, name: str | None = 
     return default if value is None else read(value, name or key)
 
 
+def _check_keys(d: Mapping, name: str, known) -> None:
+    """Refuse the first key of d that known lacks: a misspelled key would
+    otherwise read as absent."""
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"unknown {name} key {key!r} (expected one of {', '.join(known)})")
+
+
 def _section(cls, d: Mapping, name: str, readers: Mapping[str, Callable],
              refusal: str | None = None, **defaults):
     """cls built from the config section d: each field of readers that d holds
     is read by its reader, as `<name> <field>`; an absent one takes defaults'
-    value, else cls's own default, and one with neither is refused by name.
-    A refusal of cls's, or of int() or float(), reads `<refusal>: <reason>`."""
+    value, else cls's own default, and one with neither is refused by name,
+    as is a key of d that readers lacks.  A refusal of cls's, or of int() or
+    float(), reads `<refusal>: <reason>`."""
+    _check_keys(d, name, readers)
     try:
         values = {key: _get(d, key, read, name=f"{name} {key}") for key, read in readers.items()}
         fields = {**defaults, **{key: v for key, v in values.items() if v is not None}}
@@ -290,6 +311,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunConfig":
         d = _object(d, "config root")
+        _check_keys(d, "config", [f.name for f in dataclasses.fields(cls)])
         penalty = _get(d, "penalty", _object)
         cfg = cls(
             option=_section(
@@ -486,41 +508,140 @@ def _march_task(
         return [*_march_task(rows[:row], solve, keep_levels), exc] + [None] * (len(rows) - row - 1)
 
 
-def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[PriceSurface | Exception | None]:
-    """Plan the jobs on the main thread (_plan), then march them on one
-    thread pool in batches of one (Lockstep.key, step hook): an American
-    job's penalty sweep is its own, so it marches alone.  A batch's jobs
-    split into as many marches as the pool has threads, at most one per CPU:
-    more marches than CPUs would only trade the GIL more often."""
-    cap = _max_workers()
-    limit = _cpu_count() if cap is None else min(cap, _cpu_count())
-    outcomes = [None] * len(jobs)
-    rows: dict[int, ImexOperators] = {}
+def _tasks(
+    planned: Mapping[int, tuple[ImexOperators, Callable | None]], limit: int
+) -> list[tuple[list[int], Callable | None]]:
+    """The marches of the planned jobs, by job index: jobs whose operators
+    share a Lockstep.key and whose step hook is the same march together, and
+    each such batch splits into at most limit contiguous runs in job order,
+    whose sizes differ by at most one.  The marches come in the order of
+    their first jobs."""
     batches: dict[tuple, list[int]] = {}
-    for i, job in enumerate(jobs):
-        if job.model is None:
-            continue
-        try:
-            rows[i], sweep = _plan(job)
-        except _FAILURES as exc:
-            outcomes[i] = exc
-            continue
-        batches.setdefault((Lockstep.key(rows[i]), sweep), []).append(i)
-    # contiguous runs in job order, whose sizes differ by at most one
+    for i, (ops, sweep) in planned.items():
+        batches.setdefault((Lockstep.key(ops), sweep), []).append(i)
     tasks = [
         (chunk.tolist(), sweep)
         for (_, sweep), members in batches.items()
         for chunk in np.array_split(members, min(len(members), limit))
     ]
-    tasks.sort(key=lambda task: task[0][0])
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = [
-            (idx, pool.submit(_march_task, [rows[i] for i in idx], solve, keep_levels))
-            for idx, solve in tasks
+    return sorted(tasks, key=lambda task: task[0][0])
+
+
+# A run marches inline below this much work: node-steps, (N+1) M per job,
+# an American job's counted 2.5 times for its penalty sweeps (about 0.16 us
+# a node-step at 800 x 200 against a European job's 0.07).  A fork and join
+# costs about 10 ms, and a batch split across processes loses its lockstep.
+# Inline against two processes on a 2-vCPU Xeon (numpy 2.4, scipy 1.17),
+# interleaved in one process, median of 21:
+#   table1's four jump jobs   800x200 (0.64e6)  42 vs 57 ms
+#                            1200x200 (0.96e6)  70 vs 60 ms
+#                            1600x200 (1.28e6)  99 vs 75 ms
+#   a two-scenario American   400x200 (0.40e6)  32.6 vs 32.7 ms
+#                             800x200 (0.80e6)  51 vs 47 ms
+#                             800x400 (1.60e6)  92 vs 72 ms
+_POOL_MIN_WORK = 700_000
+
+# The marches a pool's child runs, inherited from the parent at fork; only
+# the pool's initializer writes it, in the child.
+_CHILD_MARCHES: list[tuple[list[ImexOperators], Callable | None, bool]] = []
+
+
+def _processes(planned: Mapping[int, tuple[ImexOperators, Callable | None]], limit: int) -> int:
+    """How many processes march the planned jobs: limit, or 1, inline, when
+    limit is 1, when there is one job, when the work is below
+    _POOL_MIN_WORK, or when fork is unavailable."""
+    work = sum(
+        (ops.grid.n_space + 1) * ops.grid.n_time * (1.0 if sweep is None else 2.5)
+        for ops, sweep in planned.values()
+    )
+    if limit < 2 or len(planned) < 2 or work < _POOL_MIN_WORK:
+        return 1
+    import multiprocessing
+
+    return limit if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _adopt_marches(marches: list) -> None:
+    """The pool's initializer: a child keeps the marches it inherited."""
+    _CHILD_MARCHES[:] = marches
+
+
+def _march_levels(index: int) -> list[tuple[np.ndarray, np.ndarray] | Exception | None]:
+    """A child's march of its inherited march index: each row's (taus, u)
+    levels, or its error; the parent rebuilds the surfaces from the
+    operators it holds."""
+    return [
+        (out.taus, out.u) if isinstance(out, PriceSurface) else out
+        for out in _march_task(*_CHILD_MARCHES[index])
+    ]
+
+
+def _march_on_pool(
+    marches: list[tuple[list[ImexOperators], Callable | None, bool]], processes: int
+) -> list[list[PriceSurface | Exception | None]]:
+    """Each march's outcomes (_march_task), in order, marched on a pool of
+    fork-started processes.  The children inherit the marches, step hooks
+    included, so a task sends only its index."""
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    # a child would write the parent's buffered output a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with ProcessPoolExecutor(
+        max_workers=min(processes, len(marches)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_marches,
+        initargs=(marches,),
+    ) as pool:
+        levels = list(pool.map(_march_levels, range(len(marches))))
+    return [
+        [
+            PriceSurface(ops=ops, taus=out[0], u=out[1]) if isinstance(out, tuple) else out
+            for ops, out in zip(rows, outs)
         ]
-        for idx, future in futures:
-            for i, out in zip(idx, future.result()):
-                outcomes[i] = out
+        for (rows, _, _), outs in zip(marches, levels)
+    ]
+
+
+def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[PriceSurface | Exception | None]:
+    """Plan the jobs on the main thread (_plan), then march them in batches
+    of one (Lockstep.key, step hook) (_tasks): an American job's penalty
+    sweep is its own, so it marches alone.  On a pool of processes
+    (_processes) a batch splits into one march per process at most;
+    inline, it marches whole.
+
+    Processes, not threads: a thread hands the GIL over at each of a step's
+    dozen elementwise numpy calls, and the penalty sweep's `dgtsv` holds it.
+    Two processes against the two threads that marched before, interleaved
+    in one process on a 2-vCPU Xeon (numpy 2.4, scipy 1.17), median of 9,
+    bits identical: table1 at 3200 x 1600 818 against 947 ms, a
+    two-scenario American at 1600 x 800 191 against 324 ms.  The marches
+    run inline when there is one job (every one-scenario price), one worker
+    or one CPU, below _POOL_MIN_WORK, or without fork; a two-scenario
+    American at 400 x 200 then takes 34 ms, against 41 ms on threads.  The
+    pool forks, as only a fork hands the children the penalty sweeps,
+    closures that do not pickle."""
+    limit = _worker_limit()
+    outcomes: list[PriceSurface | Exception | None] = [None] * len(jobs)
+    planned: dict[int, tuple[ImexOperators, Callable | None]] = {}
+    for i, job in enumerate(jobs):
+        if job.model is None:
+            continue
+        try:
+            planned[i] = _plan(job)
+        except _FAILURES as exc:
+            outcomes[i] = exc
+    processes = _processes(planned, limit)
+    tasks = _tasks(planned, processes)
+    marches = [([planned[i][0] for i in idx], sweep, keep_levels) for idx, sweep in tasks]
+    if processes > 1:
+        results = _march_on_pool(marches, processes)
+    else:
+        results = [_march_task(*march) for march in marches]
+    for (idx, _), outs in zip(tasks, results):
+        for i, out in zip(idx, outs):
+            outcomes[i] = out
     return outcomes
 
 

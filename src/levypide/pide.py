@@ -50,18 +50,20 @@ solve as a batch of one, calls alternating; a copy against itself reads
 0.996-1.000), the batch of one took 1.22x the time per American solve and
 1.29x per European one, bits identical, and one SBDF2 step 76.5 us against
 54.9 us: the edge values, the growth guard and the direct path's row loop
-are slower on (1, N+1) arrays.  The batch exists for threads: every numpy
-call drops and retakes the GIL, so two threads that each march one job hand
-it over at every one of a step's dozen calls, while threads that march two
-rows each make the same number of calls for twice the work.  Measured on a
-2-vCPU host (numpy 2.4, scipy 1.17), two threads against one: `dgttrs`
-releases the GIL and runs 1.9x faster, numpy's rfft and irfft 1.6-1.9x;
-`dgtsv`, `dpttrs` and `dptsv` hold it (1.0x), and an elementwise ufunc on a
-few thousand doubles gains nothing (1.0x).  So the penalty sweep's `dgtsv`
-holds the GIL and serializes American jobs that run side by side, except on
-the penalty-free sweeps (an empty active set), which go through `dgttrs`;
-and an LDL^T solve (`dpttrf`/`dpttrs`), twice as fast as `dgttrs` on one
-thread, loses on the pool.
+are slower on (1, N+1) arrays.  A batch of k rows makes the same number of
+calls per step as one row, for k times the work.  The CLI marches its
+batches in forked processes (cli._solve_jobs), not threads, because of the
+GIL: every numpy call drops and retakes it, so threads hand it over at every
+one of a step's dozen calls.  Measured on a 2-vCPU host (numpy 2.4, scipy
+1.17), two threads against one: `dgttrs` releases the GIL and runs 1.9x
+faster, numpy's rfft and irfft 1.6-1.9x; `dgtsv`, `dpttrs` and `dptsv` hold
+it (1.0x), and an elementwise ufunc on a few thousand doubles gains nothing
+(1.0x).  So on threads the penalty sweep's `dgtsv` serialized American jobs
+that ran side by side, and table1's lockstep marches at 3200 x 1600 gained
+only about 1.4x from a second thread; processes share no GIL.  An LDL^T
+solve (`dpttrf`/`dpttrs`), twice as fast as `dgttrs` on one thread, lost on
+the thread pool because it holds the GIL; it has not been measured on
+processes.
 
 A step builds its right-hand side in place on the arrays it makes: b, the
 SBDF2 right-hand side, the far-field values and the FFT path's output are
@@ -629,6 +631,11 @@ class GrowthGuardError(RuntimeError):
     def __init__(self, message: str, row: int) -> None:
         super().__init__(message)
         self.row = row
+
+    def __reduce__(self):
+        # BaseException pickles self.args, the message alone; a march in a
+        # pool's child process returns its error to the parent by pickle
+        return type(self), (str(self), self.row)
 
 
 def _growth_guard(

@@ -1,6 +1,7 @@
 """Penalized American solve: ordering, obstacle bounds, boundary, residuals."""
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -185,6 +186,18 @@ class TestSolveAmerican:
         assert stiffness > 0.0
         assert f"at tau = {ops.dt:.6g} " in str(err)
         assert f"dt = {ops.dt:.4g}, dt*W = {stiffness:.4g})" in str(err)
+
+    def test_a_stalled_iteration_survives_pickling(self):
+        # a march in a pool's child process returns its error by pickle
+        cfg = PenaltyConfig(max_picard=1, picard_tol=1e-15)
+        with pytest.raises(PicardError) as exc:
+            solve_american_penalized(bench_spec(rate=0.1), BENCH_MERTON, GridSpec(), cfg)
+        err = exc.value
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is PicardError and str(copy) == str(err)
+        assert (copy.node, copy.x, copy.gap, copy.iterations) == (
+            err.node, err.x, err.gap, err.iterations
+        )
 
     # frozen default-grid prices: a change to the step, the penalty sweep or
     # the boundary data shows here first

@@ -1,10 +1,10 @@
 """Config parsing, the pricing/check/table presets, and their exit codes."""
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from conftest import (
     BENCH_VG,
     bench_spec,
 )
+from levypide.american import PenaltyConfig
 from levypide.bs import OptionSpec, bs_price
 from levypide.cli import (
     ConfigError,
@@ -392,6 +393,19 @@ class TestRunConfig:
             ({"scenarios": [{"spots": [100.0]}]}, "scenario section is missing field 'rate'"),
             ({"scenarios": [{"rate": 0.1}]}, "scenario section is missing field 'spots'"),
             ({"outputs": [{"kind": "table"}]}, "output section is missing field 'path'"),
+            # a misspelled key is refused by name, not read as an absent one
+            ({"outptus": [{"kind": "table", "path": "t.csv"}]},
+             "unknown config key 'outptus' (expected one of option, model, grid, style, "
+             "penalty, outputs, scenarios, closed_form)"),
+            ({"grid": {"nspace": 800, "n_time": 50}},
+             "unknown grid key 'nspace' (expected one of half_width, n_space, n_time, "
+             "z_max, delta)"),
+            ({"option": {**OPTION, "strik": 90.0}}, "unknown option key 'strik'"),
+            ({"style": "american", "penalty": {"eps": 1e-3}}, "unknown penalty key 'eps'"),
+            ({"scenarios": [{"rate": 0.1, "spots": [100.0], "spot": 90.0}]},
+             "unknown scenario key 'spot' (expected one of rate, spots)"),
+            ({"outputs": [{"kind": "table", "path": "t.csv", "format": "csv"}]},
+             "unknown output key 'format' (expected one of kind, path)"),
         ],
     )
     def test_non_finite_and_mistyped_values_are_one_line_errors(
@@ -774,30 +788,43 @@ class TestPriceCommand:
 
 
 @pytest.fixture
-def keep_levels_calls(monkeypatch):
-    """The keep_levels of every job the CLI solves: one entry per row of a
-    march, European or American."""
-    calls = []
-    march = cli._march
+def pooled(monkeypatch):
+    """Runs whose jobs march on a pool of two processes, whatever their work
+    and the host's CPUs; a run of one job still marches inline."""
+    monkeypatch.setattr(cli, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setenv("LEVYPIDE_WORKERS", "2")
 
-    def spy_march(rows, solve=None, keep_levels=True):
-        calls.extend([keep_levels] * len(rows))
-        return march(rows, solve, keep_levels)
 
-    monkeypatch.setattr(cli, "_march", spy_march)
-    return calls
+@pytest.fixture(params=["inline", "pooled"])
+def levels_kept(request, monkeypatch):
+    """The number of time levels of every surface the CLI's jobs return, in
+    job order, European or American, with the jobs marched inline or on a
+    pool."""
+    if request.param == "pooled":
+        request.getfixturevalue("pooled")
+    counts = []
+    solve_jobs = cli._solve_jobs
+
+    def spy(jobs, keep_levels):
+        outcomes = solve_jobs(jobs, keep_levels)
+        counts.extend(len(out.taus) for out in outcomes if isinstance(out, PriceSurface))
+        return outcomes
+
+    monkeypatch.setattr(cli, "_solve_jobs", spy)
+    return counts
 
 
 class TestTimeLevels:
     """A job keeps every time level only when a surface or boundary output
     reads them; table and plotdata read t = 0 alone."""
 
-    def test_table1_keeps_two_levels(self, keep_levels_calls):
+    def test_table1_keeps_two_levels(self, levels_kept):
         assert main(["table1", "--grid-n", "100", "--grid-m", "50"]) == 0
-        assert keep_levels_calls == [False] * 4
+        assert levels_kept == [2] * 4
 
     @pytest.mark.parametrize("style", ["european", "american"])
-    def test_table_and_plotdata_keep_two_levels(self, tmp_path, keep_levels_calls, style):
+    def test_table_and_plotdata_keep_two_levels(self, tmp_path, levels_kept, style):
         path = write_cfg(
             tmp_path,
             model=model_to_dict(BENCH_MERTON),
@@ -809,7 +836,7 @@ class TestTimeLevels:
             ],
         )
         assert main(["price", "--config", path]) == 0
-        assert keep_levels_calls == [False, False]
+        assert levels_kept == [2, 2]
 
     @pytest.mark.parametrize(
         "style, kind, lines",
@@ -818,7 +845,7 @@ class TestTimeLevels:
         ids=["european-surface", "american-surface", "american-boundary"],
     )
     def test_surface_and_boundary_keep_every_level(
-        self, tmp_path, keep_levels_calls, style, kind, lines
+        self, tmp_path, levels_kept, style, kind, lines
     ):
         # the grid is 100 x 50: (M+1)(N+1) surface rows, M+1 boundary rows
         out = tmp_path / f"{kind}.csv"
@@ -832,7 +859,7 @@ class TestTimeLevels:
             ],
         )
         assert main(["price", "--config", path]) == 0
-        assert keep_levels_calls == [True]
+        assert levels_kept == [51]
         assert len(out.read_text().splitlines()) == lines
 
     @pytest.mark.parametrize("style", ["european", "american"])
@@ -896,7 +923,7 @@ class TestLockstepJobs:
     split."""
 
     def test_table1_is_byte_identical_for_one_two_and_three_workers(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, pooled
     ):
         runs = runs_by_workers(
             monkeypatch, capsys, tmp_path, lambda d: ["table1", "--output", str(d / "t1.csv")]
@@ -905,7 +932,7 @@ class TestLockstepJobs:
         assert runs["1"] == runs["2"] == runs["3"]
 
     def test_price_is_byte_identical_for_one_two_and_three_workers(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, pooled
     ):
         runs = runs_by_workers(
             monkeypatch, capsys, tmp_path,
@@ -915,7 +942,7 @@ class TestLockstepJobs:
         assert runs["1"] == runs["2"] == runs["3"]
 
     def test_a_guard_trip_names_the_first_failing_job_for_any_worker_count(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, pooled
     ):
         runs = runs_by_workers(
             monkeypatch, capsys, tmp_path,
@@ -930,35 +957,26 @@ class TestLockstepJobs:
         "workers, cpus, batches",
         [("1", 2, [2]), ("2", 1, [2]), ("2", 2, [1, 1]), ("3", 2, [1, 1])],
     )
-    def test_batches_are_capped_by_workers_and_cpus(
-        self, tmp_path, monkeypatch, workers, cpus, batches
-    ):
+    def test_batches_are_capped_by_workers_and_cpus(self, monkeypatch, workers, cpus, batches):
         monkeypatch.setenv("LEVYPIDE_WORKERS", workers)
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-        sizes = []
-        march = cli._march
-
-        def spy(rows, solve=None, keep_levels=True):
-            sizes.append(len(rows))
-            return march(rows, solve, keep_levels)
-
-        monkeypatch.setattr(cli, "_march", spy)
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        assert main(["price", "--config", two_scenario_cfg(tmp_path, out_dir)]) == 0
-        assert sizes == batches
+        limit = cli._worker_limit()
+        european = [
+            assemble_operators(bench_spec(rate=r), BENCH_MERTON, GridSpec(100, 50))
+            for r in (0.0, 0.1)
+        ]
+        tasks = cli._tasks({i: (ops, None) for i, ops in enumerate(european)}, limit)
+        assert [len(idx) for idx, _ in tasks] == batches
+        assert [i for idx, _ in tasks for i in idx] == [0, 1]
         # each American job's penalty sweep is its own step hook, so it is a
         # batch of one whatever the worker and CPU counts
-        sizes.clear()
-        american = write_cfg(
-            tmp_path,
-            name="american.json",
-            model=model_to_dict(BENCH_MERTON),
-            style="american",
-            scenarios=[{"rate": 0.0, "spots": [90.0, 100.0]}, {"rate": 0.1, "spots": [90.0, 100.0]}],
-        )
-        assert main(["price", "--config", american]) == 0
-        assert sizes == [1, 1]
+        american = [
+            cli._plan(cli._Job("V", bench_spec(rate=r), BENCH_MERTON, GridSpec(100, 50),
+                               (100.0,), PenaltyConfig()))
+            for r in (0.0, 0.1)
+        ]
+        tasks = cli._tasks(dict(enumerate(american)), limit)
+        assert tasks == [([0], american[0][1]), ([1], american[1][1])]
 
     def test_a_batch_reports_its_first_failing_job_in_job_order(self):
         # the second job trips the guard at the first step, the first one at
@@ -986,17 +1004,90 @@ class TestLockstepJobs:
         assert calm.u.tobytes() == solo.u.tobytes()
 
 
+@pytest.fixture
+def march_pids(monkeypatch):
+    """Spy on cli._march: a function that returns the process id of every
+    march since the last call, read through a pipe that a pool's children
+    inherit."""
+    pipe = multiprocessing.get_context("fork").SimpleQueue()
+    march = cli._march
+
+    def spy(rows, *args):
+        pipe.put(os.getpid())
+        return march(rows, *args)
+
+    def drain():
+        pids = []
+        while not pipe.empty():
+            pids.append(pipe.get())
+        return pids
+
+    monkeypatch.setattr(cli, "_march", spy)
+    yield drain
+    pipe.close()
+
+
+class TestMarchPool:
+    """Above a work crossover, a run of several marches forks a pool of
+    processes, at most LEVYPIDE_WORKERS and one per CPU; otherwise the marches
+    run inline, one after another."""
+
+    def test_a_pooled_run_marches_in_its_children(self, pooled, march_pids):
+        assert main(["table1", "--grid-n", "100", "--grid-m", "50"]) == 0
+        # table1's four jump jobs share one Lockstep.key: two marches of two
+        pids = march_pids()
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("case", ["below-crossover", "one-worker", "one-cpu", "no-fork"])
+    def test_marches_run_inline(self, monkeypatch, pooled, march_pids, case):
+        if case == "below-crossover":
+            # table1's four jump jobs at 400 x 200: 4 x 401 x 200 node-steps
+            monkeypatch.setattr(cli, "_POOL_MIN_WORK", 4 * 401 * 200 + 1)
+        elif case == "one-worker":
+            monkeypatch.setenv("LEVYPIDE_WORKERS", "1")
+        elif case == "one-cpu":
+            monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        else:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert main(["table1"]) == 0
+        # inline, a Lockstep batch marches whole: table1's four jump jobs
+        assert march_pids() == [os.getpid()]
+
+    def test_one_job_marches_inline(self, tmp_path, pooled, march_pids):
+        path = write_cfg(tmp_path, model=model_to_dict(BENCH_MERTON), style="american")
+        assert main(["price", "--config", path]) == 0
+        assert march_pids() == [os.getpid()]
+
+    def test_the_crossover_counts_an_american_job_two_and_a_half_times(self, monkeypatch):
+        grid = GridSpec(100, 50)
+        european = (assemble_operators(bench_spec(), BENCH_MERTON, grid), None)
+        american = (european[0], lambda *args: None)
+        monkeypatch.setattr(cli, "_POOL_MIN_WORK", 2.5 * 101 * 50 * 2)
+        assert cli._processes({0: european, 1: european}, 2) == 1
+        assert cli._processes({0: american, 1: american}, 2) == 2
+
+    def test_no_process_is_left_after_a_pooled_run(self, tmp_path, capsys, pooled):
+        assert main(["table1", "--grid-n", "100", "--grid-m", "50"]) == 0
+        assert multiprocessing.active_children() == []
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        path = two_scenario_cfg(tmp_path, out_dir, model=STIFF_CGMY)
+        assert main(["price", "--config", path]) == 2
+        assert "numerical failure in V_r0: time step amplified" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
 class TestAmericanWarnings:
     """A measure that violates the structural condition prices with one
     `warning: <message>` line on stderr per American job, in job order,
     written before any march."""
 
     def test_structural_warnings_come_in_job_order_when_the_second_job_ends_first(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, pooled
     ):
-        monkeypatch.setenv("LEVYPIDE_WORKERS", "2")
-        second_done = threading.Event()
-        finished = []
+        # the spy runs in the pool's children, which inherit the event
+        fork = multiprocessing.get_context("fork")
+        second_done = fork.Event()
         march = cli._march
 
         def first_waits(rows, *args):
@@ -1006,7 +1097,6 @@ class TestAmericanWarnings:
             try:
                 return march(rows, *args)
             finally:
-                finished.append(rate)
                 if rate == 0.1:
                     second_done.set()
 
@@ -1018,7 +1108,7 @@ class TestAmericanWarnings:
             scenarios=[{"rate": 0.0, "spots": [100.0]}, {"rate": 0.1, "spots": [100.0]}],
         )
         assert main(["price", "--config", path]) == 0
-        assert finished == [0.1, 0.0]
+        assert second_done.is_set()
         first, second = capsys.readouterr().err.splitlines()
         assert first.startswith("warning: structural") and "vs rate 0)" in first
         assert second.startswith("warning: structural") and "vs rate 0.1)" in second

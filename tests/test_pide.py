@@ -1,5 +1,6 @@
 """The grid, the discrete jump operator, IMEX stepping, and the European solve."""
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -636,6 +637,17 @@ class TestLockstep:
             _march([calm, stiff])
         assert (solo.value.row, batch.value.row) == (0, 1)
         assert str(batch.value) == str(solo.value)
+
+    def test_a_guard_trip_survives_pickling(self):
+        # a march in a pool's child process returns its error by pickle
+        grid = GridSpec()
+        calm = assemble_operators(bench_spec(), BENCH_MERTON, grid)
+        stiff = assemble_operators(bench_spec(rate=0.1), CGMY(c=1.0, g=6.0, m=8.0, y=1.5), grid)
+        with pytest.raises(GrowthGuardError) as batch:
+            _march([calm, stiff])
+        copy = pickle.loads(pickle.dumps(batch.value))
+        assert type(copy) is GrowthGuardError
+        assert (str(copy), copy.row) == (str(batch.value), 1)
 
     @pytest.mark.parametrize(
         "spec, model, grid",
