@@ -52,7 +52,8 @@ PriceSurface, its error, or None for a closed form.  The main thread writes
 every file after the last march, in job order, so identical runs produce
 byte-identical outputs whatever the worker count.  A European price at one
 of a job's spots that leaves the static no-arbitrage bounds by more than
-K dx^2 is a numerical failure (exit 2).
+K dx^2 is a numerical failure (exit 2); a marching process that dies is a
+one-line error (exit 1).
 """
 from __future__ import annotations
 
@@ -480,6 +481,11 @@ class _Job:
 _FAILURES = (ValueError, ArithmeticError, RuntimeError)
 
 
+class WorkerLostError(Exception):
+    """A pool's child process died before it returned its march (the OOM
+    killer, a signal, a crash in native code): exit 1, no file written."""
+
+
 def _plan(job: _Job) -> tuple[ImexOperators, Callable | None]:
     """The job's operators and its step hook, None for a European job; an
     American job's structural warning goes to stderr now, in job order."""
@@ -527,18 +533,20 @@ def _tasks(
     return sorted(tasks, key=lambda task: task[0][0])
 
 
-# A run marches inline below this much work: node-steps, (N+1) M per job,
-# an American job's counted 2.5 times for its penalty sweeps (about 0.16 us
-# a node-step at 800 x 200 against a European job's 0.07).  A fork and join
-# costs about 10 ms, and a batch split across processes loses its lockstep.
-# Inline against two processes on a 2-vCPU Xeon (numpy 2.4, scipy 1.17),
-# interleaved in one process, median of 21:
+# A run marches inline below this much work: node-steps, (N+1) M per job.
+# A fork and join costs about 10 ms, and a batch split across processes
+# loses its lockstep.  Inline against two processes on a 2-vCPU Xeon
+# (numpy 2.4, scipy 1.17), interleaved in one process, median of 21:
 #   table1's four jump jobs   800x200 (0.64e6)  42 vs 57 ms
 #                            1200x200 (0.96e6)  70 vs 60 ms
 #                            1600x200 (1.28e6)  99 vs 75 ms
-#   a two-scenario American   400x200 (0.40e6)  32.6 vs 32.7 ms
-#                             800x200 (0.80e6)  51 vs 47 ms
-#                             800x400 (1.60e6)  92 vs 72 ms
+#   a two-scenario American   400x200 (0.16e6)  32.6 vs 32.7 ms
+#                             800x200 (0.32e6)  51 vs 47 ms
+#                             800x400 (0.64e6)  92 vs 72 ms
+# An American node-step costs about twice a European one (its penalty
+# sweeps), so a two-scenario American gains from the pool below this
+# figure.  No benchmark workload pins the crossover: american_strip prices
+# one job a call, inline by job count, and table1_fine is far above it.
 _POOL_MIN_WORK = 700_000
 
 # The marches a pool's child runs, inherited from the parent at fork; only
@@ -550,10 +558,7 @@ def _processes(planned: Mapping[int, tuple[ImexOperators, Callable | None]], lim
     """How many processes march the planned jobs: limit, or 1, inline, when
     limit is 1, when there is one job, when the work is below
     _POOL_MIN_WORK, or when fork is unavailable."""
-    work = sum(
-        (ops.grid.n_space + 1) * ops.grid.n_time * (1.0 if sweep is None else 2.5)
-        for ops, sweep in planned.values()
-    )
+    work = sum((ops.grid.n_space + 1) * ops.grid.n_time for ops, _ in planned.values())
     if limit < 2 or len(planned) < 2 or work < _POOL_MIN_WORK:
         return 1
     import multiprocessing
@@ -581,20 +586,24 @@ def _march_on_pool(
 ) -> list[list[PriceSurface | Exception | None]]:
     """Each march's outcomes (_march_task), in order, marched on a pool of
     fork-started processes.  The children inherit the marches, step hooks
-    included, so a task sends only its index."""
+    included, so a task sends only its index.  A child that dies raises
+    WorkerLostError once the pool has shut down."""
     import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     # a child would write the parent's buffered output a second time
     sys.stdout.flush()
     sys.stderr.flush()
-    with ProcessPoolExecutor(
-        max_workers=min(processes, len(marches)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_marches,
-        initargs=(marches,),
-    ) as pool:
-        levels = list(pool.map(_march_levels, range(len(marches))))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=min(processes, len(marches)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_marches,
+            initargs=(marches,),
+        ) as pool:
+            levels = list(pool.map(_march_levels, range(len(marches))))
+    except BrokenProcessPool:
+        raise WorkerLostError("a worker process died while marching") from None
     return [
         [
             PriceSurface(ops=ops, taus=out[0], u=out[1]) if isinstance(out, tuple) else out
@@ -695,9 +704,14 @@ def _run_jobs(
     shares jobs[0]'s payoff.  Surface and boundary outputs read every time
     level, the others t = 0's alone, so the marches keep every level only
     for those (see pide._march).  Exit 2 on a numerical failure, naming the
-    first failing job, before any file is written; 1 on a write error."""
+    first failing job, before any file is written; 1 on a write error or
+    when a marching process dies (WorkerLostError)."""
     keep_levels = any(o.kind in ("surface", "boundary") for o in outputs)
-    outcomes = _solve_jobs(jobs, keep_levels)
+    try:
+        outcomes = _solve_jobs(jobs, keep_levels)
+    except WorkerLostError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     columns = []
     try:
         for job, out in zip(jobs, outcomes):

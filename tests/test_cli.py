@@ -1058,13 +1058,34 @@ class TestMarchPool:
         assert main(["price", "--config", path]) == 0
         assert march_pids() == [os.getpid()]
 
-    def test_the_crossover_counts_an_american_job_two_and_a_half_times(self, monkeypatch):
-        grid = GridSpec(100, 50)
+    def test_the_crossover_counts_node_steps_whatever_the_style(self, monkeypatch):
+        grid = GridSpec(n_space=100, n_time=50)
         european = (assemble_operators(bench_spec(), BENCH_MERTON, grid), None)
         american = (european[0], lambda *args: None)
-        monkeypatch.setattr(cli, "_POOL_MIN_WORK", 2.5 * 101 * 50 * 2)
-        assert cli._processes({0: european, 1: european}, 2) == 1
-        assert cli._processes({0: american, 1: american}, 2) == 2
+        for jobs in ({0: european, 1: european}, {0: american, 1: american}):
+            monkeypatch.setattr(cli, "_POOL_MIN_WORK", 101 * 50 * 2 + 1)
+            assert cli._processes(jobs, 2) == 1
+            monkeypatch.setattr(cli, "_POOL_MIN_WORK", 101 * 50 * 2)
+            assert cli._processes(jobs, 2) == 2
+
+    def test_a_worker_that_dies_is_a_one_line_error(self, tmp_path, monkeypatch, capsys, pooled):
+        parent = os.getpid()
+        march = cli._march
+
+        def dies_in_a_child(rows, *args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return march(rows, *args)
+
+        monkeypatch.setattr(cli, "_march", dies_in_a_child)
+        out = tmp_path / "table1.csv"
+        args = ["table1", "--grid-n", "100", "--grid-m", "50", "--output", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: a worker process died while marching\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_no_process_is_left_after_a_pooled_run(self, tmp_path, capsys, pooled):
         assert main(["table1", "--grid-n", "100", "--grid-m", "50"]) == 0
