@@ -39,10 +39,11 @@ operators share one key (`Lockstep.key`: the grid, time step, strike, jump
 reach and the factored bands themselves) are the rows of one (k, N+1) array.
 The key is the one batch rule: a caller groups jobs by it and `Lockstep.of`
 refuses rows that break it.  A step applies the k jump kernels in one
-`rfft`/`irfft` pair along the last axis (the direct path, J below
-_FFT_MIN_OFFSET, correlates row by row) and back-substitutes the k
-right-hand sides in one `dgttrs` call; the far field, the Dirichlet values
-and the growth guard stay per row, so each row is its own solve bit for bit.
+`scipy.fft` `rfft`/`irfft` pair, each a single pass over the batch's rows
+along the last axis (the direct path correlates row by row), and
+back-substitutes the k right-hand sides in one `dgttrs` call; the far field,
+the Dirichlet values and the growth guard stay per row, so each row is its
+own solve bit for bit.
 A single solve steps a plain (N+1,) vector with its own operators through
 the same code, not a `Lockstep.of([ops])`: in an interleaved in-process A/B
 at 400x200 on a 2-vCPU host (this tree against a copy that stepped every
@@ -61,12 +62,14 @@ it (1.0x), and an elementwise ufunc on a few thousand doubles gains nothing
 (1.0x).  So on threads the penalty sweep's `dgtsv` serialized American jobs
 that ran side by side, and table1's lockstep marches at 3200 x 1600 gained
 only about 1.4x from a second thread; processes share no GIL.  An LDL^T
-solve (`dpttrf`/`dpttrs`), twice as fast as `dgttrs` on one thread, lost on
-the thread pool because it holds the GIL; it has not been measured on
-processes.
+solve (`dpttrf`/`dpttrs`) is about twice as fast as `dgttrs` in one process
+(52-53 us against 100-112 us for two right-hand sides of 3199 unknowns, same
+host), but it needs a symmetric band, and the planned move of the
+compensator drift into the band, for stiff kernels, makes it nonsymmetric;
+so it is not used.
 
 A step builds its right-hand side in place on the arrays it makes: b, the
-SBDF2 right-hand side, the far-field values and the FFT path's output are
+SBDF2 right-hand side, the far-field values and the correlation's output are
 each one fresh array that the next operations update, in the order of the
 formulas; only the two operands of a sum or a product swap places, which
 changes no bit in IEEE arithmetic.  So a step allocates fewer temporaries
@@ -84,15 +87,17 @@ with a kernel of 2J+1 lattice weights.  Every other part of E is a
 three-point stencil on the interior rows (-W u, the small-jump corrections
 and the market drift), so assembly folds them into the kernel's taps -1, 0
 and +1 and a step evaluates E with that one precomputed kernel: one
-correlation and no stencil arithmetic.  Kernels with J below _FFT_MIN_OFFSET
-use the direct O(N J) `np.correlate` on the node vector padded with the 2J
-far-field values, one dot product per row.  Longer ones correlate the N+1
-grid nodes alone through a real FFT of length N+1+J (rounded up to a
-2^a 3^b 5^c length by `scipy.fft.next_fast_len`), with the kernel's
-transform computed once at assembly, and add the far-field values' share of
-every row, which is linear in them and is also precomputed per operator.
-The two paths agree to roundoff (relative difference below 1e-15); the
-cut-over is where their per-apply timings cross.
+correlation and no stencil arithmetic.  The correlation has one far-field
+rule, whatever the reach J: it correlates the N+1 grid nodes alone and adds
+the far-field values' share of every row, which is linear in them and so is
+precomputed per operator at assembly (`Correlation.far_data`).  Kernels with
+J below _FFT_MIN_OFFSET and no longer than the node vector use the direct
+O(N J) `np.correlate(u, kernel, mode="same")`.  The others go through a real
+FFT of length N+1+J (rounded up to a 2^a 3^b 5^c length by
+`scipy.fft.next_fast_len`), with the kernel's transform computed once at
+assembly; every transform is `scipy.fft`'s.  The two paths agree to roundoff
+(relative difference below 1e-15); the cut-over is where their per-apply
+timings cross.
 
 A solve's `PriceSurface` carries the operators that made it, so its spec,
 grid, far field and jump measure cannot disagree with its levels; a check of
@@ -112,7 +117,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .bs import OptionSpec, payoff
@@ -120,6 +125,7 @@ from .levy import (
     LevyModel,
     NoJumps,
     integrability_check,
+    shape_witness,
     truncated_second_moment,
     density,
 )
@@ -238,10 +244,12 @@ def european_asymptote(spec: OptionSpec) -> FarField:
 # the discrete jump operator
 
 # Kernels whose largest offset J is at least this take the FFT path.  One
-# jump evaluation on a 2-vCPU Xeon (N = 2J, best of 9 x 200, two runs), direct
-# against FFT: J = 200 35-52 us vs 54-59 us; J = 250 53-68 us vs 49-60 us;
-# J = 300 87-89 us vs 63-64 us; J = 1600 2.1-2.6 ms vs 0.17 ms.  The crossing
-# lies between J = 200 and 300 and moves with the host's load.
+# apply with its far-field share on a 2-vCPU Xeon (numpy 2.4, scipy 1.17;
+# N = 2J, best of 9 x 200 calls, the two paths interleaved, two runs), direct
+# against FFT: J = 200 14.3-16.6 us vs 23.5-25.4 us; J = 250 22.8-23.6 us vs
+# 24.2-26.9 us; J = 300 28.1-34.4 us vs 25.2-27.9 us; J = 1600 0.93-1.08 ms vs
+# 84-91 us.  The crossing lies between J = 250 and 300 and moves with the
+# host's load.
 _FFT_MIN_OFFSET = 300
 
 
@@ -251,10 +259,11 @@ class Correlation:
 
     Row i of the result, i = 0..n_nodes-1, is the sum over k of
     kernel[k] u[i + k - J], where u beyond the grid takes far-field values.
-    Kernels with J below _FFT_MIN_OFFSET take the direct path, one
-    `np.correlate` of the node vector padded with the J far-field values on
-    each side.  Longer ones correlate the grid nodes alone through a real FFT
-    of length fft_len and add the far-field values' share of every row.
+    Both paths correlate the grid nodes alone and add the far-field values'
+    share of every row (far_data).  Kernels with J below _FFT_MIN_OFFSET and
+    no longer than the node vector take the direct path, one
+    `np.correlate(u, kernel, mode="same")` per row; the others a real FFT of
+    length fft_len.
 
     A lockstep batch's correlation stacks its rows' kernels (and their
     transforms) along a leading axis and correlates row r of a (k, n_nodes)
@@ -275,41 +284,38 @@ class Correlation:
         transform length of n_nodes + J keeps the wrap-around of the circular
         convolution out of that window."""
         J = kernel.size // 2
-        if J < _FFT_MIN_OFFSET:
+        # mode="same" returns the longer input's length, so a kernel longer
+        # than the node vector takes the FFT path
+        if J < _FFT_MIN_OFFSET and kernel.size <= n_nodes:
             return cls(kernel, None, 0, n_nodes)
         n = next_fast_len(n_nodes + J, real=True)
-        return cls(kernel, np.fft.rfft(kernel[::-1], n), n, n_nodes)
+        return cls(kernel, rfft(kernel[::-1], n), n, n_nodes)
 
     def far_data(self, ext: np.ndarray) -> np.ndarray:
-        """What the correlation takes from u's values at the J lattice points
-        left of the grid, then the J right of it; linear in them.
-
-        The direct path correlates the padded node vector, so it takes the
-        values themselves.  The FFT path correlates the grid nodes alone and
-        takes the values' share of every row: row i reaches the J points left
-        of the grid through the offsets below -i, and the J points right of it
-        through those above N - i.
-        """
-        if self.kernel_rfft is None:
-            return ext
-        J = self.kernel.size // 2
-        out = np.zeros(self.n_nodes)
-        out[:J] += np.correlate(ext[:J], self.kernel[:J], mode="full")[J - 1 :]
-        out[-J:] += np.correlate(ext[J:], self.kernel[J + 1 :], mode="full")[:J]
+        """The share of every row that comes from u's values at the J lattice
+        points left of the grid, then the J right of it; linear in them.  Row
+        i reaches the J points left of the grid through the offsets below -i,
+        and the J points right of it through those above N - i; with J above
+        N only the rows of the grid's n_nodes are kept."""
+        J, n = self.kernel.size // 2, self.n_nodes
+        out = np.zeros(n)
+        out[:J] += np.correlate(ext[:J], self.kernel[:J], mode="full")[J - 1 :][:n]
+        out[-J:] += np.correlate(ext[J:], self.kernel[J + 1 :], mode="full")[:J][-n:]
         return out
 
     def __call__(self, u: np.ndarray, far: np.ndarray) -> np.ndarray:
         """The correlation of u, with far = far_data(u's values beyond the
         grid); u and far are one row or a batch's rows."""
-        J = self.kernel.shape[-1] // 2
         if self.kernel_rfft is None:
-            padded = np.concatenate([far[..., :J], u, far[..., J:]], axis=-1)
             if u.ndim == 1:
-                return np.correlate(padded, self.kernel, mode="valid")
-            return np.array([np.correlate(p, k, mode="valid") for p, k in zip(padded, self.kernel)])
-        spectrum = np.fft.rfft(u, self.fft_len)
-        spectrum *= self.kernel_rfft
-        out = np.fft.irfft(spectrum, self.fft_len)[..., J : J + self.n_nodes]
+                out = np.correlate(u, self.kernel, mode="same")
+            else:
+                out = np.array([np.correlate(r, k, mode="same") for r, k in zip(u, self.kernel)])
+        else:
+            J = self.kernel.shape[-1] // 2
+            spectrum = rfft(u, self.fft_len)
+            spectrum *= self.kernel_rfft
+            out = irfft(spectrum, self.fft_len, overwrite_x=True)[..., J : J + self.n_nodes]
         out += far
         return out
 
@@ -339,7 +345,8 @@ class IntegralOperator:
 
 def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOperator:
     """Build the discrete jump operator for one measure on one grid; a measure
-    that fails the integrability check is refused here, for every solve."""
+    that fails the integrability check or whose shape witness is not
+    admissible is refused here, for every solve."""
     dx = grid.dx
     if isinstance(model, NoJumps):
         return IntegralOperator(
@@ -353,6 +360,15 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
     report = integrability_check(model)
     if not report.passed:
         raise ValueError(f"measure fails the integrability check: {report.detail}")
+    # without a Gaussian factor (mu = 0) the upward wing must decay faster
+    # than e^-z, or E[e^J] and the risk-neutral drift diverge
+    w = shape_witness(model)
+    if not w.admissible:
+        raise ValueError(
+            "measure is not admissible: need alpha < 3 and, with mu = 0, "
+            f"d_minus + 1 < 0 < d_plus; got alpha = {w.alpha:g}, mu = {w.mu:g}, "
+            f"d_minus + 1 = {w.d_minus + 1.0:g}, d_plus = {w.d_plus:g}"
+        )
 
     j0 = max(1, int(round(grid.delta / dx)))
     J = max(j0, int(round(grid.z_max / dx)))
@@ -435,7 +451,8 @@ class ImexOperators:
     integral: IntegralOperator
     # E on every node (its boundary rows unused)
     explicit: Correlation
-    # explicit.far_data of the far field's level and growth beyond the grid
+    # explicit.far_data of the far field's level and growth beyond the grid:
+    # their share of each of the N+1 rows
     far_level: np.ndarray = field(repr=False)
     far_growth: np.ndarray = field(repr=False)
     # level and growth at the two Dirichlet nodes xs[0], xs[-1]

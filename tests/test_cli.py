@@ -725,6 +725,41 @@ class TestPriceCommand:
         assert "static lower bound 0 " in err
         assert "dt*W = 0.457" in err and "dt*c_loc/dx^2 = 0.605" in err
 
+    @pytest.mark.parametrize("style", ["european", "american"])
+    @pytest.mark.parametrize(
+        "model, numbers",
+        [
+            ({"type": "vg", "a": 0.5, "b": 1.2, "c": 1.0},
+             "alpha = 1, mu = 0, d_minus + 1 = 0.3, d_plus = 1.7"),
+            ({"type": "kou", "lam": 1.0, "theta": 0.5, "lam_plus": 1.0, "lam_minus": 3.0},
+             "alpha = 0, mu = 0, d_minus + 1 = 0, d_plus = 3"),
+        ],
+        ids=["vg", "kou"],
+    )
+    def test_an_inadmissible_measure_is_refused_before_any_write(
+        self, tmp_path, capsys, model, numbers, style
+    ):
+        # both pass the integrability check, but E[e^J] diverges: the solve
+        # priced the truncation (a VG put of 73.2387 at S = K, and a Kou put
+        # that grew with the half-width)
+        table = tmp_path / "t.csv"
+        path = write_cfg(
+            tmp_path,
+            option={**OPTION, "sigma": 0.2},
+            model=model,
+            style=style,
+            grid=None,
+            scenarios=[{"rate": 0.05, "spots": [100.0]}],
+            outputs=[{"kind": "table", "path": str(table)}],
+        )
+        assert main(["price", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not table.exists()
+        assert err == (
+            "numerical failure in V_r0.05: measure is not admissible: need alpha < 3 and, "
+            f"with mu = 0, d_minus + 1 < 0 < d_plus; got {numbers}\n"
+        )
+
     @pytest.mark.parametrize("kind", ["put", "call"])
     def test_static_bounds_allow_k_dx_squared(self, kind):
         spec = OptionSpec(strike=100.0, expiry=1.0, rate=0.1, sigma=0.23, kind=kind)

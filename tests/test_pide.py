@@ -1,6 +1,7 @@
 """The grid, the discrete jump operator, IMEX stepping, and the European solve."""
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -25,9 +26,10 @@ from conftest import (
 )
 from levypide.american import exercise_asymptote
 from levypide.bs import OptionSpec, bs_price, payoff, u_bs
-from levypide.levy import CGMY, NoJumps, truncated_second_moment
+from levypide.levy import CGMY, Kou, NoJumps, VarianceGamma, truncated_second_moment
 from levypide.oracle import merton_series_price
 from levypide.pide import (
+    _FFT_MIN_OFFSET,
     Correlation,
     FarField,
     GridSpec,
@@ -126,29 +128,59 @@ class TestEuropeanAsymptote:
 
 
 class TestCorrelation:
-    @pytest.mark.parametrize(
-        "name, grid",
-        [(name, FFT_GRID) for name in sorted(ALL_JUMP_MODELS)]
-        + [
-            ("merton", GridSpec(n_space=1600, z_max=2.0)),
-            ("merton", GridSpec(n_space=1600, delta=3.0 * FFT_GRID.dx)),
-        ],
-        ids=lambda v: v if isinstance(v, str) else f"z{v.z_max:g}-d{v.delta / v.dx:g}",
-    )
-    def test_fft_path_matches_direct_correlation(self, name, grid):
-        # the step's kernel on the FFT path against np.correlate of the node
+    @staticmethod
+    def assert_matches_the_padded_correlation(corr, far_field, rate, xs):
+        # corr with the far field's share against np.correlate of the node
         # vector padded with the far-field values beyond each edge
-        spec = bench_spec(rate=0.1)
-        corr = assemble_operators(spec, ALL_JUMP_MODELS[name], grid).explicit
-        assert corr.kernel_rfft is not None
-        extend = far_values(european_asymptote(spec), spec.rate)
-        xs, dx, J = grid.xs(), grid.dx, corr.kernel.size // 2
+        extend = far_values(far_field, rate)
+        dx, J = xs[1] - xs[0], corr.kernel.size // 2
         beyond = np.concatenate([xs[0] + dx * np.arange(-J, 0), xs[-1] + dx * np.arange(1, J + 1)])
         ext = extend(beyond, 0.3)
         u = extend(xs, 0.3) + np.cos(3.0 * xs)
         out = corr(u, corr.far_data(ext))
         ref = np.correlate(np.concatenate([ext[:J], u, ext[J:]]), corr.kernel, mode="valid")
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(out))
+
+    @pytest.mark.parametrize(
+        "name, grid, far",
+        [(name, FFT_GRID, "european") for name in sorted(ALL_JUMP_MODELS)]
+        + [
+            ("merton", GridSpec(n_space=1600, z_max=2.0), "european"),
+            ("merton", GridSpec(n_space=1600, delta=3.0 * FFT_GRID.dx), "european"),
+        ]
+        + [
+            (name, GridSpec(), far)
+            for name in sorted(ALL_JUMP_MODELS)
+            for far in ("european", "exercise")
+        ],
+        ids=lambda v: (
+            v if isinstance(v, str) else f"n{v.n_space}-z{v.z_max:g}-d{v.delta / v.dx:g}"
+        ),
+    )
+    def test_matches_the_padded_correlation(self, name, grid, far):
+        # the step's kernel on the FFT path (1600 nodes) and on the direct
+        # path (the default grid), with the European and the American far field
+        spec = bench_spec(rate=0.1)
+        corr = assemble_operators(spec, ALL_JUMP_MODELS[name], grid).explicit
+        assert (corr.kernel_rfft is None) == (grid.n_space == GridSpec().n_space)
+        far_field = exercise_asymptote(spec) if far == "exercise" else european_asymptote(spec)
+        self.assert_matches_the_padded_correlation(corr, far_field, spec.rate, grid.xs())
+
+    @pytest.mark.parametrize("J", [60, 120, _FFT_MIN_OFFSET + 50])
+    @pytest.mark.parametrize("far", ["european", "exercise"])
+    def test_kernels_longer_than_the_node_vector(self, J, far):
+        # GridSpec keeps z_max <= half_width, so the kernel of a grid with 2J
+        # steps correlates over 101 nodes of the same spacing: 2J + 1 taps
+        # reach past the node vector, and from J = 101 past every node
+        spec = bench_spec(rate=0.1)
+        grid = GridSpec(n_space=2 * J)
+        kernel = assemble_operators(spec, BENCH_MERTON, grid).explicit.kernel
+        assert kernel.size == 2 * J + 1
+        corr = Correlation.of(kernel, 101)
+        assert corr.kernel_rfft is not None
+        xs = grid.dx * np.arange(-50.0, 51.0)
+        far_field = exercise_asymptote(spec) if far == "exercise" else european_asymptote(spec)
+        self.assert_matches_the_padded_correlation(corr, far_field, spec.rate, xs)
 
     @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
     def test_built_once_per_assembly(self, grid, monkeypatch):
@@ -241,6 +273,27 @@ class TestIntegralOperator:
     def test_refuses_supercritical_singularity(self):
         with pytest.raises(ValueError, match="alpha"):
             assemble_integral_operator(CGMY(c=0.5, g=6.0, m=8.0, y=2.5), GridSpec())
+
+    @pytest.mark.parametrize(
+        "model, numbers",
+        [
+            (VarianceGamma(a=0.5, b=1.2, c=1.0),
+             "alpha = 1, mu = 0, d_minus + 1 = 0.3, d_plus = 1.7"),
+            (Kou(lam=1.0, theta=0.5, lam_plus=1.0, lam_minus=3.0),
+             "alpha = 0, mu = 0, d_minus + 1 = 0, d_plus = 3"),
+        ],
+        ids=["vg", "kou"],
+    )
+    def test_refuses_an_upward_wing_that_decays_too_slowly(self, model, numbers):
+        # E[e^J] diverges, so the risk-neutral drift is undefined; the
+        # integrability check alone passes both
+        message = f"measure is not admissible: .*got {re.escape(numbers)}$"
+        with pytest.raises(ValueError, match=message):
+            assemble_integral_operator(model, GridSpec())
+        # just inside the admissible wing the same family still assembles
+        assemble_integral_operator(
+            Kou(lam=1.0, theta=0.5, lam_plus=1.05, lam_minus=3.0), GridSpec()
+        )
 
     def test_weights_are_nonnegative(self):
         op = assemble_integral_operator(BENCH_MERTON, GridSpec())
