@@ -6,7 +6,8 @@ equation, where w(tau, x) = e^(r tau) Phi(K e^x) is the transformed payoff;
 as eps decreases the solution converges to the complementarity solution from
 below the obstacle by O(eps).  The time step and the march are pide's
 (`step_imex`, `_march`); this module supplies only the penalty sweep that
-stands in for the step's banded solve.  An SBDF2 step solves
+the operators carry (`ImexOperators.sweep`) and that stands in for the
+step's banded solve.  An SBDF2 step solves
 
     ((3/2) I - dt D + P) u_(n+1) = rhs + P w,
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,20 +144,21 @@ def solve_american_penalized(
     (see pide._march); extract_boundary reads only the levels a surface holds,
     and lcp_residual refuses such a surface: it needs every level.  A measure
     that violates the structural condition prices with a RuntimeWarning."""
-    ops, sweep, warning = penalized_operators(spec, model, grid, pcfg)
+    ops, warning = penalized_operators(spec, model, grid, pcfg)
     if warning is not None:
         warnings.warn(warning, RuntimeWarning, stacklevel=2)
-    [surface] = _march([ops], sweep, keep_levels)
+    [surface] = _march([ops], keep_levels)
     return surface
 
 
 def penalized_operators(
     spec: OptionSpec, model: LevyModel, grid: GridSpec, pcfg: PenaltyConfig
-) -> tuple[ImexOperators, Callable, str | None]:
+) -> tuple[ImexOperators, str | None]:
     """What solve_american_penalized marches: the operators with the exercise
-    far field, their penalty sweep (pide.step_imex's solve hook) and the
-    structural warning, None when the measure meets the condition.  A caller
-    that marches elsewhere writes the warning in its own order."""
+    far field, which with their start carry the penalty sweep
+    (`ImexOperators.sweep`), and the structural warning, None when the
+    measure meets the condition.  A caller that marches elsewhere writes the
+    warning in its own order."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
     # assembly refuses a measure that fails the integrability check, so such a
@@ -217,7 +218,8 @@ def penalized_operators(
             iterations=pcfg.max_picard,
         )
 
-    return ops, sweep, warning
+    ops.sweep = ops.start.sweep = sweep
+    return ops, warning
 
 
 def extract_boundary(surface: PriceSurface) -> ExerciseBoundary:

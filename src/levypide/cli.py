@@ -18,42 +18,39 @@ Config files are JSON.  Top-level keys:
             scenario, its path suffixed _r<rate>.  No two outputs may write
             the same file, and a path must name a file.
   scenarios [{"rate": r, "spots": [S, ...]}]; one pricing job per entry.
-  closed_form  replace the solve by the closed form when the model has no
-            jumps (also the --closed-form flag).
 
 Every value is a number, except: n_space, n_time and max_picard are whole
 numbers (400.0 reads as 400); kind, style, type and path are strings;
-scenarios, spots and outputs are lists; closed_form is true or false.  A
-null value reads as an absent one, and an absent grid or penalty value takes
-GridSpec's or PenaltyConfig's default.  Any other JSON type, a missing
-required field, or a key not listed above (a misspelled key would otherwise
-read as an absent one), at the top level or in a section, is a one-line
-ConfigError that names the field.
+scenarios, spots and outputs are lists.  A null value reads as an absent
+one, and an absent grid or penalty value takes GridSpec's or PenaltyConfig's
+default.  Any other JSON type, a missing required field, or a key not listed
+above (a misspelled key would otherwise read as an absent one), at the top
+level or in a section, is a one-line ConfigError that names the field.
 
 `price` and `table1` run through one job pipeline: the jobs are one per
-scenario, or table1's built-in columns.  The main thread plans them in job
+scenario, or table1's built-in columns.  A `price` job is always marched on
+its grid; only table1's bs_sigma columns, and plotdata's V_bs reference for
+a jump model, take the closed form.  The main thread plans the jobs in job
 order: it assembles each job's operators, runs an American job's structural
 check and writes its warning as a `warning: <message>` line on stderr, and
-records a refusal as that job's error.  One rule makes the batches: jobs
-whose operators share a pide.Lockstep.key and a step hook march together.  A
-European job has no hook; an American job's is its own penalty sweep, so it
-marches alone.  The marches then run on a pool of fork-started processes, at
-most LEVYPIDE_WORKERS and one per CPU, a batch split into one march per
-process at most; processes, not threads, because a march's dozen
-elementwise numpy calls per step hand the GIL over and the sweep's `dgtsv`
-holds it.  They run inline, one after another and each batch whole, when
-there is one march, one worker or one CPU, when the work is below
+records a refusal as that job's error.  A job is priced by its operators
+alone, and one rule makes the batches: jobs whose operators share a
+pide.Lockstep.key march together (an American job's operators share it with
+no other job's).  The marches then run on a pool of fork-started processes,
+at most LEVYPIDE_WORKERS and one per CPU, a batch split into one march per
+process at most.  They run inline, one after another and each batch whole,
+when there is one march, one worker or one CPU, when the work is below
 _POOL_MIN_WORK (a fork and join costs about 10 ms), or when fork is
 unavailable.  The pool is fork-only: the children inherit the planned
-operators and the sweeps, closures that do not pickle.  Python 3.12 and
-later warn on a fork in a process that runs other threads: the CLI starts
-none, but a threaded BLAS may.  A job's outcome is one value: its
-PriceSurface, its error, or None for a closed form.  The main thread writes
-every file after the last march, in job order, so identical runs produce
-byte-identical outputs whatever the worker count.  A European price at one
-of a job's spots that leaves the static no-arbitrage bounds by more than
-K dx^2 is a numerical failure (exit 2); a marching process that dies is a
-one-line error (exit 1).
+operators, and an American job's do not pickle.  Python 3.12 and later warn
+on a fork in a process that runs other threads: the CLI starts none, but a
+threaded BLAS may.  A job's outcome is one value: its PriceSurface, its
+error, or None for a closed form.  The main thread writes every file after
+the last march, in job order, so identical runs produce byte-identical
+outputs whatever the worker count.  A European price at one of a job's spots
+that leaves the static no-arbitrage bounds by more than K dx^2 is a
+numerical failure (exit 2); a marching process that dies is a one-line error
+(exit 1).
 """
 from __future__ import annotations
 
@@ -227,7 +224,6 @@ def _typed(value, name: str, types: type | tuple, what: str):
 # The readers of the JSON types: reader(value, name) returns the value or
 # refuses it as a one-line ConfigError that names it.
 _text = functools.partial(_typed, types=str, what="a string")
-_flag = functools.partial(_typed, types=bool, what="true or false")
 _object = functools.partial(_typed, types=Mapping, what="an object")
 _list = functools.partial(_typed, types=list, what="a list")
 
@@ -307,7 +303,6 @@ class RunConfig:
     penalty: PenaltyConfig | None = None
     outputs: tuple[OutputSpec, ...] = ()
     scenarios: tuple[Scenario, ...] = ()
-    closed_form: bool = False
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunConfig":
@@ -343,7 +338,6 @@ class RunConfig:
                          {"rate": _number, "spots": _spots})
                 for s in _get(d, "scenarios", _list, [])
             ),
-            closed_form=_get(d, "closed_form", _flag, False),
         )
         cfg.validate()
         return cfg
@@ -374,7 +368,6 @@ class RunConfig:
             raise ConfigError("american style covers put options only")
         if self.penalty is not None and self.style != "american":
             raise ConfigError("penalty settings require style: american")
-        substitute = self.closed_form and isinstance(self.model, NoJumps)
         for o in self.outputs:
             if o.kind not in _OUTPUT_KINDS:
                 raise ConfigError(
@@ -382,13 +375,7 @@ class RunConfig:
                 )
             if o.kind == "boundary" and self.style != "american":
                 raise ConfigError("boundary output requires style: american")
-            if substitute and o.kind in ("surface", "boundary"):
-                raise ConfigError(
-                    f"{o.kind} output needs the grid solve; drop closed_form"
-                )
-            if o.kind == "plotdata" and not substitute and not (
-                lo <= _PLOT_SPOTS[0] and _PLOT_SPOTS[-1] <= hi
-            ):
+            if o.kind == "plotdata" and not (lo <= _PLOT_SPOTS[0] and _PLOT_SPOTS[-1] <= hi):
                 raise ConfigError(
                     f"plotdata spots [{_PLOT_SPOTS[0]:g}, {_PLOT_SPOTS[-1]:g}] lie outside "
                     f"the grid range [{lo:.4g}, {hi:.4g}]"
@@ -486,19 +473,19 @@ class WorkerLostError(Exception):
     killer, a signal, a crash in native code): exit 1, no file written."""
 
 
-def _plan(job: _Job) -> tuple[ImexOperators, Callable | None]:
-    """The job's operators and its step hook, None for a European job; an
-    American job's structural warning goes to stderr now, in job order."""
+def _plan(job: _Job) -> ImexOperators:
+    """The job's operators; an American job's structural warning goes to
+    stderr now, in job order."""
     if job.penalty is None:
-        return assemble_operators(job.spec, job.model, job.grid), None
-    ops, sweep, warning = penalized_operators(job.spec, job.model, job.grid, job.penalty)
+        return assemble_operators(job.spec, job.model, job.grid)
+    ops, warning = penalized_operators(job.spec, job.model, job.grid, job.penalty)
     if warning is not None:
         print(f"warning: {warning}", file=sys.stderr)
-    return ops, sweep
+    return ops
 
 
 def _march_task(
-    rows: list[ImexOperators], solve: Callable | None, keep_levels: bool
+    rows: list[ImexOperators], keep_levels: bool
 ) -> list[PriceSurface | Exception | None]:
     """March rows as one batch (see pide._march); each row's outcome is its
     surface or its error.  A failing row ends the march there, and the rows
@@ -508,29 +495,27 @@ def _march_task(
     if not rows:
         return []
     try:
-        return _march(rows, solve, keep_levels)
+        return _march(rows, keep_levels)
     except _FAILURES as exc:
         row = getattr(exc, "row", 0)  # a GrowthGuardError names its row
-        return [*_march_task(rows[:row], solve, keep_levels), exc] + [None] * (len(rows) - row - 1)
+        return [*_march_task(rows[:row], keep_levels), exc] + [None] * (len(rows) - row - 1)
 
 
-def _tasks(
-    planned: Mapping[int, tuple[ImexOperators, Callable | None]], limit: int
-) -> list[tuple[list[int], Callable | None]]:
-    """The marches of the planned jobs, by job index: jobs whose operators
-    share a Lockstep.key and whose step hook is the same march together, and
-    each such batch splits into at most limit contiguous runs in job order,
-    whose sizes differ by at most one.  The marches come in the order of
-    their first jobs."""
+def _tasks(planned: Mapping[int, ImexOperators], limit: int) -> list[list[int]]:
+    """The marches of the planned jobs, as lists of job indices: jobs whose
+    operators share a Lockstep.key march together, and each such batch
+    splits into at most limit contiguous runs in job order, whose sizes
+    differ by at most one.  The marches come in the order of their first
+    jobs."""
     batches: dict[tuple, list[int]] = {}
-    for i, (ops, sweep) in planned.items():
-        batches.setdefault((Lockstep.key(ops), sweep), []).append(i)
+    for i, ops in planned.items():
+        batches.setdefault(Lockstep.key(ops), []).append(i)
     tasks = [
-        (chunk.tolist(), sweep)
-        for (_, sweep), members in batches.items()
+        chunk.tolist()
+        for members in batches.values()
         for chunk in np.array_split(members, min(len(members), limit))
     ]
-    return sorted(tasks, key=lambda task: task[0][0])
+    return sorted(tasks, key=lambda idx: idx[0])
 
 
 # A run marches inline below this much work: node-steps, (N+1) M per job.
@@ -544,21 +529,21 @@ def _tasks(
 #                             800x200 (0.32e6)  51 vs 47 ms
 #                             800x400 (0.64e6)  92 vs 72 ms
 # An American node-step costs about twice a European one (its penalty
-# sweeps), so a two-scenario American gains from the pool below this
+# iterations), so a two-scenario American gains from the pool below this
 # figure.  No benchmark workload pins the crossover: american_strip prices
 # one job a call, inline by job count, and table1_fine is far above it.
 _POOL_MIN_WORK = 700_000
 
-# The marches a pool's child runs, inherited from the parent at fork; only
-# the pool's initializer writes it, in the child.
-_CHILD_MARCHES: list[tuple[list[ImexOperators], Callable | None, bool]] = []
+# The marches a pool's child runs, each a list of rows, inherited from the
+# parent at fork; only the pool's initializer writes it, in the child.
+_CHILD_MARCHES: list[list[ImexOperators]] = []
 
 
-def _processes(planned: Mapping[int, tuple[ImexOperators, Callable | None]], limit: int) -> int:
+def _processes(planned: Mapping[int, ImexOperators], limit: int) -> int:
     """How many processes march the planned jobs: limit, or 1, inline, when
     limit is 1, when there is one job, when the work is below
     _POOL_MIN_WORK, or when fork is unavailable."""
-    work = sum((ops.grid.n_space + 1) * ops.grid.n_time for ops, _ in planned.values())
+    work = sum((ops.grid.n_space + 1) * ops.grid.n_time for ops in planned.values())
     if limit < 2 or len(planned) < 2 or work < _POOL_MIN_WORK:
         return 1
     import multiprocessing
@@ -571,23 +556,25 @@ def _adopt_marches(marches: list) -> None:
     _CHILD_MARCHES[:] = marches
 
 
-def _march_levels(index: int) -> list[tuple[np.ndarray, np.ndarray] | Exception | None]:
+def _march_levels(
+    index: int, keep_levels: bool
+) -> list[tuple[np.ndarray, np.ndarray] | Exception | None]:
     """A child's march of its inherited march index: each row's (taus, u)
     levels, or its error; the parent rebuilds the surfaces from the
-    operators it holds."""
+    operators it holds, as an American job's do not pickle."""
     return [
         (out.taus, out.u) if isinstance(out, PriceSurface) else out
-        for out in _march_task(*_CHILD_MARCHES[index])
+        for out in _march_task(_CHILD_MARCHES[index], keep_levels)
     ]
 
 
 def _march_on_pool(
-    marches: list[tuple[list[ImexOperators], Callable | None, bool]], processes: int
+    marches: list[list[ImexOperators]], keep_levels: bool, processes: int
 ) -> list[list[PriceSurface | Exception | None]]:
     """Each march's outcomes (_march_task), in order, marched on a pool of
-    fork-started processes.  The children inherit the marches, step hooks
-    included, so a task sends only its index.  A child that dies raises
-    WorkerLostError once the pool has shut down."""
+    fork-started processes.  The children inherit the marches' operators, so
+    a task sends only its index.  A child that dies raises WorkerLostError
+    once the pool has shut down."""
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
@@ -601,7 +588,8 @@ def _march_on_pool(
             initializer=_adopt_marches,
             initargs=(marches,),
         ) as pool:
-            levels = list(pool.map(_march_levels, range(len(marches))))
+            march = functools.partial(_march_levels, keep_levels=keep_levels)
+            levels = list(pool.map(march, range(len(marches))))
     except BrokenProcessPool:
         raise WorkerLostError("a worker process died while marching") from None
     return [
@@ -609,19 +597,19 @@ def _march_on_pool(
             PriceSurface(ops=ops, taus=out[0], u=out[1]) if isinstance(out, tuple) else out
             for ops, out in zip(rows, outs)
         ]
-        for (rows, _, _), outs in zip(marches, levels)
+        for rows, outs in zip(marches, levels)
     ]
 
 
 def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[PriceSurface | Exception | None]:
     """Plan the jobs on the main thread (_plan), then march them in batches
-    of one (Lockstep.key, step hook) (_tasks): an American job's penalty
-    sweep is its own, so it marches alone.  On a pool of processes
-    (_processes) a batch splits into one march per process at most;
-    inline, it marches whole.
+    of one Lockstep.key (_tasks): an American job's operators share their key
+    with no other job's, so it marches alone.  On a pool of processes
+    (_processes) a batch splits into one march per process at most; inline,
+    it marches whole.
 
     Processes, not threads: a thread hands the GIL over at each of a step's
-    dozen elementwise numpy calls, and the penalty sweep's `dgtsv` holds it.
+    dozen elementwise numpy calls, and an American step's `dgtsv` holds it.
     Two processes against the two threads that marched before, interleaved
     in one process on a 2-vCPU Xeon (numpy 2.4, scipy 1.17), median of 9,
     bits identical: table1 at 3200 x 1600 818 against 947 ms, a
@@ -629,11 +617,11 @@ def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[PriceSurface | Exce
     run inline when there is one job (every one-scenario price), one worker
     or one CPU, below _POOL_MIN_WORK, or without fork; a two-scenario
     American at 400 x 200 then takes 34 ms, against 41 ms on threads.  The
-    pool forks, as only a fork hands the children the penalty sweeps,
-    closures that do not pickle."""
+    pool forks, as only a fork hands the children an American job's
+    operators, which do not pickle."""
     limit = _worker_limit()
     outcomes: list[PriceSurface | Exception | None] = [None] * len(jobs)
-    planned: dict[int, tuple[ImexOperators, Callable | None]] = {}
+    planned: dict[int, ImexOperators] = {}
     for i, job in enumerate(jobs):
         if job.model is None:
             continue
@@ -643,12 +631,12 @@ def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[PriceSurface | Exce
             outcomes[i] = exc
     processes = _processes(planned, limit)
     tasks = _tasks(planned, processes)
-    marches = [([planned[i][0] for i in idx], sweep, keep_levels) for idx, sweep in tasks]
+    marches = [[planned[i] for i in idx] for idx in tasks]
     if processes > 1:
-        results = _march_on_pool(marches, processes)
+        results = _march_on_pool(marches, keep_levels, processes)
     else:
-        results = [_march_task(*march) for march in marches]
-    for (idx, _), outs in zip(tasks, results):
+        results = [_march_task(rows, keep_levels) for rows in marches]
+    for idx, outs in zip(tasks, results):
         for i, out in zip(idx, outs):
             outcomes[i] = out
     return outcomes
@@ -754,7 +742,6 @@ def _run_jobs(
 
 
 def _execute(cfg: RunConfig) -> int:
-    closed = cfg.closed_form and isinstance(cfg.model, NoJumps)
     penalty = None
     if cfg.style == "american":
         penalty = cfg.penalty if cfg.penalty is not None else PenaltyConfig()
@@ -767,14 +754,14 @@ def _execute(cfg: RunConfig) -> int:
             _Job(
                 name=name,
                 spec=dataclasses.replace(cfg.option, rate=sc.rate),
-                model=None if closed else cfg.model,
+                model=cfg.model,
                 grid=cfg.grid,
                 spots=sc.spots,
                 penalty=penalty,
             )
         )
 
-    def write_other(out: OutputSpec, surfaces: list[PriceSurface | None]) -> None:
+    def write_other(out: OutputSpec, surfaces: list[PriceSurface]) -> None:
         label = _model_label(cfg.model)
         for job, surface, dest in zip(jobs, surfaces, cfg._files(out)):
             if out.kind == "surface":
@@ -782,11 +769,10 @@ def _execute(cfg: RunConfig) -> int:
             elif out.kind == "boundary":
                 extract_boundary(surface).to_csv(dest)
             else:
-                closed_form = functools.partial(bs_price, job.spec)
                 cols: dict[str, object] = {}
                 if label != "bs":
-                    cols["bs"] = closed_form
-                cols[label] = surface if surface is not None else closed_form
+                    cols["bs"] = functools.partial(bs_price, job.spec)
+                cols[label] = surface
                 emit_plotdata(cols, dest)
 
     return _run_jobs(jobs, cfg.outputs, write_other)
@@ -827,8 +813,6 @@ def _apply_overrides(d, args: argparse.Namespace) -> None:
     ):
         if getattr(args, flag, None) is not None:
             d[section] = {**_get(d, section, _object, {}), key: getattr(args, flag)}
-    if getattr(args, "closed_form", False):
-        d["closed_form"] = True
     if getattr(args, "output", None) is not None:
         outputs = [
             o
@@ -950,12 +934,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--grid-n", type=int, dest="grid_n", help="spatial intervals")
     pp.add_argument("--grid-m", type=int, dest="grid_m", help="time steps")
     pp.add_argument("--epsilon", type=float, help="penalty strength (american style)")
-    pp.add_argument(
-        "--closed-form",
-        action="store_true",
-        dest="closed_form",
-        help="use the closed form when the model has no jumps",
-    )
 
     pc = sub.add_parser("check", help="run the measure checks for a config's model")
     pc.add_argument("--config", required=True, help="JSON run configuration")

@@ -18,32 +18,34 @@ backward-Euler substeps of dt/4: backward Euler damps the payoff's kink, and
 the four substeps' local error, O(dt^2 / 4), is of the second-order scheme's
 size.  The tridiagonal solves call LAPACK
 directly: assembly factors both matrices, (3/2) I - dt D for the SBDF2 steps
-and I - (dt/4) D for the substeps, once (`dgttrf`) and each unhooked step
-back-substitutes (`dgttrs`); a solve with an extra diagonal (a penalty
+and I - (dt/4) D for the substeps, once (`dgttrf`) and each step without a
+sweep back-substitutes (`dgttrs`); a solve with an extra diagonal (a penalty
 sweep with an active node) eliminates afresh (`dgtsv`), while a penalty-free
-sweep back-substitutes like an unhooked step.  Both run the elimination
+sweep back-substitutes like a step without one.  Both run the elimination
 `scipy.linalg.solve_banded` runs for a (1, 1) band, so the bits are the banded
 solver's.  The discrete jump operator is calibrated so that it annihilates
 samples of e^x exactly, the discrete counterpart of the identity that makes
 the discounted stock a martingale.
 
 `step_imex` is the one time step of both the European and the American
-solve, and `_march` its one march.  The step's optional `solve` hook
-replaces the banded solve and fills the new level's interior (the American
-solve passes its penalty sweep); every step and substep, hooked or not, ends
-in the same growth guard, which also refuses a NaN or an infinity: the LAPACK
-kernels do not check their input.
+solve, and `_march` its one march.  The operators decide the solve: an
+American job's carry its penalty sweep (`ImexOperators.sweep`), which
+replaces the banded solve and fills the new level's interior, and a
+European job's carry none.  Every step and substep, with a sweep or
+without, ends in the same growth guard, which also refuses a NaN or an
+infinity: the LAPACK kernels do not check their input.
 
 The march advances a lockstep batch (`Lockstep`): the levels of k jobs whose
 operators share one key (`Lockstep.key`: the grid, time step, strike, jump
-reach and the factored bands themselves) are the rows of one (k, N+1) array.
-The key is the one batch rule: a caller groups jobs by it and `Lockstep.of`
-refuses rows that break it.  A step applies the k jump kernels in one
-`scipy.fft` `rfft`/`irfft` pair, each a single pass over the batch's rows
-along the last axis (the direct path correlates row by row), and
-back-substitutes the k right-hand sides in one `dgttrs` call; the far field,
-the Dirichlet values and the growth guard stay per row, so each row is its
-own solve bit for bit.
+reach, the factored bands themselves and the sweep) are the rows of one
+(k, N+1) array.  The key is the one batch rule: a caller groups jobs by it
+and `Lockstep.of` refuses rows that break it.  A sweep is one job's own, so a
+row with one marches alone, and `Lockstep.of` refuses it.  A step applies the
+k jump kernels in one `scipy.fft` `rfft`/`irfft` pair, each a single pass
+over the batch's rows along the last axis (the direct path correlates row by
+row), and back-substitutes the k right-hand sides in one `dgttrs` call; the
+far field, the Dirichlet values and the growth guard stay per row, so each
+row is its own solve bit for bit.
 A single solve steps a plain (N+1,) vector with its own operators through
 the same code, not a `Lockstep.of([ops])`: in an interleaved in-process A/B
 at 400x200 on a 2-vCPU host (this tree against a copy that stepped every
@@ -52,21 +54,11 @@ solve as a batch of one, calls alternating; a copy against itself reads
 1.29x per European one, bits identical, and one SBDF2 step 76.5 us against
 54.9 us: the edge values, the growth guard and the direct path's row loop
 are slower on (1, N+1) arrays.  A batch of k rows makes the same number of
-calls per step as one row, for k times the work.  The CLI marches its
-batches in forked processes (cli._solve_jobs), not threads, because of the
-GIL: every numpy call drops and retakes it, so threads hand it over at every
-one of a step's dozen calls.  Measured on a 2-vCPU host (numpy 2.4, scipy
-1.17), two threads against one: `dgttrs` releases the GIL and runs 1.9x
-faster, numpy's rfft and irfft 1.6-1.9x; `dgtsv`, `dpttrs` and `dptsv` hold
-it (1.0x), and an elementwise ufunc on a few thousand doubles gains nothing
-(1.0x).  So on threads the penalty sweep's `dgtsv` serialized American jobs
-that ran side by side, and table1's lockstep marches at 3200 x 1600 gained
-only about 1.4x from a second thread; processes share no GIL.  An LDL^T
-solve (`dpttrf`/`dpttrs`) is about twice as fast as `dgttrs` in one process
-(52-53 us against 100-112 us for two right-hand sides of 3199 unknowns, same
-host), but it needs a symmetric band, and the planned move of the
-compensator drift into the band, for stiff kernels, makes it nonsymmetric;
-so it is not used.
+calls per step as one row, for k times the work.  An LDL^T solve
+(`dpttrf`/`dpttrs`) is about twice as fast as `dgttrs` in one process (52-53
+us against 100-112 us for two right-hand sides of 3199 unknowns, same host),
+but it needs a symmetric band, and the planned move of the compensator drift
+into the band, for stiff kernels, makes it nonsymmetric; so it is not used.
 
 A step builds its right-hand side in place on the arrays it makes: b, the
 SBDF2 right-hand side, the far-field values and the correlation's output are
@@ -180,9 +172,14 @@ class GridSpec:
         if self.delta is None:
             object.__setattr__(self, "delta", self.dx)
         if not 0.0 < self.delta <= 10.0 * self.half_width / self.n_space:
-            raise ValueError("delta must lie in (0, 5*dx]")
+            raise ValueError(
+                f"delta must lie in (0, 5*dx], got delta = {self.delta:.9g}, dx = {self.dx:.9g}"
+            )
         if not self.delta <= self.z_max <= self.half_width:
-            raise ValueError("need delta <= z_max <= half_width")
+            raise ValueError(
+                f"need delta <= z_max <= half_width, got delta = {self.delta:.9g}, "
+                f"z_max = {self.z_max:.9g}, half_width = {self.half_width:.9g}"
+            )
 
     @property
     def dx(self) -> float:
@@ -442,6 +439,11 @@ class ImexOperators:
     step and band is (3/2) I - dt D.  Their `start` holds the same pieces with
     the start substep's dt / 4 and band I - (dt / 4) D, and no start of its own.
     A step reads them as a batch of one row (`Lockstep` is the batch of k).
+
+    sweep(step_ops, tau, rhs, u_next, u_prev), when set, replaces the banded
+    solve of every step and substep (see step_imex); an American job's
+    operators and their start carry its penalty sweep
+    (`american.penalized_operators`).
     """
 
     spec: OptionSpec
@@ -463,6 +465,7 @@ class ImexOperators:
     # dgttrf's (dl, d, du, du2, ipiv) of band
     band_lu: tuple = field(repr=False)
     start: ImexOperators | None = field(default=None, repr=False)
+    sweep: Callable | None = field(default=None, repr=False)
 
     @property
     def rows(self) -> tuple[ImexOperators]:
@@ -509,18 +512,24 @@ class Lockstep:
     band: np.ndarray = field(repr=False)
     band_lu: tuple = field(repr=False)
     start: Lockstep | None = field(default=None, repr=False)
+    # Lockstep.of refuses a row with a sweep, so a batch steps through its band
+    sweep = None
 
     @staticmethod
     def key(ops: ImexOperators) -> tuple:
-        """The batch rule: rows with equal keys march as one batch."""
-        band, start = ops.band.tobytes(), ops.start.band.tobytes()
-        return (ops.grid, ops.dt, ops.spec.strike, ops.explicit.kernel.size, band, start)
+        """The batch rule: rows with equal keys march as one batch.  A sweep
+        is one job's own, so a row with a sweep shares its key with no other
+        job's."""
+        bands = ops.band.tobytes(), ops.start.band.tobytes()
+        return (ops.grid, ops.dt, ops.spec.strike, ops.explicit.kernel.size, *bands, ops.sweep)
 
     @classmethod
     def of(cls, rows: Sequence[ImexOperators]) -> Lockstep:
-        """The batch of rows, with the batch of their starts; rows whose keys
-        differ are refused."""
+        """The batch of rows, with the batch of their starts; rows with a
+        sweep, and rows whose keys differ, are refused."""
         first = rows[0]
+        if any(ops.sweep is not None for ops in rows):
+            raise ValueError("a lockstep batch takes no row with a sweep; march such a row alone")
         if any(cls.key(ops) != cls.key(first) for ops in rows[1:]):
             raise ValueError("a lockstep batch needs one grid, dt, strike, jump reach and band")
         ex = first.explicit
@@ -697,10 +706,9 @@ def _implicit_step(
     u_prev: np.ndarray,
     tau_prev: float,
     prev_peak: float | np.ndarray,
-    solve: Callable | None,
 ) -> tuple[np.ndarray, float | np.ndarray]:
-    """Fold the new Dirichlet values into rhs, solve with ops' matrix (or the
-    hook) and guard; return the new level and its guard scale per row."""
+    """Fold the new Dirichlet values into rhs, solve with ops' matrix (or
+    ops.sweep) and guard; return the new level and its guard scale per row."""
     tau = tau_prev + ops.dt
     lo, hi = ops.edge_values(tau)
     # .T[0] and .T[-1] are the edge nodes of one row and of every row alike
@@ -710,10 +718,10 @@ def _implicit_step(
     # sub-diagonal (low edge) and super-diagonal (high edge)
     rhs.T[0] -= ops.band[2, 0] * lo
     rhs.T[-1] -= ops.band[0, -1] * hi
-    if solve is None:
+    if ops.sweep is None:
         u_next[..., 1:-1] = _implicit_solve(ops, rhs)
     else:
-        solve(ops, tau, rhs, u_next, u_prev)
+        ops.sweep(ops, tau, rhs, u_next, u_prev)
     return u_next, _growth_guard(u_next, prev_peak, ops)
 
 
@@ -732,7 +740,6 @@ def step_imex(
     ops: ImexOperators | Lockstep,
     tau_prev: float,
     history: StepHistory | None = None,
-    solve: Callable | None = None,
 ) -> tuple[np.ndarray, StepHistory]:
     """Advance one time level, from tau_prev to tau_prev + ops.dt; return the
     new level and the history its own step takes.  u_prev is one job's
@@ -745,11 +752,12 @@ def step_imex(
     the start: _START_SUBSTEPS backward-Euler substeps with ops.start.  The
     first substep's jump apply also gives b_0, at the full dt.
 
-    solve(step_ops, tau, rhs, u_next, u_prev), when given, replaces the banded
-    solve of each step and substep and fills u_next[1:-1]: step_ops are the
-    operators of that (sub)step (ops or ops.start), tau is the time of the
-    level it fills, rhs has the new Dirichlet values folded into its edge
-    equations, and u_next already holds them at its ends.
+    A step or substep whose operators carry a sweep calls
+    sweep(step_ops, tau, rhs, u_next, u_prev) in place of the banded solve,
+    and the sweep fills u_next[1:-1]: step_ops are the operators of that
+    (sub)step (ops or ops.start), tau is the time of the level it fills, rhs
+    has the new Dirichlet values folded into its edge equations, and u_next
+    already holds them at its ends.
     """
     # the arithmetic runs in place on fresh arrays, in the order of
     # b = u_n + dt E(u_n) and rhs = (2 b - b_(n-1)) + u_(n-1) / 2
@@ -761,7 +769,7 @@ def step_imex(
         rhs = 2.0 * b
         rhs -= history.b_before
         rhs += 0.5 * history.u_before[..., 1:-1]
-        u_next, peak = _implicit_step(ops, rhs, u_prev, tau_prev, history.peak, solve)
+        u_next, peak = _implicit_step(ops, rhs, u_prev, tau_prev, history.peak)
         return u_next, StepHistory(u_prev, b, peak)
     start = ops.start
     # the first substep reads E(u_0) too, so b_0 gets arrays of its own
@@ -773,7 +781,7 @@ def step_imex(
             explicit = _explicit_term(u_next, start, tau)
         rhs = start.dt * explicit
         rhs += u_next[..., 1:-1]
-        u_next, peak = _implicit_step(start, rhs, u_next, tau, peak, solve)
+        u_next, peak = _implicit_step(start, rhs, u_next, tau, peak)
     return u_next, StepHistory(u_prev, b, peak)
 
 
@@ -816,20 +824,16 @@ class PriceSurface:
                     fh.write(f"{tau:.9g},{x:.9g},{row[i]:.9g}\n")
 
 
-def _march(
-    rows: Sequence[ImexOperators], solve: Callable | None = None, keep_levels: bool = True
-) -> list[PriceSurface]:
+def _march(rows: Sequence[ImexOperators], keep_levels: bool = True) -> list[PriceSurface]:
     """Step rows' jobs from their payoffs to tau = T in lockstep and return
-    their surfaces, in order; solve, when given, is each step's hook (see
-    step_imex) and needs a batch of one.  With keep_levels each surface holds
-    every level; without, the march holds only the levels a step takes and
-    each surface holds the payoff and the last level, at taus (0, T).
+    their surfaces, in order.  With keep_levels each surface holds every
+    level; without, the march holds only the levels a step takes and each
+    surface holds the payoff and the last level, at taus (0, T).
 
-    One row steps as a vector with its own operators, k rows as a (k, N+1)
-    array with their Lockstep; a failing row raises GrowthGuardError with its
-    index, and the batch yields no surface."""
-    if solve is not None and len(rows) != 1:
-        raise ValueError(f"a hooked march takes one row, got {len(rows)}")
+    One row steps as a vector with its own operators, sweep included, k rows
+    as a (k, N+1) array with their Lockstep, which refuses a row with a sweep;
+    a failing row raises GrowthGuardError with its index, and the batch yields
+    no surface."""
     first = rows[0]
     taus = first.grid.taus(first.spec.expiry)
     u0 = np.array([build_grid(row.spec, row.grid)[2] for row in rows])
@@ -841,7 +845,7 @@ def _march(
     history = None
     # Python floats: the step's scalar arithmetic on numpy scalars is slower
     for n, tau in enumerate(taus[:-1].tolist()):
-        u, history = step_imex(u, ops, tau, history, solve)
+        u, history = step_imex(u, ops, tau, history)
         if levels is not None:
             levels[:, n + 1] = u
     if levels is None:

@@ -73,7 +73,8 @@ def reference_solve(spec, model, grid, pcfg):
             iterations=pcfg.max_picard,
         )
 
-    [surface] = _march([ops], sweep)
+    ops.sweep = ops.start.sweep = sweep
+    [surface] = _march([ops])
     return surface
 
 

@@ -21,7 +21,7 @@ from conftest import (
     BENCH_VG,
     bench_spec,
 )
-from levypide.american import PenaltyConfig
+from levypide.american import PenaltyConfig, penalized_operators
 from levypide.bs import OptionSpec, bs_price
 from levypide.cli import (
     ConfigError,
@@ -188,7 +188,6 @@ class TestRunConfig:
         cfg = RunConfig.from_dict(json.loads(Path(write_cfg(tmp_path)).read_text()))
         assert cfg.style == "european"
         assert cfg.model == NoJumps()
-        assert cfg.closed_form is False
         assert cfg.grid.n_space == 100
 
     def test_integral_floats_are_counts(self, tmp_path):
@@ -260,13 +259,6 @@ class TestRunConfig:
         base = json.loads(Path(write_cfg(tmp_path, penalty=None)).read_text())
         assert RunConfig.from_dict(base).penalty is None
 
-    def test_closed_form_excludes_grid_outputs(self, tmp_path):
-        base = json.loads(Path(write_cfg(tmp_path)).read_text())
-        base["closed_form"] = True
-        base["outputs"] = [{"kind": "surface", "path": str(tmp_path / "s.csv")}]
-        with pytest.raises(ConfigError, match="closed_form"):
-            RunConfig.from_dict(base)
-
     def test_a_null_optional_value_reads_as_its_default(self, tmp_path, capsys):
         path = write_cfg(tmp_path, style=None, grid={"n_space": None, "n_time": 50})
         cfg = RunConfig.from_dict(json.loads(Path(path).read_text()))
@@ -314,6 +306,12 @@ class TestRunConfig:
             ("price", ["--rate", "0.05"], {"scenarios": 5}, "scenarios must be a list"),
             ("price", ["--rate", "0.05"], {"scenarios": [5]}, "each scenario"),
             ("price", ["--output", "t.csv"], {"outputs": ["t.csv"]}, "each output"),
+            # a grid refusal quotes the values that break it
+            ("price", [], {"grid": {"delta": 1}},
+             "error: inconsistent grid: delta must lie in (0, 5*dx], got delta = 1, dx = 0.02\n"),
+            ("check", [], {"grid": {"z_max": 5}},
+             "error: inconsistent grid: need delta <= z_max <= half_width, got delta = 0.02, "
+             "z_max = 5, half_width = 4\n"),
         ],
     )
     def test_malformed_sections_are_one_line_errors(
@@ -355,8 +353,9 @@ class TestRunConfig:
             ({"style": "american", "penalty": {"picard_tol": math.inf}}, "picard_tol"),
             ({"grid": {"half_width": math.inf}}, "half_width must be finite"),
             ({"grid": {"half_width": 4.0, "z_max": math.nan}}, "z_max"),
-            ({"closed_form": "no"}, "closed_form must be true or false"),
-            ({"closed_form": 1}, "closed_form must be true or false"),
+            # every job is marched on its grid: no key picks the closed form
+            ({"closed_form": True}, "unknown config key 'closed_form'"),
+            ({"closed_form": False}, "unknown config key 'closed_form'"),
             # Python reads a JSON boolean as 0 or 1
             ({"option": {**OPTION, "expiry": True}}, "expiry must be a number, got true"),
             ({"option": {**OPTION, "rate": False}}, "rate must be a number, got false"),
@@ -396,7 +395,7 @@ class TestRunConfig:
             # a misspelled key is refused by name, not read as an absent one
             ({"outptus": [{"kind": "table", "path": "t.csv"}]},
              "unknown config key 'outptus' (expected one of option, model, grid, style, "
-             "penalty, outputs, scenarios, closed_form)"),
+             "penalty, outputs, scenarios)"),
             ({"grid": {"nspace": 800, "n_time": 50}},
              "unknown grid key 'nspace' (expected one of half_width, n_space, n_time, "
              "z_max, delta)"),
@@ -493,23 +492,6 @@ class TestEmitPlotdata:
 
 
 class TestPriceCommand:
-    def test_closed_form_table_matches_bs(self, tmp_path, capsys):
-        out = tmp_path / "table.csv"
-        path = write_cfg(
-            tmp_path,
-            closed_form=True,
-            outputs=[{"kind": "table", "path": str(out)}],
-        )
-        assert main(["price", "--config", path]) == 0
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "S,payoff,V_r0.1"
-        spec = bench_spec(rate=0.1)
-        for line in lines[1:]:
-            s, pay, v = (float(tok) for tok in line.split(","))
-            assert v == pytest.approx(bs_price(spec, s), abs=1e-6)
-            assert pay == pytest.approx(max(100.0 - s, 0.0), abs=1e-6)
-        assert "V_r0.1" in capsys.readouterr().out
-
     def test_grid_solve_close_to_closed_form(self, tmp_path):
         out = tmp_path / "table.csv"
         path = write_cfg(
@@ -662,10 +644,7 @@ class TestPriceCommand:
 
     def test_grid_override(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
-        code = main(
-            ["price", "--config", path, "--grid-n", "80", "--grid-m", "40",
-             "--closed-form"]
-        )
+        code = main(["price", "--config", path, "--grid-n", "80", "--grid-m", "40"])
         assert code == 0
         assert "V_r0.1" in capsys.readouterr().out
 
@@ -976,6 +955,33 @@ class TestLockstepJobs:
         assert runs["1"][0] == 0 and len(runs["1"][3]) == 5  # table, 2 plotdata, 2 surfaces
         assert runs["1"] == runs["2"] == runs["3"]
 
+    def test_american_price_is_byte_identical_for_one_two_and_three_workers(
+        self, tmp_path, monkeypatch, capsys, pooled
+    ):
+        # a pool's child marches each American job on the operators, penalty
+        # sweep included, that it inherited at fork
+        def argv_for(out_dir):
+            path = write_cfg(
+                tmp_path,
+                name=f"{out_dir.name}.json",
+                model=VG_BM,
+                style="american",
+                scenarios=[{"rate": 0.0, "spots": [90.0, 100.0]},
+                           {"rate": 0.1, "spots": [90.0, 100.0]}],
+                outputs=[
+                    {"kind": "table", "path": str(out_dir / "t.csv")},
+                    {"kind": "boundary", "path": str(out_dir / "b.csv")},
+                    {"kind": "plotdata", "path": str(out_dir / "p.csv")},
+                ],
+            )
+            return ["price", "--config", path]
+
+        runs = runs_by_workers(monkeypatch, capsys, tmp_path, argv_for)
+        code, out, err, files = runs["1"]
+        assert code == 0 and len(files) == 5  # table, 2 boundaries, 2 plotdata
+        assert err.count("warning: structural condition violated") == 2
+        assert runs["1"] == runs["2"] == runs["3"]
+
     def test_a_guard_trip_names_the_first_failing_job_for_any_worker_count(
         self, tmp_path, monkeypatch, capsys, pooled
     ):
@@ -1000,18 +1006,17 @@ class TestLockstepJobs:
             assemble_operators(bench_spec(rate=r), BENCH_MERTON, GridSpec(100, 50))
             for r in (0.0, 0.1)
         ]
-        tasks = cli._tasks({i: (ops, None) for i, ops in enumerate(european)}, limit)
-        assert [len(idx) for idx, _ in tasks] == batches
-        assert [i for idx, _ in tasks for i in idx] == [0, 1]
-        # each American job's penalty sweep is its own step hook, so it is a
-        # batch of one whatever the worker and CPU counts
+        tasks = cli._tasks(dict(enumerate(european)), limit)
+        assert [len(idx) for idx in tasks] == batches
+        assert [i for idx in tasks for i in idx] == [0, 1]
+        # each American job's operators carry its own penalty sweep, so it is
+        # a batch of one whatever the worker and CPU counts
         american = [
             cli._plan(cli._Job("V", bench_spec(rate=r), BENCH_MERTON, GridSpec(100, 50),
                                (100.0,), PenaltyConfig()))
             for r in (0.0, 0.1)
         ]
-        tasks = cli._tasks(dict(enumerate(american)), limit)
-        assert tasks == [([0], american[0][1]), ([1], american[1][1])]
+        assert cli._tasks(dict(enumerate(american)), limit) == [[0], [1]]
 
     def test_a_batch_reports_its_first_failing_job_in_job_order(self):
         # the second job trips the guard at the first step, the first one at
@@ -1021,8 +1026,8 @@ class TestLockstepJobs:
             assemble_operators(bench_spec(), CGMY(c=1.0, g=6.0, m=8.0, y=y), GridSpec())
             for y in (1.2, 1.8)
         ]
-        batch = cli._march_task(rows, None, False)
-        solo = [cli._march_task([ops], None, False)[0] for ops in rows]
+        batch = cli._march_task(rows, False)
+        solo = [cli._march_task([ops], False)[0] for ops in rows]
         assert all(isinstance(out, GrowthGuardError) for out in [*batch, *solo])
         assert [str(out) for out in batch] == [str(out) for out in solo]
 
@@ -1032,7 +1037,7 @@ class TestLockstepJobs:
             assemble_operators(bench_spec(), model, grid)
             for model in (BENCH_MERTON, CGMY(c=1.0, g=6.0, m=8.0, y=1.5))
         ]
-        calm, stiff = cli._march_task(rows, None, False)
+        calm, stiff = cli._march_task(rows, False)
         assert isinstance(calm, PriceSurface) and isinstance(stiff, GrowthGuardError)
         assert "stability envelope" in str(stiff)
         solo = solve_european(bench_spec(), BENCH_MERTON, grid, keep_levels=False)
@@ -1095,8 +1100,8 @@ class TestMarchPool:
 
     def test_the_crossover_counts_node_steps_whatever_the_style(self, monkeypatch):
         grid = GridSpec(n_space=100, n_time=50)
-        european = (assemble_operators(bench_spec(), BENCH_MERTON, grid), None)
-        american = (european[0], lambda *args: None)
+        european = assemble_operators(bench_spec(), BENCH_MERTON, grid)
+        american, _ = penalized_operators(bench_spec(), BENCH_MERTON, grid, PenaltyConfig())
         for jobs in ({0: european, 1: european}, {0: american, 1: american}):
             monkeypatch.setattr(cli, "_POOL_MIN_WORK", 101 * 50 * 2 + 1)
             assert cli._processes(jobs, 2) == 1
@@ -1121,6 +1126,38 @@ class TestMarchPool:
         assert captured.out == ""
         assert not out.exists()
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("abc", "must be an integer, got 'abc'"), ("0", "must be >= 1, got 0"),
+         ("-2", "must be >= 1, got -2")],
+    )
+    @pytest.mark.parametrize("command", ["table1", "american-price"])
+    def test_a_bad_worker_count_is_refused_before_any_warning_or_write(
+        self, tmp_path, monkeypatch, capsys, command, raw, message
+    ):
+        # the American jobs' measure violates the structural condition, so a
+        # refusal after planning would follow two warning lines
+        monkeypatch.chdir(tmp_path)
+        if command == "table1":
+            argv = ["table1", "--grid-n", "100", "--grid-m", "50", "--output", "t.csv"]
+        else:
+            path = write_cfg(
+                tmp_path,
+                model=VG_BM,
+                style="american",
+                scenarios=[{"rate": 0.0, "spots": [100.0]}, {"rate": 0.1, "spots": [100.0]}],
+                outputs=[{"kind": kind, "path": f"{kind}.csv"}
+                         for kind in ("table", "boundary", "plotdata")],
+            )
+            argv = ["price", "--config", path]
+        written = sorted(os.listdir(tmp_path))
+        monkeypatch.setenv("LEVYPIDE_WORKERS", raw)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: LEVYPIDE_WORKERS {message}\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == written
 
     def test_no_process_is_left_after_a_pooled_run(self, tmp_path, capsys, pooled):
         assert main(["table1", "--grid-n", "100", "--grid-m", "50"]) == 0

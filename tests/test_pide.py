@@ -91,6 +91,21 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"delta": 1.0}, "delta must lie in (0, 5*dx], got delta = 1, dx = 0.02"),
+            ({"delta": 0.2, "n_space": 800}, "got delta = 0.2, dx = 0.01"),
+            ({"z_max": 5.0}, "need delta <= z_max <= half_width, got delta = 0.02, "
+             "z_max = 5, half_width = 4"),
+            ({"delta": 0.04, "z_max": 0.03}, "got delta = 0.04, z_max = 0.03, half_width = 4"),
+        ],
+    )
+    def test_a_refusal_quotes_its_values(self, kw, message):
+        with pytest.raises(ValueError) as info:
+            GridSpec(**kw)
+        assert message in str(info.value)
+
 
 class TestBuildGrid:
     def test_initial_data_is_transformed_payoff(self):
@@ -433,9 +448,9 @@ class TestStepImex:
             info.value
         )
 
-    @pytest.mark.parametrize("hooked", [False, True], ids=["banded", "penalty-sweep"])
+    @pytest.mark.parametrize("swept", [False, True], ids=["banded", "penalty-sweep"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_growth_guard_rejects_non_finite_values(self, bad, hooked):
+    def test_growth_guard_rejects_non_finite_values(self, bad, swept):
         # the LAPACK kernels do not check their input, so the guard must
         spec = bench_spec(rate=0.1)
         grid = GridSpec()
@@ -447,10 +462,12 @@ class TestStepImex:
         def sweep(step, tau, rhs, u_next, u_prev):
             u_next[1:-1] = _implicit_solve(step, rhs + pen * u_prev[1:-1], extra_diag=pen)
 
+        if swept:
+            ops.sweep = ops.start.sweep = sweep
         with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match="stability envelope: max.u_next. = nan"
         ):
-            step_imex(u0, ops, 0.0, None, sweep if hooked else None)
+            step_imex(u0, ops, 0.0)
 
     @pytest.mark.parametrize("grid", [GridSpec(), FFT_GRID], ids=["direct", "fft"])
     @pytest.mark.parametrize("far", ["put", "call", "exercise"])
@@ -731,10 +748,16 @@ class TestLockstep:
             Lockstep.of([base, row])
         assert Lockstep.key(row) != Lockstep.key(base)
 
-    def test_a_hooked_march_takes_one_row(self):
+    def test_refuses_a_row_with_a_sweep(self):
+        # a sweep is one job's own, so its row marches alone
         ops = assemble_operators(bench_spec(), BENCH_MERTON, GridSpec())
-        with pytest.raises(ValueError, match="one row"):
-            _march([ops, ops], solve=lambda *args: None)
+        swept = replace(ops, sweep=lambda *args: None)
+        for rows in ([swept, swept], [ops, swept], [swept]):
+            with pytest.raises(ValueError, match="no row with a sweep"):
+                Lockstep.of(rows)
+        with pytest.raises(ValueError, match="no row with a sweep"):
+            _march([swept, swept])
+        assert Lockstep.key(swept) != Lockstep.key(ops)
 
 
 class TestPriceAt:
