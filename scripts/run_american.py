@@ -17,15 +17,25 @@ import numpy as np
 
 from levypide import (
     GridSpec,
+    Job,
     Merton,
     OptionSpec,
     PenaltyConfig,
     extract_boundary,
     lcp_residual,
-    solve_american_penalized,
-    solve_european,
+    price_jobs,
 )
+from levypide.american import StructuralWarning
 from levypide.bs import payoff
+
+
+def priced(jobs, keep_levels=False):
+    """Each job's outcome (levypide.price_jobs); a failed job raises its error."""
+    outcomes = price_jobs(jobs, keep_levels)
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return outcomes
 
 
 def worst_shortfall(surface) -> float:
@@ -56,30 +66,29 @@ def main() -> int:
     model = Merton(lam=0.1, m=-0.2, delta=0.15)
     grid = GridSpec(n_space=args.grid_n, n_time=args.grid_m)
 
-    european = solve_european(spec, model, grid)
-    eu_atm = european.price_at(0.0, 100.0)
+    [european] = priced([Job(spec, model, grid, (100.0,))])
+    eu_atm = float(european.prices[0])
     print(f"European V(0, 100) = {eu_atm:.5f}  (r = {args.rate:g})")
     print(
         f"{'epsilon':>9}  {'V_am(100)':>10}  {'premium':>9}  {'shortfall':>10}  "
         f"{'complement.':>11}  {'resid_sup':>10}"
     )
 
-    last = None
-    for eps in eps_list:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            am = solve_american_penalized(spec, model, grid, PenaltyConfig(epsilon=eps))
+    jobs = [Job(spec, model, grid, (100.0,), PenaltyConfig(epsilon=eps)) for eps in eps_list]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StructuralWarning)
+        american = priced(jobs, keep_levels=True)
+    for eps, (prices, am) in zip(eps_list, american):
         rep = lcp_residual(am)
-        atm = am.price_at(0.0, 100.0)
+        atm = float(prices[0])
         print(
             f"{eps:>9g}  {atm:>10.5f}  {atm - eu_atm:>9.5f}  "
             f"{worst_shortfall(am):>10.5f}  {rep.max_complementarity:>11.4g}  "
             f"{rep.pde_residual_sup:>10.4g}"
         )
-        last = am
 
-    if args.boundary and last is not None:
-        b = extract_boundary(last)
+    if args.boundary and american:
+        b = extract_boundary(american[-1].surface)
         b.to_csv(args.boundary)
         print(
             f"boundary written to {args.boundary}: s_f goes {b.s_f[0]:.2f} -> "

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from levypide import GridSpec, Merton, NoJumps, OptionSpec, solve_european
+from levypide import GridSpec, Job, Merton, NoJumps, OptionSpec, price_jobs
 from levypide.bs import bs_price
 from levypide.oracle import merton_series_price
 
@@ -22,12 +22,15 @@ from levypide.oracle import merton_series_price
 def sweep(spec, model, reference, levels: int) -> None:
     S = np.linspace(80.0, 125.0, 10)
     ref = np.array([reference(s) for s in S])
+    grids = [GridSpec(n_space=100 * 2**k, n_time=50 * 2**k) for k in range(levels)]
+    outcomes = price_jobs([Job(spec, model, grid, tuple(S)) for grid in grids])
     prev = None
     print(f"{'N':>6} {'M':>6} {'dx':>9} {'dt':>9} {'max err':>11} {'ratio':>7} {'order':>7}")
-    for k in range(levels):
-        n, m = 100 * 2**k, 50 * 2**k
-        surf = solve_european(spec, model, GridSpec(n_space=n, n_time=m), keep_levels=False)
-        err = float(np.max(np.abs(surf.price_at(0.0, S) - ref)))
+    for grid, out in zip(grids, outcomes):
+        if isinstance(out, Exception):
+            raise out
+        n, m = grid.n_space, grid.n_time
+        err = float(np.max(np.abs(out.prices - ref)))
         if prev is None:
             print(f"{n:>6} {m:>6} {8.0 / n:>9.4f} {1.0 / m:>9.4f} {err:>11.3e} {'':>7} {'':>7}")
         else:

@@ -6,7 +6,10 @@ a second-order IMEX time step (SBDF2): implicit diffusion, explicit drift and
 jumps.  The
 jump integral's discretization is calibrated so the discounted spot stays a
 martingale on the grid.  American puts are handled by a penalty method.
-Analytic and Monte Carlo benchmarks live in `oracle`.
+`price_jobs` prices a list of jobs, European or American, in lockstep
+batches and on forked workers, and checks European prices against the
+static no-arbitrage bounds.  Analytic and Monte Carlo benchmarks live in
+`oracle`.
 """
 from .american import (
     ExerciseBoundary,
@@ -15,10 +18,10 @@ from .american import (
     PicardError,
     extract_boundary,
     lcp_residual,
-    solve_american_penalized,
 )
 from .bs import OptionSpec, bs_price, payoff, u_bs
 from .cli import RunConfig, emit_plotdata, main, run
+from .jobs import Job, price_jobs
 from .levy import (
     CGMY,
     NIG,
@@ -51,6 +54,7 @@ __all__ = [
     "CheckReport",
     "ExerciseBoundary",
     "GridSpec",
+    "Job",
     "Kou",
     "LcpReport",
     "LevyModel",
@@ -78,9 +82,9 @@ __all__ = [
     "merton_series_price",
     "payoff",
     "price_at",
+    "price_jobs",
     "run",
     "shape_witness",
-    "solve_american_penalized",
     "solve_european",
     "step_imex",
     "structural_condition_check",

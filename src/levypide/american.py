@@ -5,9 +5,10 @@ solver adds the penalty source eps^-1 e^(x^-) (w - u)^+ to the transformed
 equation, where w(tau, x) = e^(r tau) Phi(K e^x) is the transformed payoff;
 as eps decreases the solution converges to the complementarity solution from
 below the obstacle by O(eps).  The time step and the march are pide's
-(`step_imex`, `_march`); this module supplies only the penalty sweep that
-the operators carry (`ImexOperators.sweep`) and that stands in for the
-step's banded solve.  An SBDF2 step solves
+(`step_imex`, `_march`), and an American job (a `jobs.Job` with a
+PenaltyConfig) is priced through `jobs.price_jobs`; this module supplies
+only the penalty sweep that the operators carry (`ImexOperators.sweep`) and
+that stands in for the step's banded solve.  An SBDF2 step solves
 
     ((3/2) I - dt D + P) u_(n+1) = rhs + P w,
 
@@ -52,7 +53,6 @@ from .pide import (
     _check_count,
     _explicit_term,
     _implicit_solve,
-    _march,
 )
 
 __all__ = [
@@ -61,7 +61,7 @@ __all__ = [
     "LcpReport",
     "PicardError",
     "exercise_asymptote",
-    "solve_american_penalized",
+    "StructuralWarning",
     "penalized_operators",
     "extract_boundary",
     "lcp_residual",
@@ -87,6 +87,12 @@ class PenaltyConfig:
             raise ValueError(f"max_picard must be >= 1, got {self.max_picard}")
         if self.picard_tol is not None and not 0 < self.picard_tol < math.inf:
             raise ValueError(f"picard_tol must be finite and > 0, got {self.picard_tol}")
+
+
+class StructuralWarning(RuntimeWarning):
+    """The measure violates the structural condition: the penalized solve
+    proceeds, but the complementarity characterization of the American price
+    is not guaranteed."""
 
 
 class PicardError(RuntimeError):
@@ -131,46 +137,25 @@ def exercise_asymptote(spec: OptionSpec) -> FarField:
     )
 
 
-def solve_american_penalized(
-    spec: OptionSpec,
-    model: LevyModel,
-    grid: GridSpec,
-    pcfg: PenaltyConfig = PenaltyConfig(),
-    *,
-    keep_levels: bool = True,
-) -> PriceSurface:
-    """March the penalized equation; per step, iterate the penalty to a fixed
-    point.  With keep_levels=False the surface holds only tau = 0 and tau = T
-    (see pide._march); extract_boundary reads only the levels a surface holds,
-    and lcp_residual refuses such a surface: it needs every level.  A measure
-    that violates the structural condition prices with a RuntimeWarning."""
-    ops, warning = penalized_operators(spec, model, grid, pcfg)
-    if warning is not None:
-        warnings.warn(warning, RuntimeWarning, stacklevel=2)
-    [surface] = _march([ops], keep_levels)
-    return surface
-
-
 def penalized_operators(
     spec: OptionSpec, model: LevyModel, grid: GridSpec, pcfg: PenaltyConfig
-) -> tuple[ImexOperators, str | None]:
-    """What solve_american_penalized marches: the operators with the exercise
-    far field, which with their start carry the penalty sweep
-    (`ImexOperators.sweep`), and the structural warning, None when the
-    measure meets the condition.  A caller that marches elsewhere writes the
-    warning in its own order."""
+) -> ImexOperators:
+    """What an American job marches: the operators with the exercise far
+    field, which with their start carry the penalty sweep
+    (`ImexOperators.sweep`).  A measure that violates the structural
+    condition warns (StructuralWarning)."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
     # assembly refuses a measure that fails the integrability check, so such a
     # measure raises before the structural check can warn
     ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
     structural = structural_condition_check(model, spec.rate)
-    warning = None
     if not structural.passed:
-        warning = (
+        warnings.warn(
             "structural condition violated (upward-jump budget exceeds the rate: "
             f"{structural.detail}); the penalized solve proceeds, but the "
-            "complementarity characterization of the American price is not guaranteed"
+            "complementarity characterization of the American price is not guaranteed",
+            StructuralWarning,
         )
 
     xs = ops.xs
@@ -219,7 +204,7 @@ def penalized_operators(
         )
 
     ops.sweep = ops.start.sweep = sweep
-    return ops, warning
+    return ops
 
 
 def extract_boundary(surface: PriceSurface) -> ExerciseBoundary:

@@ -1,5 +1,5 @@
-"""Command-line front end: parse run configurations, execute pricing jobs,
-emit price tables and plot-ready data files.
+"""Command-line front end: read run configurations, hand their pricing jobs
+to the library's job pipeline, write price tables and plot-ready data files.
 
 Config files are JSON.  Top-level keys:
 
@@ -27,30 +27,16 @@ default.  Any other JSON type, a missing required field, or a key not listed
 above (a misspelled key would otherwise read as an absent one), at the top
 level or in a section, is a one-line ConfigError that names the field.
 
-`price` and `table1` run through one job pipeline: the jobs are one per
-scenario, or table1's built-in columns.  A `price` job is always marched on
-its grid; only table1's bs_sigma columns, and plotdata's V_bs reference for
-a jump model, take the closed form.  The main thread plans the jobs in job
-order: it assembles each job's operators, runs an American job's structural
-check and writes its warning as a `warning: <message>` line on stderr, and
-records a refusal as that job's error.  A job is priced by its operators
-alone, and one rule makes the batches: jobs whose operators share a
-pide.Lockstep.key march together (an American job's operators share it with
-no other job's).  The marches then run on a pool of fork-started processes,
-at most LEVYPIDE_WORKERS and one per CPU, a batch split into one march per
-process at most.  They run inline, one after another and each batch whole,
-when there is one march, one worker or one CPU, when the work is below
-_POOL_MIN_WORK (a fork and join costs about 10 ms), or when fork is
-unavailable.  The pool is fork-only: the children inherit the planned
-operators, and an American job's do not pickle.  Python 3.12 and later warn
-on a fork in a process that runs other threads: the CLI starts none, but a
-threaded BLAS may.  A job's outcome is one value: its PriceSurface, its
-error, or None for a closed form.  The main thread writes every file after
-the last march, in job order, so identical runs produce byte-identical
-outputs whatever the worker count.  A European price at one of a job's spots
-that leaves the static no-arbitrage bounds by more than K dx^2 is a
-numerical failure (exit 2); a marching process that dies is a one-line error
-(exit 1).
+`price` makes one job per scenario and `table1` its eight built-in columns,
+and both price them through jobs.price_jobs; a `price` job is always
+marched on its grid, and only table1's bs_sigma columns, and plotdata's
+V_bs reference for a jump model, take the closed form.  An American job's
+structural warning is one `warning: <message>` line on stderr, in job
+order.  The files are written after the last job, in job order, so
+identical runs produce byte-identical outputs whatever the worker count.  A
+job's error is a numerical failure (exit 2) that names the first failing
+job, with nothing written; a bad command line, a bad LEVYPIDE_WORKERS and a
+marching process that dies are one-line errors (exit 1).
 """
 from __future__ import annotations
 
@@ -61,20 +47,15 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-# solve_european and solve_american_penalized are not called here, but stay
-# bound: perfbench's tracer wraps the solve entry points at this module.
-from .american import (  # noqa: F401
-    PenaltyConfig,
-    extract_boundary,
-    penalized_operators,
-    solve_american_penalized,
-)
+from .american import PenaltyConfig, StructuralWarning, extract_boundary
 from .bs import OptionSpec, bs_price, payoff
+from .jobs import Job, Priced, WorkerLostError, price_jobs
 from .levy import (
     CGMY,
     NIG,
@@ -87,16 +68,7 @@ from .levy import (
     shape_witness,
     structural_condition_check,
 )
-from .pide import (  # noqa: F401
-    GridSpec,
-    ImexOperators,
-    Lockstep,
-    PriceSurface,
-    _march,
-    assemble_operators,
-    price_at,
-    solve_european,
-)
+from .pide import GridSpec, PriceSurface, price_at
 
 __all__ = [
     "ConfigError",
@@ -139,28 +111,6 @@ def _fmt9(v: float) -> str:
     return np.format_float_positional(
         float(v), precision=9, unique=True, fractional=False, trim="-"
     )
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_limit() -> int:
-    """The most marches that run at once: LEVYPIDE_WORKERS, at most one per
-    CPU."""
-    raw = os.environ.get("LEVYPIDE_WORKERS")
-    if not raw:
-        return _cpu_count()
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"LEVYPIDE_WORKERS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"LEVYPIDE_WORKERS must be >= 1, got {n}")
-    return min(n, _cpu_count())
 
 
 # ---------------------------------------------------------------------------
@@ -448,271 +398,53 @@ def emit_plotdata(surfaces: Mapping[str, object], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the job pipeline shared by price and table1
+# the price table of price and table1
 
 
-@dataclass(frozen=True)
-class _Job:
-    """One price-table column: model None prices by the closed form, and a
-    penalty config makes the solve American."""
-
-    name: str
-    spec: OptionSpec
-    model: LevyModel | None
-    grid: GridSpec
-    spots: tuple[float, ...]
-    penalty: PenaltyConfig | None = None
-
-
-# The numerical failures a job may end in: exit 2, not a crash.
-_FAILURES = (ValueError, ArithmeticError, RuntimeError)
-
-
-class WorkerLostError(Exception):
-    """A pool's child process died before it returned its march (the OOM
-    killer, a signal, a crash in native code): exit 1, no file written."""
-
-
-def _plan(job: _Job) -> ImexOperators:
-    """The job's operators; an American job's structural warning goes to
-    stderr now, in job order."""
-    if job.penalty is None:
-        return assemble_operators(job.spec, job.model, job.grid)
-    ops, warning = penalized_operators(job.spec, job.model, job.grid, job.penalty)
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
-    return ops
-
-
-def _march_task(
-    rows: list[ImexOperators], keep_levels: bool
-) -> list[PriceSurface | Exception | None]:
-    """March rows as one batch (see pide._march); each row's outcome is its
-    surface or its error.  A failing row ends the march there, and the rows
-    before it march again without it, so the first failure in job order is
-    found whatever the batch, as if every row ran alone; the rows after it
-    are left unsolved (None)."""
-    if not rows:
-        return []
-    try:
-        return _march(rows, keep_levels)
-    except _FAILURES as exc:
-        row = getattr(exc, "row", 0)  # a GrowthGuardError names its row
-        return [*_march_task(rows[:row], keep_levels), exc] + [None] * (len(rows) - row - 1)
-
-
-def _tasks(planned: Mapping[int, ImexOperators], limit: int) -> list[list[int]]:
-    """The marches of the planned jobs, as lists of job indices: jobs whose
-    operators share a Lockstep.key march together, and each such batch
-    splits into at most limit contiguous runs in job order, whose sizes
-    differ by at most one.  The marches come in the order of their first
-    jobs."""
-    batches: dict[tuple, list[int]] = {}
-    for i, ops in planned.items():
-        batches.setdefault(Lockstep.key(ops), []).append(i)
-    tasks = [
-        chunk.tolist()
-        for members in batches.values()
-        for chunk in np.array_split(members, min(len(members), limit))
-    ]
-    return sorted(tasks, key=lambda idx: idx[0])
-
-
-# A run marches inline below this much work: node-steps, (N+1) M per job.
-# A fork and join costs about 10 ms, and a batch split across processes
-# loses its lockstep.  Inline against two processes on a 2-vCPU Xeon
-# (numpy 2.4, scipy 1.17), interleaved in one process, median of 21:
-#   table1's four jump jobs   800x200 (0.64e6)  42 vs 57 ms
-#                            1200x200 (0.96e6)  70 vs 60 ms
-#                            1600x200 (1.28e6)  99 vs 75 ms
-#   a two-scenario American   400x200 (0.16e6)  32.6 vs 32.7 ms
-#                             800x200 (0.32e6)  51 vs 47 ms
-#                             800x400 (0.64e6)  92 vs 72 ms
-# An American node-step costs about twice a European one (its penalty
-# iterations), so a two-scenario American gains from the pool below this
-# figure.  No benchmark workload pins the crossover: american_strip prices
-# one job a call, inline by job count, and table1_fine is far above it.
-_POOL_MIN_WORK = 700_000
-
-# The marches a pool's child runs, each a list of rows, inherited from the
-# parent at fork; only the pool's initializer writes it, in the child.
-_CHILD_MARCHES: list[list[ImexOperators]] = []
-
-
-def _processes(planned: Mapping[int, ImexOperators], limit: int) -> int:
-    """How many processes march the planned jobs: limit, or 1, inline, when
-    limit is 1, when there is one job, when the work is below
-    _POOL_MIN_WORK, or when fork is unavailable."""
-    work = sum((ops.grid.n_space + 1) * ops.grid.n_time for ops in planned.values())
-    if limit < 2 or len(planned) < 2 or work < _POOL_MIN_WORK:
-        return 1
-    import multiprocessing
-
-    return limit if "fork" in multiprocessing.get_all_start_methods() else 1
-
-
-def _adopt_marches(marches: list) -> None:
-    """The pool's initializer: a child keeps the marches it inherited."""
-    _CHILD_MARCHES[:] = marches
-
-
-def _march_levels(
-    index: int, keep_levels: bool
-) -> list[tuple[np.ndarray, np.ndarray] | Exception | None]:
-    """A child's march of its inherited march index: each row's (taus, u)
-    levels, or its error; the parent rebuilds the surfaces from the
-    operators it holds, as an American job's do not pickle."""
-    return [
-        (out.taus, out.u) if isinstance(out, PriceSurface) else out
-        for out in _march_task(_CHILD_MARCHES[index], keep_levels)
-    ]
-
-
-def _march_on_pool(
-    marches: list[list[ImexOperators]], keep_levels: bool, processes: int
-) -> list[list[PriceSurface | Exception | None]]:
-    """Each march's outcomes (_march_task), in order, marched on a pool of
-    fork-started processes.  The children inherit the marches' operators, so
-    a task sends only its index.  A child that dies raises WorkerLostError
-    once the pool has shut down."""
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    # a child would write the parent's buffered output a second time
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(processes, len(marches)),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_marches,
-            initargs=(marches,),
-        ) as pool:
-            march = functools.partial(_march_levels, keep_levels=keep_levels)
-            levels = list(pool.map(march, range(len(marches))))
-    except BrokenProcessPool:
-        raise WorkerLostError("a worker process died while marching") from None
-    return [
-        [
-            PriceSurface(ops=ops, taus=out[0], u=out[1]) if isinstance(out, tuple) else out
-            for ops, out in zip(rows, outs)
-        ]
-        for rows, outs in zip(marches, levels)
-    ]
-
-
-def _solve_jobs(jobs: list[_Job], keep_levels: bool) -> list[PriceSurface | Exception | None]:
-    """Plan the jobs on the main thread (_plan), then march them in batches
-    of one Lockstep.key (_tasks): an American job's operators share their key
-    with no other job's, so it marches alone.  On a pool of processes
-    (_processes) a batch splits into one march per process at most; inline,
-    it marches whole.
-
-    Processes, not threads: a thread hands the GIL over at each of a step's
-    dozen elementwise numpy calls, and an American step's `dgtsv` holds it.
-    Two processes against the two threads that marched before, interleaved
-    in one process on a 2-vCPU Xeon (numpy 2.4, scipy 1.17), median of 9,
-    bits identical: table1 at 3200 x 1600 818 against 947 ms, a
-    two-scenario American at 1600 x 800 191 against 324 ms.  The marches
-    run inline when there is one job (every one-scenario price), one worker
-    or one CPU, below _POOL_MIN_WORK, or without fork; a two-scenario
-    American at 400 x 200 then takes 34 ms, against 41 ms on threads.  The
-    pool forks, as only a fork hands the children an American job's
-    operators, which do not pickle."""
-    limit = _worker_limit()
-    outcomes: list[PriceSurface | Exception | None] = [None] * len(jobs)
-    planned: dict[int, ImexOperators] = {}
-    for i, job in enumerate(jobs):
-        if job.model is None:
-            continue
-        try:
-            planned[i] = _plan(job)
-        except _FAILURES as exc:
-            outcomes[i] = exc
-    processes = _processes(planned, limit)
-    tasks = _tasks(planned, processes)
-    marches = [[planned[i] for i in idx] for idx in tasks]
-    if processes > 1:
-        results = _march_on_pool(marches, keep_levels, processes)
+def _show_warning(show: Callable, message, category, *args, **kwargs) -> None:
+    """A StructuralWarning as one `warning: <message>` line on stderr; any
+    other warning as show writes it."""
+    if issubclass(category, StructuralWarning):
+        print(f"warning: {message}", file=sys.stderr)
     else:
-        results = [_march_task(rows, keep_levels) for rows in marches]
-    for idx, outs in zip(tasks, results):
-        for i, out in zip(idx, outs):
-            outcomes[i] = out
-    return outcomes
-
-
-def _prices_on(job: _Job, surface: PriceSurface | None) -> dict[float, float]:
-    """The job's t = 0 prices by spot, from one call over all its spots; a
-    European grid solve's are checked against the static bounds."""
-    spots = np.array(job.spots)
-    if surface is None:
-        prices = bs_price(job.spec, spots)
-    else:
-        prices = price_at(surface, 0.0, spots)
-        if job.penalty is None:
-            _check_static_bounds(surface.ops, spots, prices)
-    return dict(zip(job.spots, prices.tolist()))
-
-
-def _check_static_bounds(ops: ImexOperators, spots: np.ndarray, prices: np.ndarray) -> None:
-    """Refuse European t = 0 prices that leave the static no-arbitrage bounds,
-    max(K e^(-rT) - S, 0) <= P <= K e^(-rT) for a put and
-    max(S - K e^(-rT), 0) <= C <= S for a call, by more than K dx^2, the size
-    of a second-order discretization error.  The message quotes the worst
-    spot, the bound it leaves and the stiffness numbers dt*W and
-    dt*c_loc/dx^2."""
-    spec, dx = ops.spec, ops.grid.dx
-    discounted = spec.strike * math.exp(-spec.rate * spec.expiry)
-    if spec.kind == "put":
-        lower, upper = np.maximum(discounted - spots, 0.0), np.full_like(spots, discounted)
-    else:
-        lower, upper = np.maximum(spots - discounted, 0.0), spots
-    excess = np.maximum(lower - prices, prices - upper)
-    i = int(np.argmax(excess))
-    tol = spec.strike * dx**2
-    if excess[i] > tol:
-        side, bound = ("lower", lower[i]) if prices[i] < lower[i] else ("upper", upper[i])
-        raise RuntimeError(
-            f"price {prices[i]:.6g} at S = {spots[i]:g} leaves the static {side} bound "
-            f"{bound:.6g} by {excess[i]:.4g} > K dx^2 = {tol:.4g} "
-            f"(dt*W = {ops.dt * ops.integral.total_weight:.3g}, "
-            f"dt*c_loc/dx^2 = {ops.dt * ops.integral.local_correction / dx**2:.3g})"
-        )
+        show(message, category, *args, **kwargs)
 
 
 def _run_jobs(
-    jobs: list[_Job],
+    jobs: Mapping[str, Job],
     outputs: Sequence[OutputSpec],
-    write_other: Callable[[OutputSpec, list[PriceSurface | None]], None] | None = None,
+    write_other: Callable[[OutputSpec, list[Priced]], None] | None = None,
 ) -> int:
-    """Solve the jobs (_solve_jobs), then write the outputs in order from the
-    main thread: `table` outputs here, every other kind through
-    write_other(output, surfaces).  Print the table last.  Every column
-    shares jobs[0]'s payoff.  Surface and boundary outputs read every time
-    level, the others t = 0's alone, so the marches keep every level only
-    for those (see pide._march).  Exit 2 on a numerical failure, naming the
-    first failing job, before any file is written; 1 on a write error or
-    when a marching process dies (WorkerLostError)."""
+    """Price the jobs, keyed by column name (jobs.price_jobs), then write the
+    outputs in order: `table` outputs here, every other kind through
+    write_other(output, outcomes).  Print the table last.  Every column
+    shares the first job's payoff.  Surface and boundary outputs read every
+    time level, the others t = 0's alone, so the marches keep every level
+    only for those.  Exit 2 on a numerical failure, naming the first failing
+    job, before any file is written; 1 on a write error, a bad
+    LEVYPIDE_WORKERS or when a marching process dies."""
     keep_levels = any(o.kind in ("surface", "boundary") for o in outputs)
     try:
-        outcomes = _solve_jobs(jobs, keep_levels)
-    except WorkerLostError as exc:
+        with warnings.catch_warnings():
+            # a line per job, also when two jobs share one, and under -W error
+            warnings.simplefilter("always", StructuralWarning)
+            warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+            outcomes = price_jobs(list(jobs.values()), keep_levels)
+    except (ValueError, WorkerLostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    columns = []
-    try:
-        for job, out in zip(jobs, outcomes):
-            if isinstance(out, Exception):
-                raise out
-            columns.append(_prices_on(job, out))
-    except _FAILURES as exc:
-        print(f"numerical failure in {job.name}: {exc}", file=sys.stderr)
-        return 2
+    for name, out in zip(jobs, outcomes):
+        if isinstance(out, Exception):
+            print(f"numerical failure in {name}: {out}", file=sys.stderr)
+            return 2
+    columns = [
+        dict(zip(job.spots, out.prices.tolist())) for job, out in zip(jobs.values(), outcomes)
+    ]
 
-    spots = list(dict.fromkeys(s for job in jobs for s in job.spots))
-    pay = [float(payoff(jobs[0].spec, s)) for s in spots]
-    header = ["S", "payoff", *(job.name for job in jobs)]
+    spots = list(dict.fromkeys(s for job in jobs.values() for s in job.spots))
+    first = next(iter(jobs.values()))
+    pay = [float(payoff(first.spec, s)) for s in spots]
+    header = ["S", "payoff", *jobs]
     try:
         for out in outputs:
             if out.kind != "table":
@@ -745,25 +477,17 @@ def _execute(cfg: RunConfig) -> int:
     penalty = None
     if cfg.style == "american":
         penalty = cfg.penalty if cfg.penalty is not None else PenaltyConfig()
-    jobs: list[_Job] = []
+    jobs: dict[str, Job] = {}
     for sc in cfg.scenarios:
         name = f"V_r{sc.rate:g}"
-        while any(job.name == name for job in jobs):
+        while name in jobs:
             name += "'"
-        jobs.append(
-            _Job(
-                name=name,
-                spec=dataclasses.replace(cfg.option, rate=sc.rate),
-                model=cfg.model,
-                grid=cfg.grid,
-                spots=sc.spots,
-                penalty=penalty,
-            )
-        )
+        spec = dataclasses.replace(cfg.option, rate=sc.rate)
+        jobs[name] = Job(spec, cfg.model, cfg.grid, sc.spots, penalty)
 
-    def write_other(out: OutputSpec, surfaces: list[PriceSurface]) -> None:
+    def write_other(out: OutputSpec, outcomes: list[Priced]) -> None:
         label = _model_label(cfg.model)
-        for job, surface, dest in zip(jobs, surfaces, cfg._files(out)):
+        for job, (_, surface), dest in zip(jobs.values(), outcomes, cfg._files(out)):
             if out.kind == "surface":
                 surface.to_csv(dest)
             elif out.kind == "boundary":
@@ -892,13 +616,9 @@ def _run_table1(args: argparse.Namespace) -> int:
     base = OptionSpec(strike=100.0, expiry=1.0, rate=0.0, sigma=0.23, kind="put")
     merton = Merton(lam=0.1, m=-0.2, delta=0.15)
     vg = VarianceGamma.from_bm_params(theta=-0.43, kappa=0.27, sigma_vg=0.23)
-    jobs = [
-        _Job(
-            name=f"{name}_r{r:g}",
-            spec=dataclasses.replace(base, rate=r, sigma=sigma),
-            model=model,
-            grid=grid,
-            spots=_TABLE1_SPOTS,
+    jobs = {
+        f"{name}_r{r:g}": Job(
+            dataclasses.replace(base, rate=r, sigma=sigma), model, grid, _TABLE1_SPOTS
         )
         for r in (0.0, 0.1)
         for name, sigma, model in (
@@ -907,7 +627,7 @@ def _run_table1(args: argparse.Namespace) -> int:
             ("merton", 0.23, merton),
             ("vg", 0.23, vg),
         )
-    ]
+    }
     outputs = [] if args.output is None else [OutputSpec(kind="table", path=args.output)]
     return _run_jobs(jobs, outputs)
 
@@ -916,8 +636,16 @@ def _run_table1(args: argparse.Namespace) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError: one `error:` line, not
+    argparse's usage and message."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levypide",
         description="Finite-difference option pricing under jump-diffusion models.",
     )
@@ -946,13 +674,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "price":
             return run(args.config, args)
         if args.command == "check":
@@ -961,6 +684,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit:
+        return 0  # --help, which argparse printed
 
 
 if __name__ == "__main__":

@@ -154,6 +154,9 @@ class Merton:
             -self.m**2 / (2.0 * self.delta**2)
         )
         d = self.m / self.delta**2
+        # c0 underflows to 0 once |m|/delta > 38.6; any c0 at or above the true
+        # value bounds the density, so it is clamped at the smallest positive double
+        c0 = max(c0, math.ulp(0.0))
         return ShapeParams(alpha=0.0, d_minus=d, d_plus=d, mu=1.0 / (2.0 * self.delta**2), c0=c0)
 
     def _small_jump_variance(self, delta: float) -> float:
@@ -322,7 +325,8 @@ class NIG:
             d_minus=self.a - self.b,
             d_plus=self.a + self.b,
             mu=0.0,
-            c0=self.c * factor / self.b,
+            # a tiny c over a huge b underflows, clamped as Merton's
+            c0=max(self.c * factor / self.b, math.ulp(0.0)),
         )
 
     def _small_jump_variance(self, delta: float) -> float:

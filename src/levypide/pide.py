@@ -857,7 +857,9 @@ def solve_european(
     spec: OptionSpec, model: LevyModel, grid: GridSpec, *, keep_levels: bool = True
 ) -> PriceSurface:
     """March the transformed equation from the payoff to tau = T; with
-    keep_levels=False the surface holds only tau = 0 and tau = T (see _march)."""
+    keep_levels=False the surface holds only tau = 0 and tau = T (see _march).
+    Nothing checks the surface: jobs.price_jobs prices a European job and
+    refuses prices that leave the static no-arbitrage bounds."""
     [surface] = _march([assemble_operators(spec, model, grid)], keep_levels=keep_levels)
     return surface
 

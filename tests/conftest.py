@@ -19,6 +19,9 @@ from levypide import (
     OptionSpec,
     VarianceGamma,
 )
+from levypide import jobs
+from levypide.american import PenaltyConfig
+from levypide.jobs import Job, price_jobs
 from levypide.pide import FarField, _explicit_term, assemble_operators
 
 settings.register_profile(
@@ -51,6 +54,24 @@ ALL_JUMP_MODELS = {
 
 def bench_spec(rate: float = 0.0, sigma: float = SIGMA, kind: str = "put") -> OptionSpec:
     return OptionSpec(strike=STRIKE, expiry=EXPIRY, rate=rate, sigma=sigma, kind=kind)
+
+
+def solve_american(spec, model, grid, pcfg=PenaltyConfig(), keep_levels=True):
+    """One American job priced through price_jobs: its surface, every level
+    kept by default, or its error raised."""
+    [out] = price_jobs([Job(spec, model, grid, (spec.strike,), pcfg)], keep_levels)
+    if isinstance(out, Exception):
+        raise out
+    return out.surface
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Runs whose jobs march on a pool of two processes, whatever their work
+    and the host's CPUs; a run of one job still marches inline."""
+    monkeypatch.setattr(jobs, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(jobs, "_cpu_count", lambda: 2)
+    monkeypatch.setenv("LEVYPIDE_WORKERS", "2")
 
 
 @pytest.fixture(scope="session")

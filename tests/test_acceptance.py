@@ -29,9 +29,10 @@ from conftest import (
     STRIKE,
     TABLE_SPOTS,
     bench_spec,
+    solve_american,
     stepped_jump_term,
 )
-from levypide.american import PenaltyConfig, lcp_residual, solve_american_penalized
+from levypide.american import PenaltyConfig, lcp_residual
 from levypide.bs import bs_price, payoff
 from levypide.cli import main
 from levypide.levy import (
@@ -89,7 +90,7 @@ def american_runs():
         warnings.simplefilter("ignore", RuntimeWarning)
         for r in RATES:
             for eps in (1e-2, 1e-3):
-                out[(r, eps)] = solve_american_penalized(
+                out[(r, eps)] = solve_american(
                     bench_spec(rate=r), BENCH_MERTON, grid, PenaltyConfig(epsilon=eps)
                 )
     return out

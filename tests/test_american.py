@@ -14,6 +14,7 @@ from conftest import (
     assert_last_level_surface,
     bench_spec,
     far_values,
+    solve_american,
 )
 from levypide.american import (
     LcpReport,
@@ -22,7 +23,6 @@ from levypide.american import (
     exercise_asymptote,
     extract_boundary,
     lcp_residual,
-    solve_american_penalized,
 )
 from levypide.bs import payoff
 from levypide.levy import CGMY, Kou, NoJumps
@@ -41,7 +41,7 @@ def eps_sweep():
     grid = GridSpec()
     spec = bench_spec(rate=0.1)
     return {
-        eps: solve_american_penalized(spec, BENCH_MERTON, grid, PenaltyConfig(epsilon=eps))
+        eps: solve_american(spec, BENCH_MERTON, grid, PenaltyConfig(epsilon=eps))
         for eps in (1e-2, 1e-3)
     }
 
@@ -123,7 +123,7 @@ class TestSolveAmerican:
         spec = bench_spec(rate=0.0)
         model = Kou(lam=0.1, theta=0.0, lam_plus=3.0, lam_minus=2.0)
         grid = GridSpec()
-        am = solve_american_penalized(spec, model, grid)
+        am = solve_american(spec, model, grid)
         eu = solve_european(spec, model, grid)
         assert np.max(np.abs(am.u - eu.u)) <= 1e-9
 
@@ -134,7 +134,7 @@ class TestSolveAmerican:
     def test_early_exercise_premium_for_plain_diffusion(self):
         spec = bench_spec(rate=0.1, sigma=0.12)
         grid = GridSpec()
-        am = solve_american_penalized(spec, NoJumps(), grid)
+        am = solve_american(spec, NoJumps(), grid)
         eu = solve_european(spec, NoJumps(), grid)
         atm = am.price_at(0.0, 100.0)
         assert atm >= 1.29196  # European closed-form floor
@@ -151,12 +151,12 @@ class TestSolveAmerican:
 
     def test_put_only(self):
         with pytest.raises(ValueError, match="put"):
-            solve_american_penalized(bench_spec(kind="call"), NoJumps(), GridSpec())
+            solve_american(bench_spec(kind="call"), NoJumps(), GridSpec())
 
     def test_warns_when_structural_condition_fails(self):
         # zero rate cannot absorb the upward-jump budget of the lognormal bench
         with pytest.warns(RuntimeWarning, match="structural condition"):
-            solve_american_penalized(bench_spec(rate=0.0), BENCH_MERTON, GridSpec())
+            solve_american(bench_spec(rate=0.0), BENCH_MERTON, GridSpec())
 
     def test_refuses_a_non_integrable_measure_before_warning(self):
         # alpha = 3.5 fails both checks; the refusal comes first, with no warning
@@ -164,17 +164,17 @@ class TestSolveAmerican:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="integrability check: singularity order"):
-                solve_american_penalized(bench_spec(rate=0.1), heavy, GridSpec())
+                solve_american(bench_spec(rate=0.1), heavy, GridSpec())
 
     def test_silent_when_structural_condition_holds(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            solve_american_penalized(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
+            solve_american(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
 
     def test_reports_stalled_iteration(self):
         cfg = PenaltyConfig(max_picard=1, picard_tol=1e-15)
         with pytest.raises(PicardError) as exc:
-            solve_american_penalized(bench_spec(rate=0.1), BENCH_MERTON, GridSpec(), cfg)
+            solve_american(bench_spec(rate=0.1), BENCH_MERTON, GridSpec(), cfg)
         err = exc.value
         assert err.iterations == 1
         assert err.gap > 1e-15
@@ -192,7 +192,7 @@ class TestSolveAmerican:
         # a march in a pool's child process returns its error by pickle
         cfg = PenaltyConfig(max_picard=1, picard_tol=1e-15)
         with pytest.raises(PicardError) as exc:
-            solve_american_penalized(bench_spec(rate=0.1), BENCH_MERTON, GridSpec(), cfg)
+            solve_american(bench_spec(rate=0.1), BENCH_MERTON, GridSpec(), cfg)
         err = exc.value
         copy = pickle.loads(pickle.dumps(err))
         assert type(copy) is PicardError and str(copy) == str(err)
@@ -215,7 +215,7 @@ class TestSolveAmerican:
     # the VG measure's upward-jump budget exceeds r = 0.1; that warning has its own test
     @pytest.mark.filterwarnings("ignore:structural condition:RuntimeWarning")
     def test_frozen_prices(self, model, spot, price):
-        am = solve_american_penalized(bench_spec(rate=0.1), model, GridSpec())
+        am = solve_american(bench_spec(rate=0.1), model, GridSpec())
         assert am.price_at(0.0, spot) == pytest.approx(price, rel=1e-10, abs=0.0)
 
 
@@ -231,7 +231,7 @@ class TestSweepStoppingRule:
     @pytest.mark.parametrize("model", [BENCH_MERTON, BENCH_VG], ids=["merton", "vg"])
     def test_matches_the_full_sweep_bit_for_bit(self, model, rate, grid):
         spec = bench_spec(rate=rate)
-        am = solve_american_penalized(spec, model, grid)
+        am = solve_american(spec, model, grid)
         ref = reference_solve(spec, model, grid, PenaltyConfig())
         assert am.u.tobytes() == ref.u.tobytes()
 
@@ -246,12 +246,12 @@ class TestSweepStoppingRule:
         spec = bench_spec(rate=rate)
         cfg = PenaltyConfig(max_picard=max_picard, picard_tol=1e-12)
         if not stalls:
-            am = solve_american_penalized(spec, model, GridSpec(), cfg)
+            am = solve_american(spec, model, GridSpec(), cfg)
             ref = reference_solve(spec, model, GridSpec(), cfg)
             assert am.u.tobytes() == ref.u.tobytes()
             return
         with pytest.raises(PicardError) as got:
-            solve_american_penalized(spec, model, GridSpec(), cfg)
+            solve_american(spec, model, GridSpec(), cfg)
         with pytest.raises(PicardError) as ref:
             reference_solve(spec, model, GridSpec(), cfg)
         err, expect = got.value, ref.value
@@ -272,8 +272,8 @@ class TestTwoLevelMarch:
     )
     def test_keeps_the_full_surfaces_end_levels_bit_for_bit(self, model, grid):
         spec = bench_spec(rate=0.1)
-        full = solve_american_penalized(spec, model, grid)
-        two = solve_american_penalized(spec, model, grid, keep_levels=False)
+        full = solve_american(spec, model, grid)
+        two = solve_american(spec, model, grid, keep_levels=False)
         assert_last_level_surface(full, two)
 
 
@@ -351,7 +351,7 @@ class TestLcpResidual:
     def test_penalized_surface_at_zero_rate(self):
         # with r = 0 the full complementarity system holds to roundoff
         with pytest.warns(RuntimeWarning):
-            am = solve_american_penalized(bench_spec(rate=0.0), BENCH_MERTON, GridSpec())
+            am = solve_american(bench_spec(rate=0.0), BENCH_MERTON, GridSpec())
         rep = lcp_residual(am)
         assert rep.obstacle_violation <= 1e-9
         assert rep.pde_violation <= 1e-9
@@ -359,7 +359,7 @@ class TestLcpResidual:
 
     def test_rejects_a_two_level_surface(self):
         spec = bench_spec(rate=0.1)
-        two = solve_american_penalized(spec, BENCH_MERTON, GridSpec(), keep_levels=False)
+        two = solve_american(spec, BENCH_MERTON, GridSpec(), keep_levels=False)
         with pytest.raises(ValueError, match="holds 2 levels, its grid has 201"):
             lcp_residual(two)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import levypide
-from levypide import cli
+from levypide import cli, jobs
 from conftest import (
     ALL_JUMP_MODELS,
     BENCH_CGMY,
@@ -21,8 +21,7 @@ from conftest import (
     BENCH_VG,
     bench_spec,
 )
-from levypide.american import PenaltyConfig, penalized_operators
-from levypide.bs import OptionSpec, bs_price
+from levypide.bs import bs_price
 from levypide.cli import (
     ConfigError,
     RunConfig,
@@ -32,22 +31,17 @@ from levypide.cli import (
     model_from_dict,
     model_to_dict,
 )
-from levypide.levy import CGMY, NoJumps, VarianceGamma
-from levypide.pide import (
-    GridSpec,
-    GrowthGuardError,
-    PriceSurface,
-    assemble_operators,
-    solve_european,
-)
+from levypide.levy import NoJumps, VarianceGamma
+from levypide.pide import GridSpec, solve_european
 
 
 OPTION = {"kind": "put", "strike": 100.0, "expiry": 1.0, "sigma": 0.23}
 # A Merton model its constructor accepts whose shape witness cannot be built:
-# c0 = lam / (delta sqrt(2 pi)) e^(-m^2 / (2 delta^2)) underflows to 0.
-NO_WITNESS = {"type": "merton", "lam": 0.1, "m": -5.0, "delta": 0.05}
+# mu = 1 / (2 delta^2) overflows to infinity.
+NO_WITNESS = {"type": "merton", "lam": 0.1, "m": 0.0, "delta": 1e-160}
 WITNESS_UNAVAILABLE = (
-    "witness unavailable: need alpha >= 0, mu >= 0, c0 > 0, got alpha=0, mu=200, c0=0"
+    "witness unavailable: envelope parameters must be finite, "
+    "got (0.0, 0.0, 0.0, inf, 3.9894228040143273e+158)"
 )
 
 
@@ -541,8 +535,9 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize("style", ["european", "american"])
     def test_one_price_lookup_per_job_and_per_plot_column(self, tmp_path, monkeypatch, style):
-        # a job's table prices and a plotdata column each come from one
-        # price_at call over all their spots
+        # a job's table prices (jobs.price_jobs) and a plotdata column
+        # (cli.emit_plotdata) each come from one price_at call over all their
+        # spots
         lookups = []
         price_at = cli.price_at
 
@@ -550,6 +545,7 @@ class TestPriceCommand:
             lookups.append(np.size(S))
             return price_at(surface, t, S)
 
+        monkeypatch.setattr(jobs, "price_at", spy)
         monkeypatch.setattr(cli, "price_at", spy)
         path = write_cfg(
             tmp_path,
@@ -739,24 +735,6 @@ class TestPriceCommand:
             f"with mu = 0, d_minus + 1 < 0 < d_plus; got {numbers}\n"
         )
 
-    @pytest.mark.parametrize("kind", ["put", "call"])
-    def test_static_bounds_allow_k_dx_squared(self, kind):
-        spec = OptionSpec(strike=100.0, expiry=1.0, rate=0.1, sigma=0.23, kind=kind)
-        ops = assemble_operators(spec, BENCH_MERTON, GridSpec())
-        spots = np.array([60.0, 100.0, 160.0])
-        discounted = 100.0 * math.exp(-0.1)
-        if kind == "put":
-            lower, upper = np.maximum(discounted - spots, 0.0), np.full(3, discounted)
-        else:
-            lower, upper = np.maximum(spots - discounted, 0.0), spots
-        slack = 0.9 * 100.0 * GridSpec().dx ** 2
-        cli._check_static_bounds(ops, spots, lower - slack)
-        cli._check_static_bounds(ops, spots, upper + slack)
-        with pytest.raises(RuntimeError, match="at S = 160 leaves the static upper bound"):
-            cli._check_static_bounds(ops, spots, upper + np.array([0.0, slack, 3 * slack]))
-        with pytest.raises(RuntimeError, match="at S = 60 leaves the static lower bound"):
-            cli._check_static_bounds(ops, spots, lower - np.array([3 * slack, slack, 0.0]))
-
     def test_epsilon_override_reaches_the_solver(self, tmp_path):
         path = write_cfg(tmp_path, style="american")
         assert main(["price", "--config", path, "--epsilon", "1e-2"]) == 0
@@ -801,15 +779,6 @@ class TestPriceCommand:
         assert first.read_text().startswith("S,payoff,V_r0.1\n")
 
 
-@pytest.fixture
-def pooled(monkeypatch):
-    """Runs whose jobs march on a pool of two processes, whatever their work
-    and the host's CPUs; a run of one job still marches inline."""
-    monkeypatch.setattr(cli, "_POOL_MIN_WORK", 0)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
-    monkeypatch.setenv("LEVYPIDE_WORKERS", "2")
-
-
 @pytest.fixture(params=["inline", "pooled"])
 def levels_kept(request, monkeypatch):
     """The number of time levels of every surface the CLI's jobs return, in
@@ -818,14 +787,14 @@ def levels_kept(request, monkeypatch):
     if request.param == "pooled":
         request.getfixturevalue("pooled")
     counts = []
-    solve_jobs = cli._solve_jobs
+    price_jobs = cli.price_jobs
 
-    def spy(jobs, keep_levels):
-        outcomes = solve_jobs(jobs, keep_levels)
-        counts.extend(len(out.taus) for out in outcomes if isinstance(out, PriceSurface))
+    def spy(job_list, keep_levels):
+        outcomes = price_jobs(job_list, keep_levels)
+        counts.extend(len(out.surface.taus) for out in outcomes if out.surface is not None)
         return outcomes
 
-    monkeypatch.setattr(cli, "_solve_jobs", spy)
+    monkeypatch.setattr(cli, "price_jobs", spy)
     return counts
 
 
@@ -994,63 +963,14 @@ class TestLockstepJobs:
         assert err.startswith("numerical failure in V_r0: time step amplified the solution")
         assert runs["1"] == runs["2"] == runs["3"]
 
-    @pytest.mark.parametrize(
-        "workers, cpus, batches",
-        [("1", 2, [2]), ("2", 1, [2]), ("2", 2, [1, 1]), ("3", 2, [1, 1])],
-    )
-    def test_batches_are_capped_by_workers_and_cpus(self, monkeypatch, workers, cpus, batches):
-        monkeypatch.setenv("LEVYPIDE_WORKERS", workers)
-        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-        limit = cli._worker_limit()
-        european = [
-            assemble_operators(bench_spec(rate=r), BENCH_MERTON, GridSpec(100, 50))
-            for r in (0.0, 0.1)
-        ]
-        tasks = cli._tasks(dict(enumerate(european)), limit)
-        assert [len(idx) for idx in tasks] == batches
-        assert [i for idx in tasks for i in idx] == [0, 1]
-        # each American job's operators carry its own penalty sweep, so it is
-        # a batch of one whatever the worker and CPU counts
-        american = [
-            cli._plan(cli._Job("V", bench_spec(rate=r), BENCH_MERTON, GridSpec(100, 50),
-                               (100.0,), PenaltyConfig()))
-            for r in (0.0, 0.1)
-        ]
-        assert cli._tasks(dict(enumerate(american)), limit) == [[0], [1]]
-
-    def test_a_batch_reports_its_first_failing_job_in_job_order(self):
-        # the second job trips the guard at the first step, the first one at
-        # the tenth: the batch fails on row 1, and the first job, marched again
-        # alone, fails with the message of its own solo march
-        rows = [
-            assemble_operators(bench_spec(), CGMY(c=1.0, g=6.0, m=8.0, y=y), GridSpec())
-            for y in (1.2, 1.8)
-        ]
-        batch = cli._march_task(rows, False)
-        solo = [cli._march_task([ops], False)[0] for ops in rows]
-        assert all(isinstance(out, GrowthGuardError) for out in [*batch, *solo])
-        assert [str(out) for out in batch] == [str(out) for out in solo]
-
-    def test_rows_before_a_failing_row_keep_their_solo_surfaces(self):
-        grid = GridSpec()
-        rows = [
-            assemble_operators(bench_spec(), model, grid)
-            for model in (BENCH_MERTON, CGMY(c=1.0, g=6.0, m=8.0, y=1.5))
-        ]
-        calm, stiff = cli._march_task(rows, False)
-        assert isinstance(calm, PriceSurface) and isinstance(stiff, GrowthGuardError)
-        assert "stability envelope" in str(stiff)
-        solo = solve_european(bench_spec(), BENCH_MERTON, grid, keep_levels=False)
-        assert calm.u.tobytes() == solo.u.tobytes()
-
 
 @pytest.fixture
 def march_pids(monkeypatch):
-    """Spy on cli._march: a function that returns the process id of every
+    """Spy on jobs._march: a function that returns the process id of every
     march since the last call, read through a pipe that a pool's children
     inherit."""
     pipe = multiprocessing.get_context("fork").SimpleQueue()
-    march = cli._march
+    march = jobs._march
 
     def spy(rows, *args):
         pipe.put(os.getpid())
@@ -1062,7 +982,7 @@ def march_pids(monkeypatch):
             pids.append(pipe.get())
         return pids
 
-    monkeypatch.setattr(cli, "_march", spy)
+    monkeypatch.setattr(jobs, "_march", spy)
     yield drain
     pipe.close()
 
@@ -1082,11 +1002,11 @@ class TestMarchPool:
     def test_marches_run_inline(self, monkeypatch, pooled, march_pids, case):
         if case == "below-crossover":
             # table1's four jump jobs at 400 x 200: 4 x 401 x 200 node-steps
-            monkeypatch.setattr(cli, "_POOL_MIN_WORK", 4 * 401 * 200 + 1)
+            monkeypatch.setattr(jobs, "_POOL_MIN_WORK", 4 * 401 * 200 + 1)
         elif case == "one-worker":
             monkeypatch.setenv("LEVYPIDE_WORKERS", "1")
         elif case == "one-cpu":
-            monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+            monkeypatch.setattr(jobs, "_cpu_count", lambda: 1)
         else:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert main(["table1"]) == 0
@@ -1098,26 +1018,16 @@ class TestMarchPool:
         assert main(["price", "--config", path]) == 0
         assert march_pids() == [os.getpid()]
 
-    def test_the_crossover_counts_node_steps_whatever_the_style(self, monkeypatch):
-        grid = GridSpec(n_space=100, n_time=50)
-        european = assemble_operators(bench_spec(), BENCH_MERTON, grid)
-        american, _ = penalized_operators(bench_spec(), BENCH_MERTON, grid, PenaltyConfig())
-        for jobs in ({0: european, 1: european}, {0: american, 1: american}):
-            monkeypatch.setattr(cli, "_POOL_MIN_WORK", 101 * 50 * 2 + 1)
-            assert cli._processes(jobs, 2) == 1
-            monkeypatch.setattr(cli, "_POOL_MIN_WORK", 101 * 50 * 2)
-            assert cli._processes(jobs, 2) == 2
-
     def test_a_worker_that_dies_is_a_one_line_error(self, tmp_path, monkeypatch, capsys, pooled):
         parent = os.getpid()
-        march = cli._march
+        march = jobs._march
 
         def dies_in_a_child(rows, *args):
             if os.getpid() != parent:
                 os._exit(1)
             return march(rows, *args)
 
-        monkeypatch.setattr(cli, "_march", dies_in_a_child)
+        monkeypatch.setattr(jobs, "_march", dies_in_a_child)
         out = tmp_path / "table1.csv"
         args = ["table1", "--grid-n", "100", "--grid-m", "50", "--output", str(out)]
         assert main(args) == 1
@@ -1181,7 +1091,7 @@ class TestAmericanWarnings:
         # the spy runs in the pool's children, which inherit the event
         fork = multiprocessing.get_context("fork")
         second_done = fork.Event()
-        march = cli._march
+        march = jobs._march
 
         def first_waits(rows, *args):
             rate = rows[0].spec.rate
@@ -1193,7 +1103,7 @@ class TestAmericanWarnings:
                 if rate == 0.1:
                     second_done.set()
 
-        monkeypatch.setattr(cli, "_march", first_waits)
+        monkeypatch.setattr(jobs, "_march", first_waits)
         path = write_cfg(
             tmp_path,
             model=VG_BM,
@@ -1381,14 +1291,28 @@ class TestTable1:
 
 
 class TestMainEntry:
-    def test_no_arguments(self):
+    """A bad command line is one `error: <reason>` line on stderr, exit 1."""
+
+    def test_no_arguments(self, capsys):
         assert main([]) == 1
+        assert capsys.readouterr() == ("", "error: the following arguments are required: command\n")
 
-    def test_missing_required_flag(self):
+    def test_missing_required_flag(self, capsys):
         assert main(["price"]) == 1
+        assert capsys.readouterr() == ("", "error: the following arguments are required: --config\n")
 
-    def test_unknown_subcommand(self):
+    def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: argument command: invalid choice: 'frobnicate' "
+            "(choose from 'price', 'check', 'table1')\n",
+        )
+
+    def test_unknown_flag(self, tmp_path, capsys):
+        path = write_cfg(tmp_path)
+        assert main(["price", "--config", path, "--closed-form"]) == 1
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --closed-form\n")
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0

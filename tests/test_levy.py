@@ -233,6 +233,28 @@ class TestShapeWitness:
         assert math.isfinite(w.c0) and w.c0 > 0.0
         assert np.all(h <= env * (1.0 + 1e-9) + 1e-300)
 
+    @pytest.mark.parametrize(
+        "model",
+        [Merton(lam=1.0, m=-0.8, delta=0.02), Merton(lam=0.1, m=-5.0, delta=0.05),
+         NIG(a=0.0, b=1e300, c=1e-200)],
+        ids=["merton-corner", "merton-far", "nig-steep"],
+    )
+    def test_an_underflowing_envelope_constant_is_clamped(self, model):
+        # the true c0 is below the smallest positive double; any c0 at or
+        # above it still bounds the density
+        w = shape_witness(model)
+        assert w.c0 == math.ulp(0.0) and w.admissible
+        h = density(model, Z_GRID)
+        with np.errstate(over="ignore"):  # e^(d z - mu z^2) reaches e^800
+            env = w.envelope(Z_GRID)
+        assert np.all(h <= env * (1.0 + 1e-9) + 1e-300)
+
+    def test_a_positive_envelope_constant_keeps_its_bits(self):
+        # the clamp moves no constant that did not underflow
+        lam, m, delta = BENCH_MERTON.lam, BENCH_MERTON.m, BENCH_MERTON.delta
+        c0 = lam / (delta * math.sqrt(2.0 * math.pi)) * math.exp(-(m**2) / (2.0 * delta**2))
+        assert shape_witness(BENCH_MERTON).c0 == c0
+
 
 # ---------------------------------------------------------------------------
 # activity and mass
@@ -326,13 +348,13 @@ class TestIntegrability:
         assert "alpha" in rep.detail
 
     def test_a_witness_that_cannot_be_built_fails_both_checks(self):
-        # c0 = lam / (delta sqrt(2 pi)) e^(-m^2 / (2 delta^2)) underflows to 0
-        far = Merton(lam=0.1, m=-5.0, delta=0.05)
-        with pytest.raises(ValueError, match="got alpha=0, mu=200, c0=0"):
+        # mu = 1 / (2 delta^2) overflows to infinity
+        far = Merton(lam=0.1, m=0.0, delta=1e-160)
+        with pytest.raises(ValueError, match="envelope parameters must be finite"):
             shape_witness(far)
         for rep in (integrability_check(far), structural_condition_check(far, 0.1)):
             assert not rep.passed and math.isnan(rep.value)
-            assert rep.detail.startswith("witness unavailable: need alpha >= 0")
+            assert rep.detail.startswith("witness unavailable: envelope parameters must be finite")
 
     def test_integrable_but_inadmissible_configuration(self):
         # slow upward wing: square-integrable near 0 and summable tails, so the

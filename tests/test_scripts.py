@@ -1,4 +1,4 @@
-"""Smoke runs of the study scripts at tiny grids: each exits 0 and prints its header."""
+"""Smoke runs of the scripts, the studies at tiny grids: each exits 0 and prints its header."""
 import runpy
 import sys
 from pathlib import Path
@@ -38,3 +38,14 @@ def test_run_table1(monkeypatch, capsys):
     assert run_script("run_table1.py", args, monkeypatch) == 0
     out = capsys.readouterr().out
     assert "deviations from the reference table (computed - reference):" in out
+
+
+def test_count_lines(monkeypatch, capsys):
+    assert run_script("count_lines.py", [], monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["file", "code", "doc", "physical"]
+    assert lines[-1].split()[0] == "src"
+    rows = [[int(n) for n in line.split()[1:]] for line in lines[1:]]
+    # the src row adds up the files'
+    assert [sum(col) for col in zip(*rows[:-1])] == rows[-1]
+    assert any(line.startswith("levypide/jobs.py ") for line in lines)
