@@ -37,13 +37,12 @@ and jump measure of the march that made it, so it takes no other argument.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bs import OptionSpec, payoff
-from .levy import LevyModel, structural_condition_check
+from .levy import LevyModel
 from .pide import (
     FarField,
     GridSpec,
@@ -142,21 +141,10 @@ def penalized_operators(
 ) -> ImexOperators:
     """What an American job marches: the operators with the exercise far
     field, which with their start carry the penalty sweep
-    (`ImexOperators.sweep`).  A measure that violates the structural
-    condition warns (StructuralWarning)."""
+    (`ImexOperators.sweep`)."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
-    # assembly refuses a measure that fails the integrability check, so such a
-    # measure raises before the structural check can warn
     ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
-    structural = structural_condition_check(model, spec.rate)
-    if not structural.passed:
-        warnings.warn(
-            "structural condition violated (upward-jump budget exceeds the rate: "
-            f"{structural.detail}); the penalized solve proceeds, but the "
-            "complementarity characterization of the American price is not guaranteed",
-            StructuralWarning,
-        )
 
     xs = ops.xs
     tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike

@@ -41,15 +41,16 @@ import functools
 import math
 import os
 import sys
+import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .american import PenaltyConfig, penalized_operators
+from .american import PenaltyConfig, StructuralWarning, penalized_operators
 from .bs import OptionSpec, bs_price
-from .levy import LevyModel
+from .levy import LevyModel, structural_condition_check
 from .pide import (
     GridSpec,
     ImexOperators,
@@ -115,11 +116,23 @@ def _worker_limit() -> int:
 
 
 def _plan(job: Job) -> ImexOperators:
-    """The job's operators; an American job's structural check warns now, in
-    job order."""
+    """The job's operators.  An American job whose measure violates the
+    structural condition warns (StructuralWarning) now, in job order, at the
+    line that called price_jobs; a measure that assembly refuses raises
+    first."""
     if job.penalty is None:
         return assemble_operators(job.spec, job.model, job.grid)
-    return penalized_operators(job.spec, job.model, job.grid, job.penalty)
+    ops = penalized_operators(job.spec, job.model, job.grid, job.penalty)
+    structural = structural_condition_check(job.model, job.spec.rate)
+    if not structural.passed:
+        warnings.warn(
+            "structural condition violated (upward-jump budget exceeds the rate: "
+            f"{structural.detail}); the penalized solve proceeds, but the "
+            "complementarity characterization of the American price is not guaranteed",
+            StructuralWarning,
+            stacklevel=3,
+        )
+    return ops
 
 
 def _march_task(rows: list[ImexOperators], keep_levels: bool) -> list[PriceSurface | Exception]:

@@ -5,9 +5,12 @@ log-jump sizes.  Every supported family fits the envelope
 
     h(z) <= c0 |z|^(-alpha) (e^(d_minus z) 1_{z>=0} + e^(d_plus z) 1_{z<0}) e^(-mu z^2)
 
-and the witness parameters (alpha, d_minus, d_plus, mu, c0) drive the
-admissibility rules used by the solvers: a measure is usable for pricing when
-alpha < 3 and either mu > 0 or (mu = 0 and d_minus + 1 < 0 < d_plus).
+and the witness parameters (alpha, d_minus, d_plus, mu, c0) decide the one
+admissibility rule the solvers apply (`ShapeParams.admissible`, at assembly):
+a measure is usable for pricing when alpha < 3 and either mu > 0 or (mu = 0
+and d_minus + 1 < 0 < d_plus).  The measure checks below are quadratures that
+report a value: the CLI's `check` prints `integrability_check`'s, which no
+solve runs, and an American job runs `structural_condition_check`.
 
 Each family is one frozen dataclass that holds its parameters and its own
 formulas: `_density(z)` on a 1-D float array, `_witness()` for the envelope,

@@ -113,14 +113,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .bs import OptionSpec, payoff
-from .levy import (
-    LevyModel,
-    NoJumps,
-    integrability_check,
-    shape_witness,
-    truncated_second_moment,
-    density,
-)
+from .levy import LevyModel, NoJumps, density, shape_witness, truncated_second_moment
 
 __all__ = [
     "GridSpec",
@@ -341,9 +334,11 @@ class IntegralOperator:
 
 
 def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOperator:
-    """Build the discrete jump operator for one measure on one grid; a measure
-    that fails the integrability check or whose shape witness is not
-    admissible is refused here, for every solve."""
+    """Build the discrete jump operator for one measure on one grid.  A
+    measure whose shape witness cannot be built or is not admissible
+    (`levy.ShapeParams.admissible`) is refused here, for every solve; an
+    admissible witness, alpha < 3, already makes min(z^2, 1) nu(dz)
+    integrable, so no quadrature runs."""
     dx = grid.dx
     if isinstance(model, NoJumps):
         return IntegralOperator(
@@ -354,12 +349,12 @@ def assemble_integral_operator(model: LevyModel, grid: GridSpec) -> IntegralOper
             drift_correction=0.0,
             dx=dx,
         )
-    report = integrability_check(model)
-    if not report.passed:
-        raise ValueError(f"measure fails the integrability check: {report.detail}")
+    try:
+        w = shape_witness(model)
+    except ValueError as exc:
+        raise ValueError(f"measure is not admissible: witness unavailable: {exc}") from None
     # without a Gaussian factor (mu = 0) the upward wing must decay faster
     # than e^-z, or E[e^J] and the risk-neutral drift diverge
-    w = shape_witness(model)
     if not w.admissible:
         raise ValueError(
             "measure is not admissible: need alpha < 3 and, with mu = 0, "

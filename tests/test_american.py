@@ -159,11 +159,12 @@ class TestSolveAmerican:
             solve_american(bench_spec(rate=0.0), BENCH_MERTON, GridSpec())
 
     def test_refuses_a_non_integrable_measure_before_warning(self):
-        # alpha = 3.5 fails both checks; the refusal comes first, with no warning
+        # alpha = 3.5 is not admissible and fails the structural condition; the
+        # refusal comes first, with no warning
         heavy = CGMY(c=0.5, g=6.0, m=8.0, y=2.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="integrability check: singularity order"):
+            with pytest.raises(ValueError, match="^measure is not admissible: .*got alpha = 3.5,"):
                 solve_american(bench_spec(rate=0.1), heavy, GridSpec())
 
     def test_silent_when_structural_condition_holds(self):

@@ -664,7 +664,7 @@ class TestPriceCommand:
         assert main(["price", "--config", path]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "numerical failure in V_r0.1: measure fails the integrability check: "
+            "numerical failure in V_r0.1: measure is not admissible: "
             f"{WITNESS_UNAVAILABLE}\n"
         )
         assert captured.out == "" and not table.exists()

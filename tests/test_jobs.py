@@ -1,13 +1,14 @@
 """The job pipeline: planning, lockstep batches, the process pool, failure
 isolation, the static-bound verdict and the structural warning."""
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import BENCH_MERTON, BENCH_VG, bench_spec
-from levypide import Job, jobs, price_jobs
+from conftest import ALL_JUMP_MODELS, BENCH_MERTON, BENCH_VG, bench_spec
+from levypide import Job, jobs, levy, price_jobs
 from levypide.american import PenaltyConfig, StructuralWarning, penalized_operators
 from levypide.bs import OptionSpec, bs_price
 from levypide.levy import CGMY, Merton, VarianceGamma
@@ -91,9 +92,39 @@ class TestPriceJobs:
             outcomes = price_jobs(american)
         assert all(out.surface is not None for out in outcomes)
         assert [w.category for w in caught] == [StructuralWarning] * 2
+        # attributed to the line that called price_jobs, not to the library
+        assert [w.filename for w in caught] == [__file__] * 2
         first, second = (str(w.message) for w in caught)
         assert first.startswith("structural condition violated") and "vs rate 0)" in first
         assert second.startswith("structural condition violated") and "vs rate 0.1)" in second
+
+    @pytest.mark.filterwarnings("ignore::levypide.american.StructuralWarning")
+    @pytest.mark.parametrize("family", sorted(ALL_JUMP_MODELS))
+    def test_a_solve_runs_no_measure_quadrature(self, monkeypatch, family):
+        # assembly refuses on the shape witness alone; the one quadrature a
+        # solve runs is an American job's structural check
+        model, grid, spec = ALL_JUMP_MODELS[family], GridSpec(100, 50), bench_spec(rate=0.1)
+        batch = [Job(spec, model, grid, (90.0, 100.0)),
+                 Job(spec, model, grid, (90.0, 100.0), PenaltyConfig())]
+
+        def solve():
+            ops = assemble_operators(spec, model, grid)
+            return [ops.explicit.kernel, *(out.surface.u for out in price_jobs(batch))]
+
+        plain = solve()
+        wings = levy._wings
+
+        def structural_wings(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name != "structural_condition_check":
+                raise AssertionError("a solve ran a measure quadrature")
+            return wings(*args, **kwargs)
+
+        def no_check(model):
+            raise AssertionError("a solve ran the integrability check")
+
+        monkeypatch.setattr(levy, "_wings", structural_wings)
+        monkeypatch.setattr(levy, "integrability_check", no_check)
+        assert [a.tobytes() for a in solve()] == [a.tobytes() for a in plain]
 
     @pytest.mark.parametrize(
         "raw, message",
@@ -225,9 +256,7 @@ class TestMarchPool:
     def test_the_crossover_counts_node_steps_whatever_the_style(self, monkeypatch):
         grid = GridSpec(n_space=100, n_time=50)
         european = assemble_operators(bench_spec(), BENCH_MERTON, grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StructuralWarning)
-            american = penalized_operators(bench_spec(), BENCH_MERTON, grid, PenaltyConfig())
+        american = penalized_operators(bench_spec(), BENCH_MERTON, grid, PenaltyConfig())
         for planned in ({0: european, 1: european}, {0: american, 1: american}):
             monkeypatch.setattr(jobs, "_POOL_MIN_WORK", 101 * 50 * 2 + 1)
             assert jobs._processes(planned, 2) == 1

@@ -625,7 +625,8 @@ class TestSolveEuropean:
         assert np.max(np.abs(surface.price_at(0.0, S) - ref)) <= 1e-3
 
     def test_gates_on_integrability(self):
-        with pytest.raises(ValueError, match="integrability"):
+        # alpha = 3.5: min(z^2, 1) nu(dz) diverges at the origin
+        with pytest.raises(ValueError, match="not admissible: .*got alpha = 3.5,"):
             solve_european(bench_spec(), CGMY(c=0.5, g=6.0, m=8.0, y=2.5), GridSpec())
 
     # frozen put prices at r = 0.1: a change to the step, the tridiagonal
