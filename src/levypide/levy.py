@@ -8,18 +8,21 @@ log-jump sizes.  Every supported family fits the envelope
 and the witness parameters (alpha, d_minus, d_plus, mu, c0) decide the one
 admissibility rule the solvers apply (`ShapeParams.admissible`, at assembly):
 a measure is usable for pricing when alpha < 3 and either mu > 0 or (mu = 0
-and d_minus + 1 < 0 < d_plus).  The measure checks below are quadratures that
-report a value: the CLI's `check` prints `integrability_check`'s, which no
-solve runs, and an American job runs `structural_condition_check`.
+and d_minus + 1 < 0 < d_plus).  The measure checks below report a value from
+each family's own formulas: the CLI's `check` prints `integrability_check`'s,
+which no solve runs, and an American job runs `structural_condition_check`.
 
 Each family is one frozen dataclass that holds its parameters and its own
 formulas: `_density(z)` on a 1-D float array, `_witness()` for the envelope,
 `_small_jump_variance(delta)` for the integral of z^2 nu(dz) over |z| < delta,
-and the class flag `_FINITE_ACTIVITY`.  An infinite-activity family whose
-upward-jump budget can be finite also has `_upward_moment(k, delta)`, the
-integral of y^k h(y) dy over (0, delta).  The public functions below call
-these and hold no per-family branch, so adding a family takes one class here
-and its name in `LevyModel`; the CLI's model table and the Monte Carlo
+`_tail_mass()` for nu(|z| > 1), and the class flag `_FINITE_ACTIVITY`.  A
+family whose upward-jump budget can be finite also has `_upward_budget()`,
+the integral of (e^y - 1) nu(dy) over y > 0, which the structural check calls
+only after it has ruled out divergence.  All of these are closed forms but
+NIG's small-jump variance (a fixed Gauss rule) and NIG's and CGMY's tail
+masses (adaptive quadrature of smooth wings).  The public functions below
+call these and hold no per-family branch, so adding a family takes one class
+here and its name in `LevyModel`; the CLI's model table and the Monte Carlo
 simulator table in `oracle` list the families they accept.
 """
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "truncated_second_moment",
     "integrability_check",
     "structural_condition_check",
-    "characteristic_exponent",
 ]
 
 
@@ -101,6 +103,14 @@ def _gauss_legendre(f: Callable, a: float, b: float) -> float:
 def _gamma_lower(s: float, x: float) -> float:
     """Unregularized lower incomplete gamma function."""
     return float(special.gammainc(s, x) * special.gamma(s))
+
+
+def _outer_mass(up: Callable, down: Callable) -> float:
+    """The integrals of up(t) and down(t) over t >= 1, added: the mass of the
+    wings z = t and z = -t beyond |z| = 1, by adaptive quadrature."""
+    from scipy import integrate  # only `check` needs it; `import levypide` stays without it
+
+    return sum(integrate.quad(f, 1.0, math.inf, epsabs=0.0, epsrel=1e-11)[0] for f in (up, down))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +185,19 @@ class Merton:
         )
         return self.lam * float(val)
 
+    def _tail_mass(self) -> float:
+        s, m = self.delta, self.m
+        return self.lam * float(special.ndtr((-1.0 - m) / s) + special.ndtr((m - 1.0) / s))
+
+    def _upward_budget(self) -> float:
+        # lam E[(e^Z - 1) 1_{Z > 0}] for Z ~ N(m, delta^2)
+        s, m = self.delta, self.m
+        try:
+            grown = math.exp(m + s * s / 2.0) * special.ndtr((m + s * s) / s)
+        except OverflowError:  # then the budget is beyond every double too
+            return math.inf if self.lam else 0.0
+        return self.lam * float(grown - special.ndtr(m / s))
+
 
 @dataclass(frozen=True)
 class Kou:
@@ -228,6 +251,13 @@ class Kou:
         )
         return up + dn
 
+    def _tail_mass(self) -> float:
+        up = self.theta * math.exp(-self.lam_plus)
+        return self.lam * (up + (1.0 - self.theta) * math.exp(-self.lam_minus))
+
+    def _upward_budget(self) -> float:
+        return self.lam * self.theta / (self.lam_plus - 1.0)
+
 
 @dataclass(frozen=True)
 class VarianceGamma:
@@ -280,15 +310,17 @@ class VarianceGamma:
         dn = _gamma_lower(2.0, (self.b + self.a) * delta) / (self.b + self.a) ** 2
         return self.c * (up + dn)
 
-    def _upward_moment(self, k: int, delta: float) -> float:
-        a = self.b - self.a
-        return self.c * _gamma_lower(float(k), a * delta) / a**k
+    def _tail_mass(self) -> float:
+        return self.c * float(special.exp1(self.b - self.a) + special.exp1(self.b + self.a))
+
+    def _upward_budget(self) -> float:
+        # Frullani: the integral of (e^y - 1) e^(-(b - a) y) / y over y > 0
+        return -self.c * math.log1p(-1.0 / (self.b - self.a))
 
 
 # Range |z| <= this over which the NIG witness envelope constant is certified.
 # A pure exponential wing cannot dominate K1's sqrt(|z|) excess on all of R, so
-# the constant is calibrated numerically on the working range (all quadratures
-# in this package stay inside |z| <= 10).
+# the constant is calibrated numerically on the working range.
 _NIG_ENVELOPE_RANGE = 32.0
 
 
@@ -297,7 +329,7 @@ class NIG:
     """Normal-inverse-Gaussian measure h(z) = c |z|^(-1) e^(a z) K1(b |z|).
 
     Its upward-jump budget diverges at the origin (alpha = 2), so it has no
-    `_upward_moment`.
+    `_upward_budget`.
     """
 
     a: float
@@ -337,6 +369,11 @@ class NIG:
         f_up = lambda t: self.c * t * np.exp(self.a * t) * special.k1(self.b * t)
         f_dn = lambda t: self.c * t * np.exp(-self.a * t) * special.k1(self.b * t)
         return _gauss_legendre(f_up, 0.0, delta) + _gauss_legendre(f_dn, 0.0, delta)
+
+    def _tail_mass(self) -> float:
+        # through k1e(t) = e^t K1(t): the wing c e^(-rate t) k1e(b t) / t cannot overflow
+        wing = lambda rate: lambda t: self.c * math.exp(-rate * t) * special.k1e(self.b * t) / t
+        return _outer_mass(wing(self.b - self.a), wing(self.b + self.a))
 
 
 @dataclass(frozen=True)
@@ -381,10 +418,19 @@ class CGMY:
         dn = _gamma_lower(2.0 - self.y, self.g * delta) / self.g ** (2.0 - self.y)
         return self.c * (up + dn)
 
-    def _upward_moment(self, k: int, delta: float) -> float:
-        # finite for k > y; the structural check calls it only when 1 + y < 2
-        s = k - self.y
-        return self.c * _gamma_lower(s, self.m * delta) / self.m**s
+    def _tail_mass(self) -> float:
+        wing = lambda rate: lambda t: self.c * t ** (-1.0 - self.y) * math.exp(-rate * t)
+        return _outer_mass(wing(self.m), wing(self.g))
+
+    def _upward_budget(self) -> float:
+        # c Gamma(-y) ((m - 1)^y - m^y) (Carr, Geman, Madan & Yor 2002) for y < 1,
+        # written to stay accurate next to its y = 0 limit, VG's Frullani form;
+        # Gamma(-y) m^y goes through logarithms, finite where Gamma(-y) overflows
+        y, m = self.y, self.m
+        if y == 0.0:
+            return -self.c * math.log1p(-1.0 / m)
+        scale = special.gammasgn(-y) * math.exp(special.gammaln(-y) + y * math.log(m))
+        return self.c * float(scale) * math.expm1(y * math.log1p(-1.0 / m))
 
 
 LevyModel = Union[NoJumps, Merton, Kou, VarianceGamma, NIG, CGMY]
@@ -429,18 +475,7 @@ def truncated_second_moment(model: LevyModel, delta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature plumbing
-
-# The measure-integral quadratures cover [-_Z_MAX, -_DELTA] u [_DELTA, _Z_MAX]
-# by composite Simpson rules (log-spaced next to the origin, linear beyond
-# |z| = 1) with _N_PANELS panels per segment; the |z| < _DELTA core is handled
-# analytically per integrand.  Convergence is accepted when doubling the panel
-# count moves the value by less than _REL_TOL relatively.
-_Z_MAX = 10.0
-_DELTA = 1e-3
-_N_PANELS = 2048
-_REL_TOL = 1e-3
-
+# measure checks
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -451,53 +486,12 @@ class CheckReport:
     detail: str = ""
 
 
-def _simpson_sum(fx: np.ndarray, h: float):
-    return h / 3.0 * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
-
-
-def _simpson(f: Callable, a: float, b: float, n: int) -> np.ndarray:
-    """The composite Simpson rules of f over [a, b] with n / 2 and n panels,
-    both from f's n + 1 samples: the even nodes of linspace(a, b, n + 1) are
-    linspace(a, b, n / 2 + 1) bit for bit."""
-    fx = np.asarray(f(np.linspace(a, b, n + 1)))
-    return np.array([_simpson_sum(fx[::2], (b - a) / (n // 2)), _simpson_sum(fx, (b - a) / n)])
-
-
-def _wings(model: LevyModel, inner: Callable, outer: Callable, total=0.0,
-           sides=(1.0, -1.0), upper: float = _Z_MAX, n: int = _N_PANELS) -> np.ndarray:
-    """total plus, side by side, the integral of inner(z) h(z) over
-    _DELTA <= |z| <= 1 and of outer(z) h(z) over 1 <= |z| <= upper, each by
-    the Simpson rules of _simpson: in s = ln|z| next to the origin, where the
-    integrands behave like powers of |z|, and linear beyond.  Side -1.0 is
-    z < 0.  Returns the (n / 2)-panel value, then the n-panel one."""
-    for side in sides:
-        f = lambda t: inner(side * t) * density(model, side * t)
-        total = total + _simpson(lambda s: f(np.exp(s)) * np.exp(s), math.log(_DELTA), 0.0, n)
-        total = total + _simpson(
-            lambda t: outer(side * t) * density(model, side * t), 1.0, upper, n
-        )
-    return total
-
-
-def _refined(values: np.ndarray) -> tuple[float, str | None]:
-    """The values with _N_PANELS and 2 _N_PANELS panels, as _wings returns
-    them: the finer value, and the failure detail when the two differ by more
-    than _REL_TOL relatively."""
-    v1, v2 = (float(v) for v in values)
-    if math.isfinite(v2) and abs(v2 - v1) <= _REL_TOL * max(abs(v2), 1e-12):
-        return v2, None
-    return v2, f"quadrature not converged: {v1:.6g} -> {v2:.6g} under refinement"
-
-
-# ---------------------------------------------------------------------------
-# measure checks
-
 def integrability_check(model: LevyModel) -> CheckReport:
     """Evaluate the defining integrability condition: integral of min(z^2, 1) nu(dz).
 
-    Passes when the value is finite and stable (relative change below
-    _REL_TOL = 1e-3 when the panel count doubles).  A measure whose shape
-    witness cannot be built fails, with value nan.
+    The value is the small-jump variance over |z| < 1 plus the tail mass
+    nu(|z| > 1), and passes when finite.  A measure whose shape witness
+    cannot be built fails, with value nan.
     """
     if isinstance(model, NoJumps):
         return CheckReport(0.0, True, "empty measure")
@@ -512,12 +506,8 @@ def integrability_check(model: LevyModel) -> CheckReport:
             f"singularity order alpha = {witness.alpha:g} >= 3: z^2 h(z) is not integrable at 0",
         )
 
-    core = truncated_second_moment(model, _DELTA)
-    value, failure = _refined(
-        _wings(model, lambda z: z * z, lambda z: 1.0, total=core, n=2 * _N_PANELS)
-    )
-    detail = failure or f"integral of min(z^2,1) nu(dz) = {value:.6g}"
-    return CheckReport(value, failure is None, detail)
+    value = truncated_second_moment(model, 1.0) + model._tail_mass()
+    return CheckReport(value, math.isfinite(value), f"integral of min(z^2,1) nu(dz) = {value:.6g}")
 
 
 def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
@@ -527,8 +517,7 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
     characterized by the complementarity problem the penalty solver targets.
     Divergent configurations are reported (not raised) with the violated decay
     condition named, and a measure whose shape witness cannot be built fails
-    with value nan.  The upper cutoff extends beyond _Z_MAX = 10 automatically
-    when the right wing decays slowly, keeping the truncated tail negligible.
+    with value nan.  A convergent budget is the family's closed form.
     """
     if isinstance(model, NoJumps):
         return CheckReport(0.0, True, "empty measure")
@@ -551,57 +540,5 @@ def structural_condition_check(model: LevyModel, r: float) -> CheckReport:
             f"(d_minus + 1 = {witness.d_minus + 1.0:g} >= 0)",
         )
 
-    if model._FINITE_ACTIVITY:
-        core = _gauss_legendre(lambda t: np.expm1(t) * density(model, t), 0.0, _DELTA)
-    else:
-        # expand e^y - 1 through the cubic term; remainder is O(delta^(4-alpha))
-        core = (
-            model._upward_moment(1, _DELTA)
-            + model._upward_moment(2, _DELTA) / 2.0
-            + model._upward_moment(3, _DELTA) / 6.0
-        )
-
-    if witness.mu > 0.0:
-        upper = _Z_MAX
-    else:
-        rate = -(witness.d_minus + 1.0)
-        upper = max(_Z_MAX, min(400.0, 40.0 / rate))
-
-    value, failure = _refined(
-        core + _wings(model, np.expm1, np.expm1, sides=(1.0,), upper=upper, n=2 * _N_PANELS)
-    )
-    passed = failure is None and value <= r + 1e-12
-    detail = failure or f"upward-jump budget {value:.6g} vs rate {r:g}"
-    return CheckReport(value, passed, detail)
-
-
-def characteristic_exponent(
-    model: LevyModel,
-    sigma: float,
-    omega: float,
-    y: float,
-) -> complex:
-    """Characteristic exponent of the log-price Levy process.
-
-    phi(y) = -sigma^2 y^2/2 + i omega y
-             + integral of (e^(iyz) - 1 - iyz 1_{|z|<=1}) nu(dz).
-
-    The |z| < delta core uses the quadratic Taylor term -y^2/2 z^2; accuracy
-    degrades like O(|y|^3 delta) for very large frequencies.  phi(0) = 0
-    exactly by construction.
-    """
-    base = -0.5 * sigma * sigma * y * y + 1j * omega * y
-    if isinstance(model, NoJumps):
-        return complex(base)
-    witness = shape_witness(model)
-    if witness.alpha >= 3.0:
-        raise ValueError("measure is not integrable against min(z^2, 1)")
-
-    return complex(
-        _wings(
-            model,
-            lambda z: np.exp(1j * y * z) - 1.0 - 1j * y * z,
-            lambda z: np.exp(1j * y * z) - 1.0,
-            total=base - 0.5 * y * y * truncated_second_moment(model, _DELTA),
-        )[1]
-    )
+    value = model._upward_budget()
+    return CheckReport(value, value <= r + 1e-12, f"upward-jump budget {value:.6g} vs rate {r:g}")

@@ -70,8 +70,8 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
-# `levypide check` stdout at r = 0 and 0.1; the printed values come from the
-# measure quadratures and must not move.
+# `levypide check` stdout at r = 0 and 0.1; the printed values come from each
+# family's formulas and must not move.
 CHECK_STDOUT = {
     "merton": """model: merton
 witness: alpha=0 d_minus=-8.88889 d_plus=-8.88889 mu=22.2222 c0=0.10934 admissible=True
@@ -1217,6 +1217,12 @@ class TestCheckCommand:
 
     def test_parse_error(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "absent.json")]) == 1
+
+    def test_narrow_lognormal_jumps_pass_every_check(self, tmp_path, capsys):
+        # delta = 0.002: the whole measure sits next to z = -0.8
+        path = write_cfg(tmp_path, model={"type": "merton", "lam": 1.0, "m": -0.8, "delta": 0.002})
+        assert main(["check", "--config", path]) == 0
+        assert "integrability: passed=True value=0.640004 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", list(CHECK_STDOUT))
     def test_frozen_stdout_on_the_benchmark_families(self, tmp_path, capsys, name):

@@ -1,11 +1,11 @@
 """The job pipeline: planning, lockstep batches, the process pool, failure
 isolation, the static-bound verdict and the structural warning."""
 import math
-import sys
 import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from conftest import ALL_JUMP_MODELS, BENCH_MERTON, BENCH_VG, bench_spec
 from levypide import Job, jobs, levy, price_jobs
@@ -98,11 +98,20 @@ class TestPriceJobs:
         assert first.startswith("structural condition violated") and "vs rate 0)" in first
         assert second.startswith("structural condition violated") and "vs rate 0.1)" in second
 
+    def test_a_narrow_lognormal_budget_raises_no_structural_warning(self):
+        # lam (e^(m + delta^2/2) - 1) = 0.0649 <= r = 0.1
+        job = Job(bench_spec(rate=0.1), Merton(lam=0.1, m=0.5, delta=0.0005),
+                  GridSpec(100, 50), (100.0,), PenaltyConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StructuralWarning)
+            [out] = price_jobs([job])
+        assert out.surface is not None
+
     @pytest.mark.filterwarnings("ignore::levypide.american.StructuralWarning")
     @pytest.mark.parametrize("family", sorted(ALL_JUMP_MODELS))
     def test_a_solve_runs_no_measure_quadrature(self, monkeypatch, family):
-        # assembly refuses on the shape witness alone; the one quadrature a
-        # solve runs is an American job's structural check
+        # assembly refuses on the shape witness alone, and an American job's
+        # structural check is the family's closed form
         model, grid, spec = ALL_JUMP_MODELS[family], GridSpec(100, 50), bench_spec(rate=0.1)
         batch = [Job(spec, model, grid, (90.0, 100.0)),
                  Job(spec, model, grid, (90.0, 100.0), PenaltyConfig())]
@@ -112,18 +121,15 @@ class TestPriceJobs:
             return [ops.explicit.kernel, *(out.surface.u for out in price_jobs(batch))]
 
         plain = solve()
-        wings = levy._wings
-
-        def structural_wings(*args, **kwargs):
-            if sys._getframe(1).f_code.co_name != "structural_condition_check":
-                raise AssertionError("a solve ran a measure quadrature")
-            return wings(*args, **kwargs)
 
         def no_check(model):
             raise AssertionError("a solve ran the integrability check")
 
-        monkeypatch.setattr(levy, "_wings", structural_wings)
+        def no_quad(*args, **kwargs):
+            raise AssertionError("a solve ran a measure quadrature")
+
         monkeypatch.setattr(levy, "integrability_check", no_check)
+        monkeypatch.setattr(integrate, "quad", no_quad)
         assert [a.tobytes() for a in solve()] == [a.tobytes() for a in plain]
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Measure families: densities, envelope witnesses, and the integral checks."""
 import math
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -25,7 +27,6 @@ from levypide.levy import (
     NoJumps,
     ShapeParams,
     VarianceGamma,
-    characteristic_exponent,
     density,
     finite_activity,
     integrability_check,
@@ -356,6 +357,18 @@ class TestIntegrability:
             assert not rep.passed and math.isnan(rep.value)
             assert rep.detail.startswith("witness unavailable: envelope parameters must be finite")
 
+    def test_narrow_lognormal_jumps_pass(self):
+        # lam (m^2 + delta^2): the whole measure sits inside |z| < 1
+        rep = integrability_check(Merton(lam=1.0, m=-0.8, delta=0.002))
+        assert rep.passed
+        assert rep.value == pytest.approx(0.640004, rel=1e-12)
+
+    def test_a_slow_wing_keeps_its_mass_beyond_the_working_range(self):
+        # lam_minus = 0.5: e^-5 of the downward mass lies beyond |z| = 10
+        rep = integrability_check(Kou(lam=1.0, theta=0.5, lam_plus=1.05, lam_minus=0.5))
+        assert rep.passed
+        assert f"{rep.value:.6f}" == "0.617168"
+
     def test_integrable_but_inadmissible_configuration(self):
         # slow upward wing: square-integrable near 0 and summable tails, so the
         # defining integral converges even though the pricing envelope fails
@@ -365,9 +378,9 @@ class TestIntegrability:
 
 
 # The boxes of the admissible-space sweep (ROADMAP item 4), with VG's a over
-# all of |a| < b and CGMY's y up to 2.99: assembly refuses a measure on its
-# witness alone, which holds only while the witness admits no measure that
-# the integrability quadrature refuses.
+# all of |a| < b, CGMY's y up to 2.99 and Merton's delta down to 1e-4:
+# assembly refuses a measure on its witness alone, which holds only while the
+# witness admits no measure that the integrability check refuses.
 def _floats(lo, hi, **kwargs):
     return st.floats(min_value=lo, max_value=hi, **kwargs)
 
@@ -375,7 +388,7 @@ def _floats(lo, hi, **kwargs):
 _OPEN_UNIT = _floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
 _WITNESS_BOXES = {
     "merton": st.builds(
-        Merton, _floats(0.0, 5.0, exclude_min=True), _floats(-0.8, 0.5), _floats(0.02, 0.6)
+        Merton, _floats(0.0, 5.0, exclude_min=True), _floats(-0.8, 0.5), _floats(1e-4, 0.6)
     ),
     "kou": st.builds(
         Kou, _floats(0.0, 5.0, exclude_min=True), _floats(0.0, 1.0),
@@ -463,6 +476,21 @@ class TestStructuralCondition:
     def test_tempered_stable_fails_at_table_rate(self):
         assert not structural_condition_check(BENCH_CGMY, 0.1).passed
 
+    def test_narrow_lognormal_budget_passes(self):
+        # lam (e^(m + delta^2/2) - 1) with all the mass above 0
+        rep = structural_condition_check(Merton(lam=0.1, m=0.5, delta=0.0005), 0.1)
+        assert rep.passed
+        assert rep.value == pytest.approx(0.1 * math.expm1(0.5 + 0.0005**2 / 2.0), rel=1e-12)
+
+    def test_a_budget_beyond_every_double_is_infinite(self):
+        # e^(m + delta^2/2) = e^800.005 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = structural_condition_check(Merton(lam=0.1, m=800.0, delta=0.1), 0.1)
+        assert not rep.passed
+        assert rep.value == math.inf
+        assert rep.detail == "upward-jump budget inf vs rate 0.1"
+
     def test_pass_is_value_at_most_rate(self):
         val = structural_condition_check(BENCH_MERTON, 0.1).value
         assert structural_condition_check(BENCH_MERTON, val + 1e-6).passed
@@ -470,20 +498,100 @@ class TestStructuralCondition:
 
 
 # ---------------------------------------------------------------------------
+# the families' closed forms against arbitrary precision
+
+def _mp_density(model, z):
+    """h(z) in mpmath, written out apart from the families' own formulas."""
+    if isinstance(model, Merton):
+        return model.lam * mpmath.npdf(z, model.m, model.delta)
+    if isinstance(model, Kou):
+        if z >= 0:
+            return model.lam * model.theta * model.lam_plus * mpmath.exp(-model.lam_plus * z)
+        return model.lam * (1 - model.theta) * model.lam_minus * mpmath.exp(model.lam_minus * z)
+    if isinstance(model, VarianceGamma):
+        return model.c / abs(z) * mpmath.exp(model.a * z - model.b * abs(z))
+    if isinstance(model, NIG):
+        return model.c / abs(z) * mpmath.exp(model.a * z) * mpmath.besselk(1, model.b * abs(z))
+    tilt = -model.m * z if z > 0 else model.g * z
+    return model.c * abs(z) ** (-1 - model.y) * mpmath.exp(tilt)
+
+
+def _mp_integral(model, f, lo, hi):
+    """The integral of f(z) h(z) over [lo, hi] at 20 digits.  It is split at
+    a Gaussian's peak and eight widths either side, and an origin singularity
+    |z|^(-1-y), y > 0, is integrated in t = z^(1 - y)."""
+    g = lambda z: f(z) * _mp_density(model, z)
+    with mpmath.workdps(20):
+        if isinstance(model, CGMY) and model.y > 0 and lo == 0:
+            p = 1 / (1 - mpmath.mpf(model.y))
+            return mpmath.quad(lambda t: g(t**p) * p * t ** (p - 1), [0, hi ** (1 / p)])
+        cuts = [model.m + k * model.delta for k in (-8, 0, 8)] if isinstance(model, Merton) else []
+        return mpmath.quad(g, [lo, *sorted(c for c in cuts if lo < c < hi), hi])
+
+
+_CLOSED_FORM_MODELS = {
+    "merton": BENCH_MERTON,
+    "merton-narrow": Merton(lam=0.1, m=0.5, delta=0.0005),
+    "merton-up": Merton(lam=2.0, m=0.3, delta=0.4),
+    "kou": BENCH_KOU,
+    "kou-slow": Kou(lam=1.0, theta=0.5, lam_plus=1.05, lam_minus=0.5),
+    "vg": BENCH_VG,
+    "nig": BENCH_NIG,
+    **{f"cgmy-y{y:g}": CGMY(c=0.5, g=6.0, m=8.0, y=y) for y in (-1.0, -0.5, 0.0, 1e-9, -1e-9, 0.5, 0.99)},
+}
+
+
+class TestClosedForms:
+    """Each family's upward-jump budget and tail mass nu(|z| > 1) against an
+    mpmath quadrature of the density, to 1e-9 relatively; the CGMY values
+    cross y = 0, where the budget switches to its Frullani limit."""
+
+    @pytest.mark.parametrize(
+        "name", [n for n in _CLOSED_FORM_MODELS if hasattr(_CLOSED_FORM_MODELS[n], "_upward_budget")]
+    )
+    def test_upward_budget(self, name):
+        model = _CLOSED_FORM_MODELS[name]
+        ref = _mp_integral(model, mpmath.expm1, 0, 1) + _mp_integral(model, mpmath.expm1, 1, mpmath.inf)
+        assert model._upward_budget() == pytest.approx(float(ref), rel=1e-9)
+
+    @pytest.mark.parametrize("name", list(_CLOSED_FORM_MODELS))
+    def test_tail_mass(self, name):
+        model = _CLOSED_FORM_MODELS[name]
+        one = lambda z: 1
+        ref = _mp_integral(model, one, 1, mpmath.inf) + _mp_integral(model, one, -mpmath.inf, -1)
+        assert model._tail_mass() == pytest.approx(float(ref), rel=1e-9, abs=1e-300)
+
+    def test_a_steeply_tilted_nig_wing_does_not_overflow(self):
+        # e^(a z) alone overflows for z > 1.014; the wing's rate b - a is 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mass = NIG(a=700.0, b=701.5, c=1.0)._tail_mass()
+        assert 0.0 < mass < math.inf
+
+    def test_no_family_without_a_budget_but_nig(self):
+        families = (Merton, Kou, VarianceGamma, NIG, CGMY)
+        assert [f.__name__ for f in families if not hasattr(f, "_upward_budget")] == ["NIG"]
+
+    def test_importing_the_package_loads_no_quadrature_library(self):
+        code = "import sys, levypide; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
 # frozen check values
 
 class TestFrozenCheckValues:
-    """Both checks and the characteristic exponent on the benchmark families,
-    to 1e-12: a change of the quadrature constants or of the order in which
-    the wing integrals are added moves these, though not the 6-digit `check`
-    output."""
+    """Both checks on the benchmark families, to 1e-12: a change of a
+    family's formulas moves these, though not the 6-digit `check` output."""
 
     FROZEN = {
-        "merton": (0.006249999738629176, 0.0006772314403227547),
-        "kou": (0.023748206171210387, 0.024999999999899474),
-        "vg": (0.10248811218889918, 0.16849621523095334),
-        "nig": (0.13257422536868124, math.inf),
-        "cgmy": (0.04967517971929041, 0.32378444942707907),
+        "merton": (0.006249999738628468, 0.0006772314403227523),
+        "kou": (0.023748206274237876, 0.025),
+        "vg": (0.10248811218852022, 0.16849621523099137),
+        "nig": (0.13257422539130156, math.inf),
+        "cgmy": (0.04967517971919904, 0.3237844494272495),
     }
 
     @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -492,78 +600,3 @@ class TestFrozenCheckValues:
         model = ALL_JUMP_MODELS[name]
         assert integrability_check(model).value == pytest.approx(integrability, rel=1e-12)
         assert structural_condition_check(model, 0.1).value == pytest.approx(structural, rel=1e-12)
-
-    # characteristic_exponent(model, 0.23, 0.05, y) at y = 0.5, 3 and 20
-    EXPONENT = {
-        "merton": (
-            -0.0073915352304390145 + 0.025044694561480677j,
-            -0.26346383631855014 + 0.1589728451863501j,
-            -10.680726132472431 + 1.4008406326551939j,
-        ),
-        "kou": (
-            -0.010905027769603386 + 0.022094564630575003j,
-            -0.2976653845627904 + 0.1564300518447713j,
-            -10.678404706143864 + 1.0324309679205017j,
-        ),
-        "vg": (
-            -0.01942683948463266 + 0.02503587757737423j,
-            -0.6571819323519162 + 0.2650719233779795j,
-            -16.15203261780445 + 7.569293116415613j,
-        ),
-        "nig": (
-            -0.02326018161712104 + 0.024228362201099397j,
-            -0.7841090474678922 + 0.2012733715266615j,
-            -20.454105180566387 + 2.9108349247846728j,
-        ),
-        "cgmy": (
-            -0.012818004649306214 + 0.02499387412033038j,
-            -0.44884146720926493 + 0.16457572184429603j,
-            -14.535060929142572 + 1.7431796539270266j,
-        ),
-    }
-
-    @pytest.mark.parametrize("name", sorted(EXPONENT))
-    def test_exponent(self, name):
-        model = ALL_JUMP_MODELS[name]
-        for y, frozen in zip((0.5, 3.0, 20.0), self.EXPONENT[name]):
-            val = characteristic_exponent(model, 0.23, 0.05, y)
-            assert val == pytest.approx(frozen, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# characteristic exponent
-
-class TestCharacteristicExponent:
-    @pytest.mark.parametrize(
-        "model", [NoJumps(), BENCH_MERTON, BENCH_VG, BENCH_NIG], ids=type
-    )
-    def test_zero_frequency_is_exactly_zero(self, model):
-        val = characteristic_exponent(model, 0.23, 0.05, 0.0)
-        assert val.real == 0.0 and val.imag == 0.0
-
-    def test_pure_gaussian_term(self):
-        val = characteristic_exponent(NoJumps(), 0.2, 0.0, 1.0)
-        assert val == pytest.approx(-0.02, abs=1e-15)
-
-    @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
-    def test_lognormal_jumps_match_closed_form(self, y):
-        mer = BENCH_MERTON
-        quad_val = characteristic_exponent(mer, 0.23, 0.05, y)
-        # linear compensator truncated to |z| <= 1: partial first moment
-        a = (-1.0 - mer.m) / mer.delta
-        b = (1.0 - mer.m) / mer.delta
-        phi = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
-        m1 = mer.m * (special.ndtr(b) - special.ndtr(a)) + mer.delta * (phi(a) - phi(b))
-        closed = (
-            -0.5 * 0.23**2 * y * y
-            + 1j * 0.05 * y
-            + mer.lam * (np.exp(1j * y * mer.m - mer.delta**2 * y * y / 2.0) - 1.0)
-            - 1j * y * mer.lam * m1
-        )
-        assert abs(quad_val - closed) < 1e-8
-
-    @given(st.floats(min_value=-4.0, max_value=4.0))
-    def test_conjugate_symmetry(self, y):
-        a = characteristic_exponent(BENCH_KOU, 0.23, 0.1, y)
-        b = characteristic_exponent(BENCH_KOU, 0.23, 0.1, -y)
-        assert a == pytest.approx(b.conjugate(), rel=1e-9, abs=1e-12)
