@@ -4,31 +4,13 @@ The American put value dominates both the payoff and the European value.  The
 solver adds the penalty source eps^-1 e^(x^-) (w - u)^+ to the transformed
 equation, where w(tau, x) = e^(r tau) Phi(K e^x) is the transformed payoff;
 as eps decreases the solution converges to the complementarity solution from
-below the obstacle by O(eps).  The time step and the march are pide's
-(`step_imex`, `_march`), and an American job (a `jobs.Job` with a
-PenaltyConfig) is priced through `jobs.price_jobs`; this module supplies
-only the penalty sweep that the operators carry (`ImexOperators.sweep`) and
-that stands in for the step's banded solve.  An SBDF2 step solves
-
-    ((3/2) I - dt D + P) u_(n+1) = rhs + P w,
-
-with P = (dt/eps) e^(x^-) on the active nodes (u < w) and 0 elsewhere; a
-start substep solves the same system with I - (dt/4) D, dt/4 in P and w at the
-substep's tau.  The sweep is a fixed-point iteration: the penalty's active
-set lags one iterate while its value is taken implicitly as an extra
-diagonal, which keeps every inner solve tridiagonal and converges in a few
-sweeps even for eps much smaller than dt.  After each sweep's solve the
-stopping rule asks, in this order: if another sweep is allowed, does the new
-iterate have the active set the sweep just used?  Then the next sweep would
-repeat that solve bit for bit and stop on a zero update, so the sweep stops
-without changing a bit of the result, and without computing the update
-norm.  Otherwise it stops when the update |u_next - u_iter|_inf falls below
-picard_tol; on the last allowed sweep it raises PicardError with that
-update.  A sweep whose active set is empty adds nothing to the band, so it
-back-substitutes through the factors assembly made (`dgttrs`, which gives
-the bits of a fresh elimination of the same band); any other sweep
-eliminates the band plus its penalty diagonal afresh (`dgtsv`).  The penalty
-scale (dt/eps) e^(x^-) is computed once for each of the two step sizes.
+below the obstacle by O(eps).  The time step, the march and the penalty
+sweep are pide's (`step_imex`, `_march`, `_penalty_sweep`), and an American
+job (a `jobs.Job` with a PenaltyConfig) is priced through `jobs.price_jobs`;
+this module builds only the data the sweep reads, a `pide.Penalty` on the
+operators of the SBDF2 step and one on their start substep's: the obstacle
+at tau = 0, the scale (dt/eps) e^(x^-) for each of the two step sizes, and
+the PenaltyConfig's max_picard and picard_tol.
 
 `lcp_residual` checks a surface against the complementarity system with the
 operators the surface carries (`PriceSurface.ops`): the spec, grid, far field
@@ -37,7 +19,7 @@ and jump measure of the march that made it, so it takes no other argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,11 +29,12 @@ from .pide import (
     FarField,
     GridSpec,
     ImexOperators,
+    Penalty,
+    PicardError,
     PriceSurface,
     assemble_operators,
     _check_count,
     _explicit_term,
-    _implicit_solve,
 )
 
 __all__ = [
@@ -94,22 +77,6 @@ class StructuralWarning(RuntimeWarning):
     is not guaranteed."""
 
 
-class PicardError(RuntimeError):
-    """Penalty fixed-point iteration failed to converge at some time step."""
-
-    def __init__(self, message: str, node: int, x: float, gap: float, iterations: int):
-        super().__init__(message)
-        self.node = node
-        self.x = x
-        self.gap = gap
-        self.iterations = iterations
-
-    def __reduce__(self):
-        # as GrowthGuardError's: the pickle carries every field, not the
-        # message alone
-        return type(self), (str(self), self.node, self.x, self.gap, self.iterations)
-
-
 @dataclass(frozen=True)
 class ExerciseBoundary:
     """Early exercise boundary S_f per time level; NaN marks levels with an
@@ -140,59 +107,20 @@ def penalized_operators(
     spec: OptionSpec, model: LevyModel, grid: GridSpec, pcfg: PenaltyConfig
 ) -> ImexOperators:
     """What an American job marches: the operators with the exercise far
-    field, which with their start carry the penalty sweep
-    (`ImexOperators.sweep`)."""
+    field, which with their start each carry a penalty (`pide.Penalty`) for
+    their own dt."""
     if spec.kind != "put":
         raise ValueError("the penalty solver covers put options only")
     ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
-
-    xs = ops.xs
+    xs_int = ops.xs[1:-1]
     tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike
-    w0_int = payoff(spec, spec.strike * np.exp(xs[1:-1]))
-    weight = np.exp(np.minimum(xs[1:-1], 0.0))
-    # (dt / eps) e^(x^-) for the SBDF2 step's dt and the start substep's
-    pen_scales = {step.dt: (step.dt / pcfg.epsilon) * weight for step in (ops, ops.start)}
+    obstacle = payoff(spec, spec.strike * np.exp(xs_int))
+    weight = np.exp(np.minimum(xs_int, 0.0))
 
-    def sweep(
-        step: ImexOperators, tau: float, rhs: np.ndarray, u_next: np.ndarray, u_prev: np.ndarray
-    ) -> None:
-        # step: the operators of the SBDF2 step or start substep this sweep serves
-        dt = step.dt
-        w_int = math.exp(spec.rate * tau) * w0_int
-        pen_scale = pen_scales[dt]
-        u_iter = u_prev
-        active = u_iter[1:-1] < w_int
-        for k in range(pcfg.max_picard):
-            if np.count_nonzero(active):
-                pen = pen_scale * active
-                u_next[1:-1] = _implicit_solve(step, rhs + pen * w_int, extra_diag=pen)
-            else:
-                # band + 0 is the band that assembly factored
-                u_next[1:-1] = _implicit_solve(step, rhs)
-            # the same active set would repeat this solve bit for bit in the
-            # next sweep, which then stops on a zero update
-            next_active = u_next[1:-1] < w_int
-            if k + 1 < pcfg.max_picard and next_active.tobytes() == active.tobytes():
-                return
-            diff = float(np.abs(u_next - u_iter).max())
-            if diff < tol:
-                return
-            active = next_active
-            u_iter = u_next.copy()
-        worst = int(np.argmax(np.abs(u_next - u_prev)))
-        raise PicardError(
-            f"penalty iteration did not reach {tol:g} within {pcfg.max_picard} sweeps "
-            f"at tau = {tau:.6g} (worst node {worst}, x = {xs[worst]:+.4f}, "
-            f"last update {diff:.3g}; dt = {dt:.4g}, "
-            f"dt*W = {dt * ops.integral.total_weight:.4g})",
-            node=worst,
-            x=float(xs[worst]),
-            gap=diff,
-            iterations=pcfg.max_picard,
-        )
+    def penalty(step: ImexOperators) -> Penalty:
+        return Penalty(obstacle, (step.dt / pcfg.epsilon) * weight, pcfg.max_picard, tol)
 
-    ops.sweep = ops.start.sweep = sweep
-    return ops
+    return replace(ops, penalty=penalty(ops), start=replace(ops.start, penalty=penalty(ops.start)))
 
 
 def extract_boundary(surface: PriceSurface) -> ExerciseBoundary:

@@ -17,10 +17,13 @@ processes, at most LEVYPIDE_WORKERS and one per CPU, a batch split into one
 march per process at most.  They run inline, one after another and each
 batch whole, when there is one march, one worker or one CPU, when the work
 is below _POOL_MIN_WORK (a fork and join costs about 10 ms), or when fork is
-unavailable.  The pool is fork-only: the children inherit the planned
-operators, and an American job's do not pickle.  Python 3.12 and later warn
-on a fork in a process that runs other threads: the pipeline starts none,
-but a threaded BLAS may.  The outcomes do not depend on the worker count.
+unavailable.  A child receives its march's operators and returns its
+surfaces or errors by pickle.  The pool is fork-only: a fork-started child
+does not import levypide again, while a spawned one would start an
+interpreter and import it, about 0.7 s on a 2-vCPU host.  Python 3.12 and
+later warn on a fork in a process that runs other threads: the pipeline
+starts none, but a threaded BLAS may.  The outcomes do not depend on the
+worker count.
 
 Processes, not threads: a thread hands the GIL over at each of a step's
 dozen elementwise numpy calls, and an American step's `dgtsv` holds it.  Two
@@ -57,6 +60,7 @@ from .pide import (
     Lockstep,
     PriceSurface,
     _march,
+    _stiffness,
     assemble_operators,
     price_at,
 )
@@ -183,10 +187,6 @@ def _tasks(planned: Mapping[int, ImexOperators], limit: int) -> list[list[int]]:
 # one job a call, inline by job count, and table1_fine is far above it.
 _POOL_MIN_WORK = 700_000
 
-# The marches a pool's child runs, each a list of rows, inherited from the
-# parent at fork; only the pool's initializer writes it, in the child.
-_CHILD_MARCHES: list[list[ImexOperators]] = []
-
 
 def _processes(planned: Mapping[int, ImexOperators], limit: int) -> int:
     """How many processes march the planned jobs: limit, or 1, inline, when
@@ -200,28 +200,13 @@ def _processes(planned: Mapping[int, ImexOperators], limit: int) -> int:
     return limit if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _adopt_marches(marches: list) -> None:
-    """The pool's initializer: a child keeps the marches it inherited."""
-    _CHILD_MARCHES[:] = marches
-
-
-def _march_levels(index: int, keep_levels: bool) -> list[tuple[np.ndarray, np.ndarray] | Exception]:
-    """A child's march of its inherited march index: each row's (taus, u)
-    levels, or its error; the parent rebuilds the surfaces from the
-    operators it holds, as an American job's do not pickle."""
-    return [
-        (out.taus, out.u) if isinstance(out, PriceSurface) else out
-        for out in _march_task(_CHILD_MARCHES[index], keep_levels)
-    ]
-
-
 def _march_on_pool(
     marches: list[list[ImexOperators]], keep_levels: bool, processes: int
 ) -> list[list[PriceSurface | Exception]]:
     """Each march's outcomes (_march_task), in order, marched on a pool of
-    fork-started processes.  The children inherit the marches' operators, so
-    a task sends only its index.  A child that dies raises WorkerLostError
-    once the pool has shut down."""
+    fork-started processes: a march goes to its child by pickle, and its
+    outcomes come back the same way.  A child that dies raises
+    WorkerLostError once the pool has shut down."""
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
@@ -232,20 +217,10 @@ def _march_on_pool(
         with ProcessPoolExecutor(
             max_workers=min(processes, len(marches)),
             mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_marches,
-            initargs=(marches,),
         ) as pool:
-            march = functools.partial(_march_levels, keep_levels=keep_levels)
-            levels = list(pool.map(march, range(len(marches))))
+            return list(pool.map(functools.partial(_march_task, keep_levels=keep_levels), marches))
     except BrokenProcessPool:
         raise WorkerLostError("a worker process died while marching") from None
-    return [
-        [
-            PriceSurface(ops=ops, taus=out[0], u=out[1]) if isinstance(out, tuple) else out
-            for ops, out in zip(rows, outs)
-        ]
-        for rows, outs in zip(marches, levels)
-    ]
 
 
 def _check_static_bounds(ops: ImexOperators, spots: np.ndarray, prices: np.ndarray) -> None:
@@ -253,8 +228,8 @@ def _check_static_bounds(ops: ImexOperators, spots: np.ndarray, prices: np.ndarr
     max(K e^(-rT) - S, 0) <= P <= K e^(-rT) for a put and
     max(S - K e^(-rT), 0) <= C <= S for a call, by more than K dx^2, the size
     of a second-order discretization error.  The message quotes the worst
-    spot, the bound it leaves and the stiffness numbers dt*W and
-    dt*c_loc/dx^2."""
+    spot, the bound it leaves and the step's stiffness numbers
+    (pide._stiffness)."""
     spec, dx = ops.spec, ops.grid.dx
     discounted = spec.strike * math.exp(-spec.rate * spec.expiry)
     if spec.kind == "put":
@@ -268,9 +243,7 @@ def _check_static_bounds(ops: ImexOperators, spots: np.ndarray, prices: np.ndarr
         side, bound = ("lower", lower[i]) if prices[i] < lower[i] else ("upper", upper[i])
         raise RuntimeError(
             f"price {prices[i]:.6g} at S = {spots[i]:g} leaves the static {side} bound "
-            f"{bound:.6g} by {excess[i]:.4g} > K dx^2 = {tol:.4g} "
-            f"(dt*W = {ops.dt * ops.integral.total_weight:.3g}, "
-            f"dt*c_loc/dx^2 = {ops.dt * ops.integral.local_correction / dx**2:.3g})"
+            f"{bound:.6g} by {excess[i]:.4g} > K dx^2 = {tol:.4g} ({_stiffness(ops)})"
         )
 
 

@@ -345,7 +345,10 @@ class NIG:
             raise ValueError(f"scale c must be finite and > 0, got {self.c}")
 
     def _density(self, z: np.ndarray) -> np.ndarray:
-        return self.c / np.abs(z) * np.exp(self.a * z) * special.k1(self.b * np.abs(z))
+        # through k1e(t) = e^t K1(t), as _tail_mass: e^(a z) alone overflows
+        # for a steep tilt while e^(a z - b |z|) cannot
+        t = self.b * np.abs(z)
+        return self.c / np.abs(z) * np.exp(self.a * z - t) * special.k1e(t)
 
     def _witness(self) -> ShapeParams:
         # K1(t) ~ 1/t at the origin; the large-t tail carries a sqrt(t) excess

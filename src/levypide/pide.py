@@ -28,19 +28,38 @@ samples of e^x exactly, the discrete counterpart of the identity that makes
 the discounted stock a martingale.
 
 `step_imex` is the one time step of both the European and the American
-solve, and `_march` its one march.  The operators decide the solve: an
-American job's carry its penalty sweep (`ImexOperators.sweep`), which
-replaces the banded solve and fills the new level's interior, and a
-European job's carry none.  Every step and substep, with a sweep or
-without, ends in the same growth guard, which also refuses a NaN or an
-infinity: the LAPACK kernels do not check their input.
+solve, and `_march` its one march.  The operators decide the solve:
+operators with a `Penalty` (an American job's, which
+`american.penalized_operators` builds) run the penalty sweep
+(`_penalty_sweep`) in place of the banded solve, and a European job's have
+none.  An SBDF2 step's sweep solves
+
+    ((3/2) I - dt D + P) u_(n+1) = rhs + P w,
+
+with w = e^(r tau) w_0 the transformed payoff at the new level's tau and
+P = (dt/eps) e^(x^-) on the active nodes (u < w), 0 elsewhere; a start
+substep's solves the same system with I - (dt/4) D and dt/4 in P.  The
+sweep is a fixed-point iteration: the active set lags one iterate while the
+penalty's value is taken implicitly as an extra diagonal, which keeps every
+inner solve tridiagonal and converges in a few sweeps even for eps much
+smaller than dt.  After each sweep's solve the stopping rule asks, in this
+order: if another sweep is allowed, does the new iterate have the active
+set the sweep just used?  Then the next sweep would repeat that solve bit
+for bit and stop on a zero update, so the sweep stops without changing a
+bit of the result, and without computing the update norm.  Otherwise it
+stops when the update |u_next - u_iter|_inf falls below the penalty's tol;
+on the last allowed sweep it raises PicardError with that update.  Every
+step and substep, with a sweep or without, ends in the same growth guard,
+which also refuses a NaN or an infinity: the LAPACK kernels do not check
+their input.  The guard's and the sweep's failures quote the step's three
+stiffness numbers (`_stiffness`).
 
 The march advances a lockstep batch (`Lockstep`): the levels of k jobs whose
 operators share one key (`Lockstep.key`: the grid, time step, strike, jump
-reach, the factored bands themselves and the sweep) are the rows of one
+reach, the factored bands themselves and the penalty) are the rows of one
 (k, N+1) array.  The key is the one batch rule: a caller groups jobs by it
-and `Lockstep.of` refuses rows that break it.  A sweep is one job's own, so a
-row with one marches alone, and `Lockstep.of` refuses it.  A step applies the
+and `Lockstep.of` refuses rows that break it.  A penalty is one job's own,
+so a row with one marches alone, and `Lockstep.of` refuses it.  A step applies the
 k jump kernels in one `scipy.fft` `rfft`/`irfft` pair, each a single pass
 over the batch's rows along the last axis (the direct path correlates row by
 row), and back-substitutes the k right-hand sides in one `dgttrs` call; the
@@ -122,6 +141,8 @@ __all__ = [
     "IntegralOperator",
     "ImexOperators",
     "Lockstep",
+    "Penalty",
+    "PicardError",
     "StepHistory",
     "build_grid",
     "FarField",
@@ -421,7 +442,21 @@ def _explicit_kernel(spec: OptionSpec, integral: IntegralOperator) -> np.ndarray
 _START_SUBSTEPS = 4
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Penalty:
+    """The penalty of an American job's step or start substep (see the
+    module docstring): the interior obstacle w_0 at tau = 0, the scale
+    (dt/eps) e^(x^-) on the interior for its operators' dt, and the sweep's
+    max_picard and tol.  It compares by identity, so no two jobs' operators
+    share a Lockstep.key."""
+
+    obstacle: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    max_picard: int
+    tol: float
+
+
+@dataclass(frozen=True)
 class ImexOperators:
     """Assembled pieces shared by the time steps: grid arrays, the jump
     operator, the explicit operator E as one correlation with the far field's
@@ -435,9 +470,8 @@ class ImexOperators:
     the start substep's dt / 4 and band I - (dt / 4) D, and no start of its own.
     A step reads them as a batch of one row (`Lockstep` is the batch of k).
 
-    sweep(step_ops, tau, rhs, u_next, u_prev), when set, replaces the banded
-    solve of every step and substep (see step_imex); an American job's
-    operators and their start carry its penalty sweep
+    Operators with a penalty run the penalty sweep in place of the banded
+    solve; an American job's operators and their start each carry one
     (`american.penalized_operators`).
     """
 
@@ -460,7 +494,7 @@ class ImexOperators:
     # dgttrf's (dl, d, du, du2, ipiv) of band
     band_lu: tuple = field(repr=False)
     start: ImexOperators | None = field(default=None, repr=False)
-    sweep: Callable | None = field(default=None, repr=False)
+    penalty: Penalty | None = field(default=None, repr=False)
 
     @property
     def rows(self) -> tuple[ImexOperators]:
@@ -483,7 +517,7 @@ class ImexOperators:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lockstep:
     """The operators of k jobs stepped as the rows of one (k, N+1) array.
 
@@ -507,23 +541,23 @@ class Lockstep:
     band: np.ndarray = field(repr=False)
     band_lu: tuple = field(repr=False)
     start: Lockstep | None = field(default=None, repr=False)
-    # Lockstep.of refuses a row with a sweep, so a batch steps through its band
-    sweep = None
+    # Lockstep.of refuses a row with a penalty, so a batch steps through its band
+    penalty = None
 
     @staticmethod
     def key(ops: ImexOperators) -> tuple:
-        """The batch rule: rows with equal keys march as one batch.  A sweep
-        is one job's own, so a row with a sweep shares its key with no other
-        job's."""
+        """The batch rule: rows with equal keys march as one batch.  A
+        penalty is one job's own, so a row with a penalty shares its key with
+        no other job's."""
         bands = ops.band.tobytes(), ops.start.band.tobytes()
-        return (ops.grid, ops.dt, ops.spec.strike, ops.explicit.kernel.size, *bands, ops.sweep)
+        return (ops.grid, ops.dt, ops.spec.strike, ops.explicit.kernel.size, *bands, ops.penalty)
 
     @classmethod
     def of(cls, rows: Sequence[ImexOperators]) -> Lockstep:
         """The batch of rows, with the batch of their starts; rows with a
-        sweep, and rows whose keys differ, are refused."""
+        penalty, and rows whose keys differ, are refused."""
         first = rows[0]
-        if any(ops.sweep is not None for ops in rows):
+        if any(ops.penalty is not None for ops in rows):
             raise ValueError("a lockstep batch takes no row with a sweep; march such a row alone")
         if any(cls.key(ops) != cls.key(first) for ops in rows[1:]):
             raise ValueError("a lockstep batch needs one grid, dt, strike, jump reach and band")
@@ -548,15 +582,9 @@ class Lockstep:
         )
         # a start differs from its step in dt and the band alone (see
         # assemble_operators), so the starts' batch shares the stacked pieces
-        start = first.start
-        batch.start = replace(
-            batch,
-            rows=tuple(ops.start for ops in rows),
-            dt=start.dt,
-            band=start.band,
-            band_lu=start.band_lu,
-        )
-        return batch
+        start, starts = first.start, tuple(ops.start for ops in rows)
+        start_batch = replace(batch, rows=starts, dt=start.dt, band=start.band, band_lu=start.band_lu)
+        return replace(batch, start=start_batch)
 
     def growth(self, tau: float) -> np.ndarray:
         """Each row's e^(r tau), as a (k, 1) column; math.exp, as a row of one
@@ -621,8 +649,7 @@ def assemble_operators(
     )
     sub = dt / _START_SUBSTEPS
     sub_band, sub_lu = _factored_band(spec, grid, sub, 1.0)
-    ops.start = replace(ops, dt=sub, band=sub_band, band_lu=sub_lu)
-    return ops
+    return replace(ops, start=replace(ops, dt=sub, band=sub_band, band_lu=sub_lu))
 
 
 def _check_info(info: int) -> None:
@@ -659,6 +686,39 @@ class GrowthGuardError(RuntimeError):
         return type(self), (str(self), self.row)
 
 
+class PicardError(RuntimeError):
+    """Penalty fixed-point iteration failed to converge at some time step."""
+
+    def __init__(self, message: str, node: int, x: float, gap: float, iterations: int):
+        super().__init__(message)
+        self.node = node
+        self.x = x
+        self.gap = gap
+        self.iterations = iterations
+
+    def __reduce__(self):
+        # as GrowthGuardError's: the pickle carries every field, not the
+        # message alone
+        return type(self), (str(self), self.node, self.x, self.gap, self.iterations)
+
+
+def _stiffness(ops: ImexOperators) -> str:
+    """The explicit operator's three stiffness numbers for ops' time step,
+    the largest named, a NaN above any number: dt*W (the large jumps),
+    dt*|b|/dx with b = r - sigma^2/2 - drift_correction (the drift) and
+    dt*c_loc/dx^2 (the small-jump correction)."""
+    dt, dx, integral, spec = ops.dt, ops.grid.dx, ops.integral, ops.spec
+    drift = spec.rate - 0.5 * spec.sigma**2 - integral.drift_correction
+    numbers = {
+        "dt*W": dt * integral.total_weight,
+        "dt*|b|/dx": dt * abs(drift) / dx,
+        "dt*c_loc/dx^2": dt * integral.local_correction / dx**2,
+    }
+    quoted = ", ".join(f"{name} = {value:.4g}" for name, value in numbers.items())
+    largest = max(numbers, key=lambda name: (math.isnan(numbers[name]), numbers[name]))
+    return f"{quoted}; largest {largest}"
+
+
 def _growth_guard(
     u_next: np.ndarray, prev_peak: float | np.ndarray, ops: ImexOperators | Lockstep
 ) -> float | np.ndarray:
@@ -675,12 +735,11 @@ def _growth_guard(
     passed = (peak <= envelope + 1e-9) & (peak < math.inf)
     if not all(passed.flat):
         row = int(np.argmin(passed))
-        W = ops.rows[row].integral.total_weight
         raise GrowthGuardError(
             f"time step amplified the solution beyond the stability envelope: "
             f"max|u_next| = {np.reshape(peak, -1)[row]:.6g} > (1 + 20 dt) scale = "
-            f"{np.reshape(envelope, -1)[row]:.6g} (dt = {dt:.4g}, dt*W = {dt * W:.4g}); "
-            "refine dt or loosen the jump truncation",
+            f"{np.reshape(envelope, -1)[row]:.6g} (dt = {dt:.4g}, "
+            f"{_stiffness(ops.rows[row])}); refine dt",
             row,
         )
     return peak
@@ -703,7 +762,8 @@ def _implicit_step(
     prev_peak: float | np.ndarray,
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Fold the new Dirichlet values into rhs, solve with ops' matrix (or
-    ops.sweep) and guard; return the new level and its guard scale per row."""
+    its penalty sweep) and guard; return the new level and its guard scale
+    per row."""
     tau = tau_prev + ops.dt
     lo, hi = ops.edge_values(tau)
     # .T[0] and .T[-1] are the edge nodes of one row and of every row alike
@@ -713,11 +773,53 @@ def _implicit_step(
     # sub-diagonal (low edge) and super-diagonal (high edge)
     rhs.T[0] -= ops.band[2, 0] * lo
     rhs.T[-1] -= ops.band[0, -1] * hi
-    if ops.sweep is None:
+    if ops.penalty is None:
         u_next[..., 1:-1] = _implicit_solve(ops, rhs)
     else:
-        ops.sweep(ops, tau, rhs, u_next, u_prev)
+        _penalty_sweep(ops, tau, rhs, u_next, u_prev)
     return u_next, _growth_guard(u_next, prev_peak, ops)
+
+
+def _penalty_sweep(
+    ops: ImexOperators, tau: float, rhs: np.ndarray, u_next: np.ndarray, u_prev: np.ndarray
+) -> None:
+    """Fill u_next's interior by the penalty sweep of ops' step or substep
+    (see the module docstring): tau is the time of the new level, rhs has the
+    new Dirichlet values folded into its edge equations, and u_next already
+    holds them at its ends.  A sweep whose active set is empty adds nothing
+    to the band, so it back-substitutes through the factors assembly made
+    (`dgttrs`, the bits of a fresh elimination of the same band); any other
+    sweep eliminates the band plus its penalty diagonal afresh (`dgtsv`)."""
+    penalty = ops.penalty
+    w_int = math.exp(ops.spec.rate * tau) * penalty.obstacle
+    u_iter = u_prev
+    active = u_iter[1:-1] < w_int
+    for k in range(penalty.max_picard):
+        if np.count_nonzero(active):
+            pen = penalty.scale * active
+            u_next[1:-1] = _implicit_solve(ops, rhs + pen * w_int, extra_diag=pen)
+        else:
+            u_next[1:-1] = _implicit_solve(ops, rhs)
+        # the same active set would repeat this solve bit for bit in the
+        # next sweep, which then stops on a zero update
+        next_active = u_next[1:-1] < w_int
+        if k + 1 < penalty.max_picard and next_active.tobytes() == active.tobytes():
+            return
+        diff = float(np.abs(u_next - u_iter).max())
+        if diff < penalty.tol:
+            return
+        active = next_active
+        u_iter = u_next.copy()
+    worst = int(np.argmax(np.abs(u_next - u_prev)))
+    raise PicardError(
+        f"penalty iteration did not reach {penalty.tol:g} within {penalty.max_picard} sweeps "
+        f"at tau = {tau:.6g} (worst node {worst}, x = {ops.xs[worst]:+.4f}, "
+        f"last update {diff:.3g}; dt = {ops.dt:.4g}, {_stiffness(ops)})",
+        node=worst,
+        x=float(ops.xs[worst]),
+        gap=diff,
+        iterations=penalty.max_picard,
+    )
 
 
 class StepHistory(NamedTuple):
@@ -747,12 +849,8 @@ def step_imex(
     the start: _START_SUBSTEPS backward-Euler substeps with ops.start.  The
     first substep's jump apply also gives b_0, at the full dt.
 
-    A step or substep whose operators carry a sweep calls
-    sweep(step_ops, tau, rhs, u_next, u_prev) in place of the banded solve,
-    and the sweep fills u_next[1:-1]: step_ops are the operators of that
-    (sub)step (ops or ops.start), tau is the time of the level it fills, rhs
-    has the new Dirichlet values folded into its edge equations, and u_next
-    already holds them at its ends.
+    A step or substep whose operators have a `Penalty` runs the penalty
+    sweep in place of the banded solve.
     """
     # the arithmetic runs in place on fresh arrays, in the order of
     # b = u_n + dt E(u_n) and rhs = (2 b - b_(n-1)) + u_(n-1) / 2
@@ -825,10 +923,10 @@ def _march(rows: Sequence[ImexOperators], keep_levels: bool = True) -> list[Pric
     level; without, the march holds only the levels a step takes and each
     surface holds the payoff and the last level, at taus (0, T).
 
-    One row steps as a vector with its own operators, sweep included, k rows
-    as a (k, N+1) array with their Lockstep, which refuses a row with a sweep;
-    a failing row raises GrowthGuardError with its index, and the batch yields
-    no surface."""
+    One row steps as a vector with its own operators, penalty included, k
+    rows as a (k, N+1) array with their Lockstep, which refuses a row with a
+    penalty; a failing row raises GrowthGuardError with its index, and the
+    batch yields no surface."""
     first = rows[0]
     taus = first.grid.taus(first.spec.expiry)
     u0 = np.array([build_grid(row.spec, row.grid)[2] for row in rows])

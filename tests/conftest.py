@@ -131,6 +131,17 @@ def stepped_jump_term(model, grid, values):
     return _explicit_term(u, ops, 0.0) - (spec.rate - 0.5 * spec.sigma**2) * d1
 
 
+def stiffness_text(ops, largest: str) -> str:
+    """The three stiffness numbers a failure message quotes for ops' step,
+    written out from the operators' fields, with the name of the largest."""
+    dt, dx, op, spec = ops.dt, ops.grid.dx, ops.integral, ops.spec
+    drift = spec.rate - 0.5 * spec.sigma**2 - op.drift_correction
+    return (
+        f"dt*W = {dt * op.total_weight:.4g}, dt*|b|/dx = {dt * abs(drift) / dx:.4g}, "
+        f"dt*c_loc/dx^2 = {dt * op.local_correction / dx**2:.4g}; largest {largest}"
+    )
+
+
 def assert_last_level_surface(full, two):
     """two, solved with keep_levels=False, holds full's payoff and last level
     at taus (0, T), and prices t = 0 and t = T bit for bit as full does."""

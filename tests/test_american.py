@@ -15,7 +15,9 @@ from conftest import (
     bench_spec,
     far_values,
     solve_american,
+    stiffness_text,
 )
+from levypide import pide
 from levypide.american import (
     LcpReport,
     PenaltyConfig,
@@ -23,6 +25,7 @@ from levypide.american import (
     exercise_asymptote,
     extract_boundary,
     lcp_residual,
+    penalized_operators,
 )
 from levypide.bs import payoff
 from levypide.levy import CGMY, Kou, NoJumps
@@ -48,8 +51,10 @@ def eps_sweep():
 
 def reference_solve(spec, model, grid, pcfg):
     """The penalized solve with every sweep run until two iterates agree:
-    the loop whose repeat of an unchanged active set the solver skips."""
-    ops = assemble_operators(spec, model, grid, boundary=exercise_asymptote(spec))
+    the loop whose repeat of an unchanged active set the solver skips,
+    plugged in for pide's sweep.  It reads nothing of the operators' penalty
+    but that they have one."""
+    ops = penalized_operators(spec, model, grid, pcfg)
     xs = ops.xs
     tol = pcfg.picard_tol if pcfg.picard_tol is not None else 1e-8 * spec.strike
     w0 = payoff(spec, spec.strike * np.exp(xs))
@@ -73,8 +78,9 @@ def reference_solve(spec, model, grid, pcfg):
             iterations=pcfg.max_picard,
         )
 
-    ops.sweep = ops.start.sweep = sweep
-    [surface] = _march([ops])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pide, "_penalty_sweep", sweep)
+        [surface] = _march([ops])
     return surface
 
 
@@ -182,12 +188,19 @@ class TestSolveAmerican:
         assert -4.0 <= err.x <= 4.0
         assert "sweeps" in str(err)
         # the first start substep stalls, so the message quotes its tau, its
-        # step size dt / 4 and its large-jump stiffness dt*W
+        # step size dt / 4 and its stiffness numbers, of which the drift's is
+        # the largest
         ops = assemble_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec()).start
-        stiffness = ops.dt * ops.integral.total_weight
-        assert stiffness > 0.0
         assert f"at tau = {ops.dt:.6g} " in str(err)
-        assert f"dt = {ops.dt:.4g}, dt*W = {stiffness:.4g})" in str(err)
+        assert f"; dt = {ops.dt:.4g}, {stiffness_text(ops, 'dt*|b|/dx')})" in str(err)
+
+    def test_operators_survive_pickling_and_march_to_the_same_bits(self):
+        # a pool's child receives an American job's operators by pickle
+        ops = penalized_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec(), PenaltyConfig())
+        copy = pickle.loads(pickle.dumps(ops))
+        assert copy.penalty is not None and copy.start.penalty is not None
+        [original], [copied] = _march([ops]), _march([copy])
+        assert copied.u.tobytes() == original.u.tobytes()
 
     def test_a_stalled_iteration_survives_pickling(self):
         # a march in a pool's child process returns its error by pickle

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -698,7 +699,30 @@ class TestPriceCommand:
         assert out == "" and not table.exists()
         assert err.startswith("numerical failure in V_r0: price -154.411 at S = 100 ")
         assert "static lower bound 0 " in err
-        assert "dt*W = 0.457" in err and "dt*c_loc/dx^2 = 0.605" in err
+        assert err.endswith(
+            "(dt*W = 0.4568, dt*|b|/dx = 0.1293, dt*c_loc/dx^2 = 0.6052; "
+            "largest dt*c_loc/dx^2)\n"
+        )
+
+    def test_a_steeply_tilted_nig_prices(self, tmp_path, capsys):
+        # e^(a z) alone overflows on the default lattice at a = 700
+        path = write_cfg(
+            tmp_path,
+            model={"type": "nig", "a": 700.0, "b": 701.5, "c": 1.0},
+            grid=None,
+            scenarios=[{"rate": 0.1, "spots": [85.2144, 100.0, 112.75]}],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["price", "--config", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split() for line in out.splitlines()] == [
+            ["S", "payoff", "V_r0.1"],
+            ["85.2144", "14.7856", "12.681"],
+            ["100", "0", "6.04284"],
+            ["112.75", "0", "2.88525"],
+        ]
 
     @pytest.mark.parametrize("style", ["european", "american"])
     @pytest.mark.parametrize(
@@ -928,7 +952,7 @@ class TestLockstepJobs:
         self, tmp_path, monkeypatch, capsys, pooled
     ):
         # a pool's child marches each American job on the operators, penalty
-        # sweep included, that it inherited at fork
+        # included, that it received by pickle
         def argv_for(out_dir):
             path = write_cfg(
                 tmp_path,

@@ -1,7 +1,9 @@
 """The job pipeline: planning, lockstep batches, the process pool, failure
 isolation, the static-bound verdict and the structural warning."""
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,15 @@ from scipy import integrate
 
 from conftest import ALL_JUMP_MODELS, BENCH_MERTON, BENCH_VG, bench_spec
 from levypide import Job, jobs, levy, price_jobs
-from levypide.american import PenaltyConfig, StructuralWarning, penalized_operators
+from levypide.american import (
+    PenaltyConfig,
+    StructuralWarning,
+    extract_boundary,
+    lcp_residual,
+    penalized_operators,
+)
 from levypide.bs import OptionSpec, bs_price
-from levypide.levy import CGMY, Merton, VarianceGamma
+from levypide.levy import CGMY, NIG, Merton, VarianceGamma
 from levypide.oracle import merton_series_price
 from levypide.pide import (
     GridSpec,
@@ -38,7 +46,28 @@ class TestPriceJobs:
         [out] = price_jobs([NEGATIVE_CGMY])
         assert isinstance(out, RuntimeError)
         assert str(out).startswith("price -154.411 at S = 100 leaves the static lower bound")
-        assert "dt*W = 0.457" in str(out) and "dt*c_loc/dx^2 = 0.605" in str(out)
+        assert str(out).endswith(
+            "(dt*W = 0.4568, dt*|b|/dx = 0.1293, dt*c_loc/dx^2 = 0.6052; largest dt*c_loc/dx^2)"
+        )
+
+    def test_readme_library_example_prints_what_it_says(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme[readme.index("\n## Library\n") :]
+        [example] = re.findall(r"```python\n(.*?)```", library, re.S)[:1]
+        exec(compile(example, "README.md", "exec"), {})
+        merton, cgmy = capsys.readouterr().out.splitlines()
+        assert merton == "[22.26771571 17.70643788]"
+        assert cgmy.startswith("price -154.411 at S = 100 leaves the static lower bound")
+
+    def test_a_steeply_tilted_nig_prices(self):
+        # e^(a z) overflows at a = 700 on the default lattice; the density
+        # goes through k1e, and no numpy warning is raised (they are errors)
+        spec = bench_spec(rate=0.1)
+        job = Job(spec, NIG(a=700.0, b=701.5, c=1.0), GridSpec(), (85.2144, 100.0, 112.75))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [out] = price_jobs([job])
+        assert [f"{p:.6g}" for p in out.prices] == ["12.681", "6.04284", "2.88525"]
 
     def test_every_job_has_its_own_outcome(self):
         spec = bench_spec(rate=0.1)
@@ -212,7 +241,7 @@ class TestLockstepJobs:
         tasks = jobs._tasks(dict(enumerate(european)), limit)
         assert [len(idx) for idx in tasks] == batches
         assert [i for idx in tasks for i in idx] == [0, 1]
-        # each American job's operators carry its own penalty sweep, so it is
+        # each American job's operators carry its own penalty, so it is
         # a batch of one whatever the worker and CPU counts
         american = [
             jobs._plan(Job(bench_spec(rate=r), BENCH_MERTON, GridSpec(100, 50),
@@ -268,3 +297,23 @@ class TestMarchPool:
             assert jobs._processes(planned, 2) == 1
             monkeypatch.setattr(jobs, "_POOL_MIN_WORK", 101 * 50 * 2)
             assert jobs._processes(planned, 2) == 2
+
+    @pytest.mark.filterwarnings("ignore::levypide.american.StructuralWarning")
+    def test_pooled_american_surfaces_check_as_the_inline_ones(self, monkeypatch, pooled):
+        # the surfaces come back from the children by pickle, with copies of
+        # the operators that marched them, penalty included
+        grid = GridSpec(n_space=100, n_time=50)
+        batch = [
+            Job(bench_spec(rate=r), BENCH_VG, grid, (90.0, 100.0), PenaltyConfig())
+            for r in (0.0, 0.1)
+        ]
+        assert jobs._processes(dict(enumerate(map(jobs._plan, batch))), 2) == 2
+        pooled_outcomes = price_jobs(batch, keep_levels=True)
+        monkeypatch.setenv("LEVYPIDE_WORKERS", "1")
+        inline = price_jobs(batch, keep_levels=True)
+        for a, b in zip(pooled_outcomes, inline):
+            assert a.surface.ops.penalty is not None
+            assert lcp_residual(a.surface) == lcp_residual(b.surface)
+            got, expect = extract_boundary(a.surface), extract_boundary(b.surface)
+            assert got.taus.tobytes() == expect.taus.tobytes()
+            assert got.s_f.tobytes() == expect.s_f.tobytes()

@@ -23,6 +23,7 @@ from conftest import (
     grid_spots,
     jump_reference,
     stepped_jump_term,
+    stiffness_text,
 )
 from levypide.american import exercise_asymptote
 from levypide.bs import OptionSpec, bs_price, payoff, u_bs
@@ -35,10 +36,12 @@ from levypide.pide import (
     GridSpec,
     GrowthGuardError,
     Lockstep,
+    Penalty,
     StepHistory,
     _explicit_term,
     _implicit_solve,
     _march,
+    _stiffness,
     assemble_integral_operator,
     assemble_operators,
     build_grid,
@@ -430,9 +433,11 @@ class TestStepImex:
         with pytest.raises(RuntimeError, match="stability") as info:
             step_imex(u0, ops, 0.0)
         # the first start substep trips; the message quotes its step size and
-        # large-jump stiffness number dt*W
-        dt = ops.start.dt
-        assert f"(dt = {dt:.4g}, dt*W = {dt * ops.integral.total_weight:.4g})" in str(info.value)
+        # stiffness numbers, and no longer advises a looser jump truncation
+        start = ops.start
+        assert str(info.value).endswith(
+            f"(dt = {start.dt:.4g}, {stiffness_text(start, 'dt*|b|/dx')}); refine dt"
+        )
 
     def test_growth_guard_trips_in_an_sbdf2_step(self):
         spec = bench_spec(rate=0.1)
@@ -444,9 +449,14 @@ class TestStepImex:
         ops = assemble_operators(spec, BENCH_MERTON, grid, boundary=blowup)
         with pytest.raises(RuntimeError, match="stability") as info:
             step_imex(u1, ops, calm.dt, history)
-        assert f"(dt = {ops.dt:.4g}, dt*W = {ops.dt * ops.integral.total_weight:.4g})" in str(
-            info.value
+        assert str(info.value).endswith(
+            f"(dt = {ops.dt:.4g}, {stiffness_text(ops, 'dt*|b|/dx')}); refine dt"
         )
+
+    def test_a_nan_stiffness_number_is_named_the_largest(self):
+        ops = assemble_operators(bench_spec(rate=0.1), BENCH_MERTON, GridSpec())
+        broken = replace(ops, integral=replace(ops.integral, local_correction=math.nan))
+        assert _stiffness(broken).endswith("dt*c_loc/dx^2 = nan; largest dt*c_loc/dx^2")
 
     @pytest.mark.parametrize("swept", [False, True], ids=["banded", "penalty-sweep"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -456,14 +466,12 @@ class TestStepImex:
         grid = GridSpec()
         ops = assemble_operators(spec, BENCH_MERTON, grid)
         _, _, u0 = build_grid(spec, grid)
-        u0[grid.n_space // 2] = bad
-        pen = np.full(grid.n_space - 1, 10.0)
-
-        def sweep(step, tau, rhs, u_next, u_prev):
-            u_next[1:-1] = _implicit_solve(step, rhs + pen * u_prev[1:-1], extra_diag=pen)
-
         if swept:
-            ops.sweep = ops.start.sweep = sweep
+            # the payoff is its own obstacle, so the first sweep has an
+            # active set and eliminates afresh
+            penalty = Penalty(u0[1:-1].copy(), np.full(grid.n_space - 1, 10.0), 50, 1e-6)
+            ops = replace(ops, penalty=penalty, start=replace(ops.start, penalty=penalty))
+        u0[grid.n_space // 2] = bad
         with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match="stability envelope: max.u_next. = nan"
         ):
@@ -743,16 +751,21 @@ class TestLockstep:
         base = assemble_operators(bench_spec(), BENCH_MERTON, GridSpec())
         other = assemble_operators(bench_spec(sigma=0.3), BENCH_MERTON, GridSpec())
         step, start = (other, base) if which == "step" else (base, other)
-        row = replace(base, band=step.band, band_lu=step.band_lu)
-        row.start = replace(base.start, band=start.start.band, band_lu=start.start.band_lu)
+        row = replace(
+            base,
+            band=step.band,
+            band_lu=step.band_lu,
+            start=replace(base.start, band=start.start.band, band_lu=start.start.band_lu),
+        )
         with pytest.raises(ValueError, match="lockstep batch needs"):
             Lockstep.of([base, row])
         assert Lockstep.key(row) != Lockstep.key(base)
 
     def test_refuses_a_row_with_a_sweep(self):
-        # a sweep is one job's own, so its row marches alone
+        # a penalty is one job's own, so its row marches alone
         ops = assemble_operators(bench_spec(), BENCH_MERTON, GridSpec())
-        swept = replace(ops, sweep=lambda *args: None)
+        interior = np.zeros(GridSpec().n_space - 1)
+        swept = replace(ops, penalty=Penalty(interior, interior, 1, 1.0))
         for rows in ([swept, swept], [ops, swept], [swept]):
             with pytest.raises(ValueError, match="no row with a sweep"):
                 Lockstep.of(rows)
